@@ -20,16 +20,10 @@ from .baselines import (
     spearman_rho,
 )
 from .graph import (
-    DENSE_LIMIT,
     ConsensusMatrix,
     Deviation,
     MeasureParams,
-    PositionStats,
     Survey,
-    build_matrix,
-    gap_mean,
-    heaviside,
-    position_stats,
     survey,
 )
 from .io import (
@@ -53,7 +47,6 @@ from .measures import (
     kappa_series,
     kappa_sweep,
     kappa_total_closed,
-    longest_common_length,
     measure,
 )
 from .model import (
@@ -79,14 +72,12 @@ __all__ = [
     "Baseline",
     "CommonSubsequence",
     "ConsensusMatrix",
-    "DENSE_LIMIT",
     "Dataset",
     "Deviation",
     "ItemTable",
     "KappaProfile",
     "MeasureParams",
     "ParseError",
-    "PositionStats",
     "Ranking",
     "RankingDocument",
     "RankingSet",
@@ -97,12 +88,9 @@ __all__ = [
     "SweepPoint",
     "UnsupportedRankingError",
     "ValidationError",
-    "build_matrix",
     "build_ranking",
     "enumerate_common",
     "format_subsequences",
-    "gap_mean",
-    "heaviside",
     "kappa1_topk",
     "kappa_dup",
     "kappa_series",
@@ -112,14 +100,12 @@ __all__ = [
     "kendall_tau",
     "load_dataset",
     "load_reference_sweep",
-    "longest_common_length",
     "measure",
     "oracle_profile",
     "pairwise_aggregate",
     "pairwise_index",
     "parse_json",
     "parse_text",
-    "position_stats",
     "serialize_json",
     "serialize_text",
     "spearman_footrule",

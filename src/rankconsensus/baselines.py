@@ -13,6 +13,7 @@ definitions by a constant factor.
 from __future__ import annotations
 
 from enum import Enum
+from typing import Sequence
 
 from .model import Ranking, RankingSet
 
@@ -101,6 +102,38 @@ def pairwise_index(r1: Ranking, r2: Ranking, kind: Baseline | str) -> float:
     return _INDEX_FUNCS[Baseline(kind)](r1, r2)
 
 
+def pairwise_values(rset: RankingSet, kind: Baseline | str) -> list[tuple[int, int, float]]:
+    """(i, j, index) for every ordered ranking pair i != j, i outer, j inner.
+
+    i and j are 0-based positions in the set. Index errors are re-raised
+    with the offending pair named (1-based positions in the set).
+    """
+    kind = Baseline(kind)
+    N = len(rset)
+    if N < 2:
+        raise ValueError("aggregation needs at least two rankings")
+    values = []
+    for i in range(N):
+        for j in range(N):
+            if i == j:
+                continue
+            try:
+                values.append((i, j, pairwise_index(rset.rankings[i], rset.rankings[j], kind)))
+            except ValueError as exc:
+                raise type(exc)(f"pair ({i + 1}, {j + 1}): {exc}") from exc
+    return values
+
+
+def aggregate_values(values: Sequence[float], mode: Aggregate | str = Aggregate.MEAN) -> float:
+    """SUM is the plain sum, MEAN divides it by the pair count, MIN is the smallest."""
+    mode = Aggregate(mode)
+    if mode is Aggregate.SUM:
+        return sum(values)
+    if mode is Aggregate.MEAN:
+        return sum(values) / len(values)
+    return min(values)
+
+
 def pairwise_aggregate(
     rset: RankingSet, kind: Baseline | str, mode: Aggregate | str = Aggregate.MEAN
 ) -> float:
@@ -110,23 +143,5 @@ def pairwise_aggregate(
     the smallest pair value. Index errors are re-raised with the
     offending pair named (1-based positions in the set).
     """
-    kind = Baseline(kind)
     mode = Aggregate(mode)
-    N = len(rset)
-    if N < 2:
-        raise ValueError("aggregation needs at least two rankings")
-    func = _INDEX_FUNCS[kind]
-    values = []
-    for i in range(N):
-        for j in range(N):
-            if i == j:
-                continue
-            try:
-                values.append(func(rset.rankings[i], rset.rankings[j]))
-            except ValueError as exc:
-                raise type(exc)(f"pair ({i + 1}, {j + 1}): {exc}") from exc
-    if mode is Aggregate.SUM:
-        return sum(values)
-    if mode is Aggregate.MEAN:
-        return sum(values) / (N * (N - 1))
-    return min(values)
+    return aggregate_values([v for _, _, v in pairwise_values(rset, kind)], mode)

@@ -2,20 +2,23 @@
 
 Subcommands: measure, sweep, baseline, oracle-check, experiment. Input
 is a file path or the name of a bundled dataset; output goes to stdout
-or --output. Exit codes: 0 success, 2 unreadable or malformed input,
-3 invalid parameters or grid, 4 input outside a baseline's scope,
-5 oracle mismatch, 6 enumeration size guard.
+or --output. Exit codes: 0 success, 2 unreadable or malformed input
+(including a file that is not UTF-8), 3 invalid parameters or grid
+(including NaN and grids of more than MAX_GRID_POINTS points), 4 input
+outside a baseline's scope, 5 oracle mismatch, 6 enumeration size guard.
+Every failure except an oracle mismatch is reported by ``main`` as one
+``error: <message>`` line on stderr.
 """
 from __future__ import annotations
 
 import argparse
 import sys
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal, InvalidOperation, Overflow, localcontext
 from pathlib import Path
 
 from . import baselines, io, measures, oracle
 from .graph import Deviation, MeasureParams
-from .model import ValidationError
+from .model import RankingSet, ValidationError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -25,11 +28,15 @@ EXIT_MISMATCH = 5
 EXIT_SIZE = 6
 
 EXPERIMENT_GRID = "1:0.45:0.05"
+MAX_GRID_POINTS = 1000
 
 
-def _fail(code: int, message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
+class CommandError(Exception):
+    """A failure that ``main`` reports as ``error: <message>`` and exits with ``code``."""
+
+    def __init__(self, code: int, message: str) -> None:
+        super().__init__(message)
+        self.code = code
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -54,6 +61,19 @@ def _load_document(source: str) -> io.RankingDocument:
     return io.parse_text(content, source=source)
 
 
+def _load(source: str) -> tuple[io.RankingDocument, RankingSet]:
+    """Load and validate the positional input; any defect in it exits 2."""
+    try:
+        document = _load_document(source)
+        return document, document.to_ranking_set()
+    except UnicodeDecodeError as exc:
+        raise CommandError(
+            EXIT_PARSE, f"{source}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
+    except (io.ParseError, ValidationError, OSError) as exc:
+        raise CommandError(EXIT_PARSE, str(exc)) from None
+
+
 def _default_format(chosen: str | None) -> str:
     if chosen:
         return chosen
@@ -61,14 +81,17 @@ def _default_format(chosen: str | None) -> str:
 
 
 def _params_from(args: argparse.Namespace) -> MeasureParams:
-    return MeasureParams(
-        gamma=args.gamma,
-        lam=args.lam,
-        epsilon=args.epsilon,
-        deviation=Deviation(args.deviation),
-        zeta=getattr(args, "topk_zeta", None),
-        beta=getattr(args, "topk_beta", None),
-    )
+    try:
+        return MeasureParams(
+            gamma=args.gamma,
+            lam=args.lam,
+            epsilon=args.epsilon,
+            deviation=Deviation(args.deviation),
+            zeta=getattr(args, "topk_zeta", None),
+            beta=getattr(args, "topk_beta", None),
+        )
+    except ValueError as exc:
+        raise CommandError(EXIT_PARAMS, str(exc)) from None
 
 
 def parse_grid(text: str) -> list[float]:
@@ -76,7 +99,8 @@ def parse_grid(text: str) -> list[float]:
 
     A zero step is only allowed for the single-point case start == stop.
     Decimal arithmetic keeps the values exact, so 1:0.45:0.05 yields the
-    twelve conventional points without drift.
+    twelve conventional points without drift. The point count is checked
+    against MAX_GRID_POINTS before any point is made.
     """
     parts = text.split(":")
     if len(parts) != 3:
@@ -85,6 +109,8 @@ def parse_grid(text: str) -> list[float]:
         start, stop, step = (Decimal(part) for part in parts)
     except InvalidOperation:
         raise ValueError(f"grid must be numeric, got {text!r}") from None
+    if not all(value.is_finite() for value in (start, stop, step)):
+        raise ValueError(f"grid must be finite, got {text!r}")
     if step < 0:
         raise ValueError("grid step must be non-negative")
     if step == 0:
@@ -92,17 +118,18 @@ def parse_grid(text: str) -> list[float]:
             raise ValueError("grid step 0 requires start == stop")
         values = [start]
     else:
-        values = []
-        if start >= stop:
-            current = start
-            while current >= stop:
-                values.append(current)
-                current -= step
-        else:
-            current = start
-            while current <= stop:
-                values.append(current)
-                current += step
+        # Exponents beyond the context's range become Infinity instead of
+        # raising; an infinite span is rejected by the count check and an
+        # infinite value by the range check below.
+        with localcontext() as ctx:
+            ctx.traps[Overflow] = False
+            steps = abs(stop - start) / step
+            if steps >= MAX_GRID_POINTS:
+                raise ValueError(
+                    f"grid has more than {MAX_GRID_POINTS} points, got {text!r}"
+                )
+            direction = -1 if start >= stop else 1
+            values = [start + direction * k * step for k in range(int(steps) + 1)]
     grid = [float(value) for value in values]
     for value in grid:
         if not 0.0 < value <= 1.0:
@@ -205,16 +232,11 @@ def _parse_per_p(text: str) -> list[int]:
 
 def cmd_measure(args: argparse.Namespace) -> int:
     if (args.topk_zeta is None) != (args.topk_beta is None):
-        return _fail(EXIT_PARAMS, "top-k weighting requires both --topk-zeta and --topk-beta")
-    try:
-        params = _params_from(args)
-    except ValueError as exc:
-        return _fail(EXIT_PARAMS, str(exc))
-    try:
-        document = _load_document(args.input)
-        rset = document.to_ranking_set()
-    except (io.ParseError, ValidationError, OSError) as exc:
-        return _fail(EXIT_PARSE, str(exc))
+        raise CommandError(
+            EXIT_PARAMS, "top-k weighting requires both --topk-zeta and --topk-beta"
+        )
+    params = _params_from(args)
+    _, rset = _load(args.input)
     profile = measures.measure(rset, params)
     extras: dict[str, object] = {}
     if args.dedup:
@@ -229,45 +251,31 @@ def cmd_measure(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    params = _params_from(args)
     try:
-        params = _params_from(args)
         gammas = parse_grid(args.gamma_grid)
         lams = parse_grid(args.lambda_grid)
         per_p = _parse_per_p(args.per_p) if args.per_p else None
     except ValueError as exc:
-        return _fail(EXIT_PARAMS, str(exc))
+        raise CommandError(EXIT_PARAMS, str(exc)) from None
     fmt = _default_format(args.format)
     if per_p and fmt != "csv":
-        return _fail(EXIT_PARAMS, "per-p columns are only available with --format csv")
-    try:
-        document = _load_document(args.input)
-        rset = document.to_ranking_set()
-    except (io.ParseError, ValidationError, OSError) as exc:
-        return _fail(EXIT_PARSE, str(exc))
+        raise CommandError(EXIT_PARAMS, "per-p columns are only available with --format csv")
+    _, rset = _load(args.input)
     points = measures.kappa_sweep(rset, gammas, lams, params)
     _emit(io.write_results(points, fmt, per_p=per_p), args.output)
     return EXIT_OK
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
-    try:
-        document = _load_document(args.input)
-        rset = document.to_ranking_set()
-    except (io.ParseError, ValidationError, OSError) as exc:
-        return _fail(EXIT_PARSE, str(exc))
+    document, rset = _load(args.input)
     labels = document.labels()
     try:
-        aggregate = baselines.pairwise_aggregate(rset, args.index, args.mode)
-        pairs = []
-        for i in range(len(rset)):
-            for j in range(len(rset)):
-                if i != j:
-                    value = baselines.pairwise_index(
-                        rset.rankings[i], rset.rankings[j], args.index
-                    )
-                    pairs.append((labels[i], labels[j], value))
+        values = baselines.pairwise_values(rset, args.index)
     except ValueError as exc:
-        return _fail(EXIT_UNSUPPORTED, str(exc))
+        raise CommandError(EXIT_UNSUPPORTED, str(exc)) from None
+    aggregate = baselines.aggregate_values([v for _, _, v in values], args.mode)
+    pairs = [(labels[i], labels[j], v) for i, j, v in values]
     fmt = _default_format(args.format)
     lines: list[str]
     if fmt == "json":
@@ -317,19 +325,12 @@ def _profiles_match(
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
-    try:
-        params = _params_from(args)
-    except ValueError as exc:
-        return _fail(EXIT_PARAMS, str(exc))
-    try:
-        document = _load_document(args.input)
-        rset = document.to_ranking_set()
-    except (io.ParseError, ValidationError, OSError) as exc:
-        return _fail(EXIT_PARSE, str(exc))
+    params = _params_from(args)
+    _, rset = _load(args.input)
     try:
         reference = oracle.oracle_profile(rset, params)
     except oracle.SizeLimitError as exc:
-        return _fail(EXIT_SIZE, str(exc))
+        raise CommandError(EXIT_SIZE, str(exc)) from None
     computed = measures.measure(rset, params)
     if _profiles_match(computed, reference, params.exact):
         print(f"oracle check passed: ell={computed.ell} kappa={computed.total}")
@@ -355,7 +356,10 @@ def _experiment_report(name: str) -> str:
     for title, dataset, table in jobs:
         rset = io.load_dataset(dataset).to_ranking_set()
         gammas, lams, reference = io.load_reference_sweep(table)
-        assert gammas == grid and lams == grid
+        if gammas != grid or lams != grid:
+            raise CommandError(
+                EXIT_PARSE, f"reference table {table} is not on the grid {EXPERIMENT_GRID}"
+            )
         lines.append(f"== {title} ==")
         max_dev: dict[Deviation, float] = {}
         for variant in Deviation:
@@ -407,7 +411,11 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return _HANDLERS[args.command](args)
+    try:
+        return _HANDLERS[args.command](args)
+    except CommandError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

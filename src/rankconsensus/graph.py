@@ -1,11 +1,12 @@
 """Weighted precedence-graph construction over a set of rankings.
 
-The graph is held as a lower-triangular adjacency matrix indexed by the
-items of a reference ranking (the shortest member of the set). The
-diagonal carries per-item weights gamma**d for items that occur in every
-ranking; the strict lower part carries pair weights lambda**g for item
-pairs ordered consistently by every ranking. Everything above the
-diagonal is zero, so the graph is acyclic by construction.
+The graph is a lower-triangular matrix indexed by the items of a
+reference ranking (the shortest member of the set), held as a diagonal
+vector plus one adjacency list per row. The diagonal carries per-item
+weights gamma**d for items that occur in every ranking; the adjacency
+lists carry the strict lower part, pair weights lambda**g for item pairs
+ordered consistently by every ranking. Everything above the diagonal is
+zero, so the graph is acyclic by construction.
 
 The zero/nonzero pattern, the deviation statistics and the pair gaps do
 not depend on gamma or lambda. ``survey`` captures that invariant part
@@ -19,10 +20,6 @@ from enum import Enum
 from typing import Iterator, Mapping
 
 from .model import RankingSet
-
-# Matrices up to this order are materialized densely; larger ones stay as
-# adjacency lists. Both representations must produce identical results.
-DENSE_LIMIT = 512
 
 
 class Deviation(str, Enum):
@@ -60,10 +57,10 @@ class MeasureParams:
             raise ValueError("gamma must be in (0,1]")
         if not 0.0 < self.lam <= 1.0:
             raise ValueError("lambda must be in (0,1]")
-        if self.epsilon < 0.0:
+        if not self.epsilon >= 0.0:
             raise ValueError("epsilon must be non-negative")
         object.__setattr__(self, "deviation", Deviation(self.deviation))
-        if self.zeta is not None and self.zeta <= 0.0:
+        if self.zeta is not None and not self.zeta > 0.0:
             raise ValueError("zeta must be positive")
         if self.beta is not None and not 0.0 < self.beta < 1.0:
             raise ValueError("beta must be in (0,1)")
@@ -113,7 +110,7 @@ class Survey:
             return math.sqrt(self.mad[index])
         return math.sqrt(self.var[index])
 
-    def matrix(self, params: MeasureParams, storage: str | None = None) -> "ConsensusMatrix":
+    def matrix(self, params: MeasureParams) -> "ConsensusMatrix":
         n = len(self.items)
         exact = params.exact
         diag: list[int | float] = [0] * n
@@ -126,17 +123,6 @@ class Survey:
         rows: list[list[tuple[int, int | float]]] = [[] for _ in range(n)]
         for i, j, gap in self.edges:
             rows[i].append((j, 1 if exact else params.lam ** gap))
-        if storage is None:
-            storage = "dense" if n <= DENSE_LIMIT else "sparse"
-        if storage not in ("dense", "sparse"):
-            raise ValueError(f"unknown storage: {storage!r}")
-        grid = None
-        if storage == "dense":
-            grid = [[0] * n for _ in range(n)]
-            for i in range(n):
-                grid[i][i] = diag[i]
-                for j, w in rows[i]:
-                    grid[i][j] = w
         return ConsensusMatrix(
             order=n,
             items=self.items,
@@ -144,8 +130,6 @@ class Survey:
             rows=rows,
             reference_index=self.reference_index,
             exact=exact,
-            storage=storage,
-            grid=grid,
             edge_count=len(self.edges),
         )
 
@@ -232,9 +216,8 @@ def build_matrix(
     rset: RankingSet,
     params: MeasureParams,
     reference_index: int | None = None,
-    storage: str | None = None,
 ) -> "ConsensusMatrix":
-    return survey(rset, reference_index).matrix(params, storage)
+    return survey(rset, reference_index).matrix(params)
 
 
 @dataclass(eq=False)
@@ -243,8 +226,8 @@ class ConsensusMatrix:
 
     ``diag`` holds the per-item weights (index by reference position,
     zeros for items missing from some ranking); ``rows`` holds the strict
-    lower part as per-row adjacency lists. Dense instances additionally
-    keep the full ``grid`` and route multiplication through it.
+    lower part as per-row adjacency lists of (column, weight), columns
+    ascending. ``entry`` and ``to_dense`` are read-only views of them.
     """
 
     order: int
@@ -253,8 +236,6 @@ class ConsensusMatrix:
     rows: list[list[tuple[int, int | float]]]
     reference_index: int
     exact: bool
-    storage: str
-    grid: list[list[int | float]] | None
     edge_count: int
 
     def entry(self, i: int, j: int) -> int | float:
@@ -262,8 +243,6 @@ class ConsensusMatrix:
             return self.diag[i]
         if i < j:
             return 0
-        if self.grid is not None:
-            return self.grid[i][j]
         for col, w in self.rows[i]:
             if col == j:
                 return w
@@ -273,40 +252,21 @@ class ConsensusMatrix:
         return sum(self.diag)
 
     def row_lower(self, i: int) -> Iterator[tuple[int, int | float]]:
-        """Nonzero strict-lower entries (j, weight) of row i."""
-        if self.grid is not None:
-            row = self.grid[i]
-            for j in range(i):
-                if row[j]:
-                    yield j, row[j]
-        else:
-            yield from self.rows[i]
+        """Strict-lower entries (j, weight) of row i, j ascending."""
+        yield from self.rows[i]
 
     def multiply_lower(self, vector: list[int | float]) -> list[int | float]:
-        """L @ vector, using the grid when dense, adjacency lists otherwise."""
-        n = self.order
-        result: list[int | float] = [0] * n
-        if self.grid is not None:
-            for i in range(n):
-                row = self.grid[i]
-                acc: int | float = 0
-                for j in range(i):
-                    w = row[j]
-                    if w:
-                        acc += w * vector[j]
-                result[i] = acc
-        else:
-            for i in range(n):
-                acc = 0
-                for j, w in self.rows[i]:
-                    acc += w * vector[j]
-                result[i] = acc
+        """L @ vector over the adjacency lists."""
+        result: list[int | float] = [0] * self.order
+        for i, row in enumerate(self.rows):
+            acc: int | float = 0
+            for j, w in row:
+                acc += w * vector[j]
+            result[i] = acc
         return result
 
     def to_dense(self) -> list[list[int | float]]:
         """Full n x n matrix as nested lists (a copy)."""
-        if self.grid is not None:
-            return [list(row) for row in self.grid]
         dense = [[0] * self.order for _ in range(self.order)]
         for i in range(self.order):
             dense[i][i] = self.diag[i]

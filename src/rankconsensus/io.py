@@ -124,9 +124,11 @@ def _json_fail(path: str, message: str) -> ParseError:
 
 
 def parse_json(content: str, source: str = "<json>") -> RankingDocument:
+    # Besides JSONDecodeError, integers past the interpreter's digit limit
+    # raise ValueError and very deep nesting raises RecursionError.
     try:
         payload = json.loads(content)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise _json_fail("$", "expected an object")

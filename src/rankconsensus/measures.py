@@ -65,10 +65,9 @@ def measure(
     rset: RankingSet,
     params: MeasureParams,
     reference_index: int | None = None,
-    storage: str | None = None,
 ) -> KappaProfile:
     """Build the matrix for the set and run the series in one call."""
-    matrix = build_matrix(rset, params, reference_index, storage)
+    matrix = build_matrix(rset, params, reference_index)
     return kappa_series(matrix, params)
 
 

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from rankconsensus import RankingSet, parse_text
-from rankconsensus.measures import KappaProfile
 
 # Four partially overlapping rankings used as the worked example across
 # the test suite. Known by heart: kappa_p = 5, 7, 4, 1 and kappa = 17.
@@ -53,17 +52,3 @@ def random_set(
                 index += 1
         lines.append(" ".join(parts))
     return make_set(*lines)
-
-
-def assert_profiles_close(
-    left: KappaProfile, right: KappaProfile, rel: float = 1e-9
-) -> None:
-    if left.exact and right.exact:
-        assert left.series == right.series
-        assert left.total == right.total
-    else:
-        assert left.ell == right.ell
-        for p in range(1, left.ell + 1):
-            a, b = float(left.value_at(p)), float(right.value_at(p))
-            assert abs(a - b) <= rel * max(1.0, abs(a), abs(b))
-    assert left.ell == right.ell

@@ -90,20 +90,6 @@ class TestExampleMatrix:
             for j in range(i + 1, matrix.order):
                 assert matrix.entry(i, j) == 0
 
-    def test_dense_and_sparse_agree(self):
-        rset = make_set(*EXAMPLE_LINES)
-        for params in (MeasureParams(), MeasureParams(gamma=0.7, lam=0.6)):
-            dense = build_matrix(rset, params, storage="dense")
-            sparse = build_matrix(rset, params, storage="sparse")
-            assert dense.to_dense() == sparse.to_dense()
-            vector = list(range(1, dense.order + 1))
-            assert dense.multiply_lower(vector) == sparse.multiply_lower(vector)
-
-    def test_unknown_storage_rejected(self):
-        rset = make_set(*EXAMPLE_LINES)
-        with pytest.raises(ValueError, match="unknown storage"):
-            build_matrix(rset, MeasureParams(), storage="banded")
-
 
 class TestSurveyStatistics:
     def test_position_spread_of_item_f(self):
