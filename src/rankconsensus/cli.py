@@ -3,8 +3,9 @@
 Subcommands: measure, sweep, baseline, oracle-check, experiment. Input
 is a file path or the name of a bundled dataset; output goes to stdout
 or --output. Exit codes: 0 success, 2 unreadable or malformed input
-(including a file that is not UTF-8), 3 invalid parameters or grid
-(including NaN and grids of more than MAX_GRID_POINTS points), 4 input
+(including a file that is not UTF-8) or an --output that cannot be
+written, 3 invalid parameters or grid (including NaN, an infinite
+epsilon and grids of more than MAX_GRID_POINTS points), 4 input
 outside a baseline's scope, 5 oracle mismatch, 6 enumeration size guard.
 Every failure except an oracle mismatch is reported by ``main`` as one
 ``error: <message>`` line on stderr.
@@ -41,7 +42,10 @@ class CommandError(Exception):
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        Path(output).write_text(text, encoding="utf-8")
+        try:
+            Path(output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise CommandError(EXIT_PARSE, f"{output}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 

@@ -11,13 +11,19 @@ zero, so the graph is acyclic by construction.
 The zero/nonzero pattern, the deviation statistics and the pair gaps do
 not depend on gamma or lambda. ``survey`` captures that invariant part
 once so that parameter sweeps only re-exponentiate.
+
+A pair (i, j) gets an edge only when every ranking k puts i strictly
+after j, so |p_k(i) - p_k(j)| = p_k(i) - p_k(j) in every ranking and the
+mean gap telescopes to (S_i - S_j) / N, with S_i the item's position sum.
+The numerator is the same integer the per-ranking sum of absolute
+differences gives, and the division is the same int/int true division,
+so the gap is exact, not an approximation of the per-ranking mean.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping
 
 from .model import RankingSet
 
@@ -59,6 +65,8 @@ class MeasureParams:
             raise ValueError("lambda must be in (0,1]")
         if not self.epsilon >= 0.0:
             raise ValueError("epsilon must be non-negative")
+        if math.isinf(self.epsilon):
+            raise ValueError("epsilon must be finite")
         object.__setattr__(self, "deviation", Deviation(self.deviation))
         if self.zeta is not None and not self.zeta > 0.0:
             raise ValueError("zeta must be positive")
@@ -71,19 +79,6 @@ class MeasureParams:
         return self.gamma == 1.0 and self.lam == 1.0
 
 
-def heaviside(x: float) -> int:
-    """Left-continuous step: 1 for strictly positive x, else 0."""
-    return 1 if x > 0 else 0
-
-
-@dataclass(frozen=True)
-class PositionStats:
-    """Mean position and deviation statistic per common item id."""
-
-    mu: Mapping[int, float]
-    dev: Mapping[int, float]
-
-
 @dataclass(frozen=True)
 class Survey:
     """The parameter-independent part of the matrix for one ranking set.
@@ -91,7 +86,9 @@ class Survey:
     positions is an N x n table of 1-based tie-group indices (0 marks
     absence) over the reference ranking's items. edges lists the strict
     lower-triangle candidates (i, j, mean gap) that survive the ordering
-    test in every ranking.
+    test in every ranking. Because i follows j in every ranking, the mean
+    gap is (S_i - S_j) / N for the integer position sums S, bit-for-bit
+    the mean of the per-ranking gaps; mu[i] is S_i / N.
     """
 
     items: tuple[int, ...]
@@ -130,7 +127,6 @@ class Survey:
             rows=rows,
             reference_index=self.reference_index,
             exact=exact,
-            edge_count=len(self.edges),
         )
 
 
@@ -153,28 +149,26 @@ def survey(rset: RankingSet, reference_index: int | None = None) -> Survey:
     positions = tuple(
         tuple(ranking.position_of(item) for item in items) for ranking in rset
     )
-    common = tuple(all(positions[k][i] > 0 for k in range(N)) for i in range(n))
+    columns = tuple(zip(*positions))
+    common = tuple(all(x > 0 for x in column) for column in columns)
+    sums = [sum(column) for column in columns]
     mu = [0.0] * n
     mad = [0.0] * n
     var = [0.0] * n
     for i in range(n):
         if not common[i]:
             continue
-        column = [positions[k][i] for k in range(N)]
-        mean = sum(column) / N
+        mean = sums[i] / N
         mu[i] = mean
-        mad[i] = sum(abs(x - mean) for x in column) / N
-        var[i] = sum((x - mean) ** 2 for x in column) / N
+        mad[i] = sum(abs(x - mean) for x in columns[i]) / N
+        var[i] = sum((x - mean) ** 2 for x in columns[i]) / N
     edges = []
     for i in range(n):
         if not common[i]:
             continue
         for j in range(i):
-            if not common[j]:
-                continue
-            if all(positions[k][i] - positions[k][j] > 0 for k in range(N)):
-                gap = sum(abs(positions[k][i] - positions[k][j]) for k in range(N)) / N
-                edges.append((i, j, gap))
+            if common[j] and all(a > b for a, b in zip(columns[i], columns[j])):
+                edges.append((i, j, (sums[i] - sums[j]) / N))
     return Survey(
         items=items,
         reference_index=reference_index,
@@ -185,39 +179,6 @@ def survey(rset: RankingSet, reference_index: int | None = None) -> Survey:
         var=tuple(var),
         edges=tuple(edges),
     )
-
-
-def position_stats(rset: RankingSet, params: MeasureParams) -> PositionStats:
-    """Mean position and deviation for every item common to all rankings."""
-    sv = survey(rset)
-    mu: dict[int, float] = {}
-    dev: dict[int, float] = {}
-    for i, item in enumerate(sv.items):
-        if sv.common[i]:
-            mu[item] = sv.mu[i]
-            dev[item] = sv.deviation_of(i, params.deviation)
-    return PositionStats(mu=mu, dev=dev)
-
-
-def gap_mean(rset: RankingSet, first: int, second: int) -> float:
-    """Mean absolute position difference between two items over all rankings."""
-    for item in (first, second):
-        for k, ranking in enumerate(rset):
-            if rset.position_of(ranking, item) == 0:
-                token = rset.table.token_of(item)
-                raise ValueError(f"item {token!r} absent from ranking {k + 1}")
-    total = 0
-    for ranking in rset:
-        total += abs(ranking.position_of(second) - ranking.position_of(first))
-    return total / len(rset)
-
-
-def build_matrix(
-    rset: RankingSet,
-    params: MeasureParams,
-    reference_index: int | None = None,
-) -> "ConsensusMatrix":
-    return survey(rset, reference_index).matrix(params)
 
 
 @dataclass(eq=False)
@@ -236,7 +197,6 @@ class ConsensusMatrix:
     rows: list[list[tuple[int, int | float]]]
     reference_index: int
     exact: bool
-    edge_count: int
 
     def entry(self, i: int, j: int) -> int | float:
         if i == j:
@@ -250,10 +210,6 @@ class ConsensusMatrix:
 
     def trace(self) -> int | float:
         return sum(self.diag)
-
-    def row_lower(self, i: int) -> Iterator[tuple[int, int | float]]:
-        """Strict-lower entries (j, weight) of row i, j ascending."""
-        yield from self.rows[i]
 
     def multiply_lower(self, vector: list[int | float]) -> list[int | float]:
         """L @ vector over the adjacency lists."""
@@ -273,13 +229,3 @@ class ConsensusMatrix:
             for j, w in self.rows[i]:
                 dense[i][j] = w
         return dense
-
-    def dump_csv(self) -> str:
-        """Nonzero entries as ``row,col,value`` lines at full precision."""
-        lines = ["row,col,value"]
-        for i in range(self.order):
-            if self.diag[i]:
-                lines.append(f"{i},{i},{self.diag[i]!r}")
-            for j, w in sorted(self.rows[i]):
-                lines.append(f"{i},{j},{w!r}")
-        return "\n".join(lines) + "\n"

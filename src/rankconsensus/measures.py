@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .graph import ConsensusMatrix, MeasureParams, build_matrix, heaviside, position_stats, survey
+from .graph import ConsensusMatrix, MeasureParams, survey
 from .model import RankingSet
 
 
@@ -67,8 +67,7 @@ def measure(
     reference_index: int | None = None,
 ) -> KappaProfile:
     """Build the matrix for the set and run the series in one call."""
-    matrix = build_matrix(rset, params, reference_index)
-    return kappa_series(matrix, params)
+    return kappa_series(survey(rset, reference_index).matrix(params), params)
 
 
 def kappa_total_closed(matrix: ConsensusMatrix) -> int | float:
@@ -81,14 +80,10 @@ def kappa_total_closed(matrix: ConsensusMatrix) -> int | float:
     v: list[int | float] = [1] * n
     for i in range(n):
         acc: int | float = 1
-        for j, w in matrix.row_lower(i):
+        for j, w in matrix.rows[i]:
             acc += w * v[j]
         v[i] = acc
     return matrix.trace() + sum(v) - n
-
-
-def longest_common_length(profile: KappaProfile) -> int:
-    return profile.ell
 
 
 def kappa_dup(rset: RankingSet, params: MeasureParams) -> int | float:
@@ -114,11 +109,13 @@ def kappa1_topk(rset: RankingSet, params: MeasureParams) -> float:
     """
     if params.zeta is None or params.beta is None:
         raise ValueError("top-k weighting requires both zeta and beta")
-    stats = position_stats(rset, params)
+    sv = survey(rset)
     total = 0.0
-    for item, mu in stats.mu.items():
-        d = stats.dev[item]
-        if heaviside(params.zeta - mu - d):
+    for i, mu in enumerate(sv.mu):
+        if not sv.common[i]:
+            continue
+        d = sv.deviation_of(i, params.deviation)
+        if params.zeta - mu - d > 0:
             total += (params.beta ** mu) * (params.gamma ** d)
     return total
 

@@ -173,27 +173,6 @@ class RankingSet:
                 best = k
         return best
 
-    def position_of(self, ranking: Ranking | int, item: int) -> int:
-        if not 0 <= item < len(self.table):
-            raise ValueError(f"unknown item id: {item}")
-        if isinstance(ranking, int):
-            ranking = self.rankings[ranking]
-        return ranking.position_of(item)
-
-    def common_items(self, reference_index: int | None = None) -> list[int]:
-        """Ids present in every ranking, in reference-ranking order.
-
-        Members of one reference tie group are ordered by id.
-        """
-        if reference_index is None:
-            reference_index = self.reference_index()
-        reference = self.rankings[reference_index]
-        return [
-            item
-            for item in reference.items()
-            if all(item in ranking for ranking in self.rankings)
-        ]
-
     def distinct(self) -> tuple["RankingSet", int]:
         """Deduplicated copy plus the largest multiplicity s."""
         counts = Counter(self.rankings)

@@ -21,7 +21,7 @@ from rankconsensus.baselines import (
     spearman_footrule,
     spearman_rho,
 )
-from rankconsensus.graph import Deviation, MeasureParams, build_matrix, survey
+from rankconsensus.graph import Deviation, MeasureParams, survey
 from rankconsensus.io import Dataset, load_dataset, load_reference_sweep
 from rankconsensus.measures import (
     kappa1_topk,
@@ -84,7 +84,7 @@ def test_criterion_1_worked_example():
             [0, 1, 0, 1, 1, 0],
             [0, 1, 0, 1, 1, 1],
         ]
-        dense = build_matrix(rset, MeasureParams()).to_dense()
+        dense = survey(rset).matrix(MeasureParams()).to_dense()
         assert dense == pattern
         assert all(isinstance(v, int) for row in dense for v in row)
 

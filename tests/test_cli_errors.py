@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import io as stdio
+import os
 import tempfile
 from pathlib import Path
 
@@ -65,6 +67,24 @@ def test_nan_epsilon_exits_3(example_file, capsys):
     assert code == cli.EXIT_PARAMS
     assert out == ""
     assert err == "error: epsilon must be non-negative\n"
+
+
+def test_infinite_epsilon_exits_3(example_file, capsys):
+    code, out, err = run(capsys, "measure", example_file, "--gamma", "0.9", "--epsilon", "inf")
+    assert code == cli.EXIT_PARAMS
+    assert out == ""
+    assert err == "error: epsilon must be finite\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["measure", "clustering"], ["experiment", "clustering"]], ids=["measure", "experiment"]
+)
+def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run(capsys, *argv, "--output", str(target))
+    assert code == cli.EXIT_PARSE
+    assert out == ""
+    assert err == f"error: {target}: {os.strerror(errno.ENOENT)}\n"
 
 
 @pytest.mark.parametrize("grid", ["nan:1:0.1", "0.5:inf:0.1", "1:0.5:nan", "0.5:1:-inf", "snan:1:0.1"])

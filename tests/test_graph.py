@@ -4,26 +4,9 @@ import math
 
 import pytest
 
-from rankconsensus.graph import (
-    Deviation,
-    MeasureParams,
-    build_matrix,
-    gap_mean,
-    heaviside,
-    position_stats,
-    survey,
-)
+from rankconsensus.graph import Deviation, MeasureParams, survey
 
 from conftest import EXAMPLE_LINES, make_set
-
-
-class TestHeaviside:
-    def test_left_continuous_step(self):
-        assert heaviside(1.0) == 1
-        assert heaviside(1e-300) == 1
-        assert heaviside(0.0) == 0
-        assert heaviside(-0.5) == 0
-        assert heaviside(-1e-300) == 0
 
 
 class TestMeasureParams:
@@ -77,15 +60,15 @@ class TestExampleMatrix:
 
     def test_exact_pattern_bit_identical(self):
         rset = make_set(*EXAMPLE_LINES)
-        matrix = build_matrix(rset, MeasureParams())
+        matrix = survey(rset).matrix(MeasureParams())
         assert matrix.to_dense() == self.PATTERN
         assert matrix.trace() == 5
-        assert matrix.edge_count == 7
+        assert sum(map(len, matrix.rows)) == 7
         assert all(isinstance(v, int) for row in matrix.to_dense() for v in row)
 
     def test_upper_triangle_is_zero(self):
         rset = make_set(*EXAMPLE_LINES)
-        matrix = build_matrix(rset, MeasureParams(gamma=0.9, lam=0.8))
+        matrix = survey(rset).matrix(MeasureParams(gamma=0.9, lam=0.8))
         for i in range(matrix.order):
             for j in range(i + 1, matrix.order):
                 assert matrix.entry(i, j) == 0
@@ -111,35 +94,35 @@ class TestSurveyStatistics:
 
     def test_position_stats_covers_common_items_only(self):
         rset = make_set(*EXAMPLE_LINES)
-        stats = position_stats(rset, MeasureParams())
-        tokens = sorted(rset.table.token_of(i) for i in stats.mu)
+        sv = survey(rset)
+        tokens = sorted(rset.table.token_of(item) for item, c in zip(sv.items, sv.common) if c)
         assert tokens == ["b", "c", "d", "e", "f"]
 
     def test_gap_means(self):
         rset = make_set(*EXAMPLE_LINES)
-        b, c, f = (rset.table.id_of(t) for t in "bcf")
-        assert gap_mean(rset, b, c) == pytest.approx(2.25)
-        assert gap_mean(rset, b, f) == pytest.approx(5.25)
-
-    def test_gap_mean_requires_presence_everywhere(self):
-        rset = make_set(*EXAMPLE_LINES)
-        a, b = rset.table.id_of("a"), rset.table.id_of("b")
-        with pytest.raises(ValueError, match="absent from ranking 3"):
-            gap_mean(rset, a, b)
+        sv = survey(rset)
+        b, c, f = (sv.items.index(rset.table.id_of(t)) for t in "bcf")
+        gaps = {(i, j): gap for i, j, gap in sv.edges}
+        assert gaps[(c, b)] == pytest.approx(2.25)
+        assert gaps[(f, b)] == pytest.approx(5.25)
 
     def test_edge_weights_use_gap_means(self):
         rset = make_set(*EXAMPLE_LINES)
         params = MeasureParams(lam=0.5)
-        matrix = build_matrix(rset, params)
+        sv = survey(rset)
+        matrix = sv.matrix(params)
         b = matrix.items.index(rset.table.id_of("b"))
         c = matrix.items.index(rset.table.id_of("c"))
         f = matrix.items.index(rset.table.id_of("f"))
+        gaps = {(i, j): gap for i, j, gap in sv.edges}
+        assert gaps[(c, b)] == 2.25
+        assert gaps[(f, b)] == 5.25
         assert matrix.entry(c, b) == pytest.approx(0.5**2.25)
         assert matrix.entry(f, b) == pytest.approx(0.5**5.25)
 
     def test_diagonal_weights_use_deviation(self):
         rset = make_set(*EXAMPLE_LINES)
-        matrix = build_matrix(rset, MeasureParams(gamma=0.8, deviation=Deviation.MAD))
+        matrix = survey(rset).matrix(MeasureParams(gamma=0.8, deviation=Deviation.MAD))
         f = matrix.items.index(rset.table.id_of("f"))
         assert matrix.entry(f, f) == pytest.approx(0.8**1.75)
 
@@ -157,10 +140,10 @@ class TestTies:
         # b and c tie in the first ranking, so neither is strictly
         # after the other there and the pair carries no edge.
         rset = make_set("a {b c} d", "a b c d")
-        matrix = build_matrix(rset, MeasureParams())
+        matrix = survey(rset).matrix(MeasureParams())
         b = matrix.items.index(rset.table.id_of("b"))
         c = matrix.items.index(rset.table.id_of("c"))
-        lower = {j for j, _ in matrix.row_lower(c)}
+        lower = {j for j, _ in matrix.rows[c]}
         assert b not in lower
         assert matrix.entry(b, b) == 1
         assert matrix.entry(c, c) == 1
@@ -181,14 +164,3 @@ class TestReferenceChoice:
         rset = make_set("a b", "b a")
         with pytest.raises(ValueError):
             survey(rset, reference_index=2)
-
-
-class TestDump:
-    def test_dump_csv_lists_nonzero_entries(self):
-        rset = make_set("a b c", "a b c")
-        matrix = build_matrix(rset, MeasureParams())
-        lines = matrix.dump_csv().splitlines()
-        assert lines[0] == "row,col,value"
-        assert "0,0,1" in lines
-        assert "1,0,1" in lines
-        assert len(lines) == 1 + 3 + 3

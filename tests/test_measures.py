@@ -3,14 +3,13 @@ from __future__ import annotations
 import pytest
 
 from rankconsensus import Dataset, load_dataset, load_reference_sweep
-from rankconsensus.graph import Deviation, MeasureParams, build_matrix
+from rankconsensus.graph import Deviation, MeasureParams, survey
 from rankconsensus.measures import (
     kappa1_topk,
     kappa_dup,
     kappa_series,
     kappa_sweep,
     kappa_total_closed,
-    longest_common_length,
     measure,
 )
 
@@ -52,9 +51,6 @@ class TestExactSeries:
         assert profile.ell == 0
         assert profile.total == 0
 
-    def test_longest_common_length(self, example_set):
-        assert longest_common_length(measure(example_set, MeasureParams())) == 4
-
 
 class TestWeightedSeries:
     def test_terms_decline_and_stop_at_epsilon(self, example_set):
@@ -76,14 +72,14 @@ class TestWeightedSeries:
 
 class TestClosedForm:
     def test_matches_series_exact(self, example_set):
-        matrix = build_matrix(example_set, MeasureParams())
+        matrix = survey(example_set).matrix(MeasureParams())
         assert kappa_total_closed(matrix) == 17
 
     @pytest.mark.parametrize("gamma", [1.0, 0.85, 0.6])
     @pytest.mark.parametrize("lam", [1.0, 0.9, 0.5])
     def test_matches_series_weighted(self, example_set, gamma, lam):
         params = MeasureParams(gamma=gamma, lam=lam, epsilon=0.0)
-        matrix = build_matrix(example_set, params)
+        matrix = survey(example_set).matrix(params)
         series_total = kappa_series(matrix, params).total
         closed = kappa_total_closed(matrix)
         assert abs(closed - series_total) <= 1e-9 * max(1.0, abs(closed))

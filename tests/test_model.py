@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from rankconsensus.graph import survey
 from rankconsensus.model import (
     ItemTable,
     Ranking,
@@ -102,13 +103,9 @@ class TestRankingSet:
 
     def test_common_items(self):
         rset = RankingSet.build([["a", "b", "c"], ["b", "c", "d"]])
-        tokens = {rset.table.token_of(i) for i in rset.common_items()}
+        sv = survey(rset)
+        tokens = {rset.table.token_of(item) for item, c in zip(sv.items, sv.common) if c}
         assert tokens == {"b", "c"}
-
-    def test_position_of_validates_item(self):
-        rset = RankingSet.build([["a", "b"]])
-        with pytest.raises(ValueError):
-            rset.position_of(0, 99)
 
     def test_distinct_counts_multiplicity(self):
         rset = RankingSet.build([["a", "b"], ["a", "b"], ["b", "a"], ["a", "b"]])

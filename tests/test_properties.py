@@ -3,11 +3,13 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankconsensus.graph import MeasureParams, build_matrix, survey
+from rankconsensus.graph import MeasureParams, survey
 from rankconsensus.measures import measure
 from rankconsensus.model import RankingSet
 from rankconsensus.oracle import enumerate_common
 from rankconsensus.io import parse_json, parse_text, serialize_json, serialize_text
+
+from conftest import random_set
 
 ALPHABET = [chr(ord("a") + i) for i in range(8)]
 
@@ -53,7 +55,7 @@ def test_distinct_is_idempotent(rset):
 @given(ranking_sets())
 @settings(max_examples=60, deadline=None)
 def test_upper_triangle_is_always_zero(rset):
-    matrix = build_matrix(rset, MeasureParams(gamma=0.9, lam=0.7))
+    matrix = survey(rset).matrix(MeasureParams(gamma=0.9, lam=0.7))
     dense = matrix.to_dense()
     for i in range(matrix.order):
         for j in range(i + 1, matrix.order):
@@ -63,8 +65,8 @@ def test_upper_triangle_is_always_zero(rset):
 @given(ranking_sets(), st.floats(0.05, 1.0), st.floats(0.05, 1.0))
 @settings(max_examples=60, deadline=None)
 def test_weights_never_change_the_matrix_pattern(rset, gamma, lam):
-    exact = build_matrix(rset, MeasureParams()).to_dense()
-    weighted = build_matrix(rset, MeasureParams(gamma=gamma, lam=lam)).to_dense()
+    exact = survey(rset).matrix(MeasureParams()).to_dense()
+    weighted = survey(rset).matrix(MeasureParams(gamma=gamma, lam=lam)).to_dense()
     for exact_row, weighted_row in zip(exact, weighted):
         for e, w in zip(exact_row, weighted_row):
             assert (e == 0) == (w == 0)
@@ -83,6 +85,25 @@ def test_reordering_the_set_changes_nothing(rset, rng):
     original = measure(rset, MeasureParams())
     reordered = measure(RankingSet.build(shuffled), MeasureParams())
     assert reordered.series == original.series
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_survey_gaps_are_the_per_ranking_mean(rng):
+    # Differential check of the telescoped gap (S_i - S_j) / N against
+    # the mean of the per-ranking gaps, recomputed from the positions.
+    rset = random_set(rng)
+    sv = survey(rset)
+    n, N = len(sv.items), len(rset)
+    ordered = {
+        (i, j)
+        for i in range(n)
+        for j in range(i)
+        if all(p[i] > p[j] > 0 for p in sv.positions)
+    }
+    assert {(i, j) for i, j, _ in sv.edges} == ordered
+    for i, j, gap in sv.edges:
+        assert gap == sum(abs(p[i] - p[j]) for p in sv.positions) / N
 
 
 @given(ranking_sets(min_rankings=2))
