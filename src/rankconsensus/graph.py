@@ -10,7 +10,9 @@ zero, so the graph is acyclic by construction.
 
 The zero/nonzero pattern, the deviation statistics and the pair gaps do
 not depend on gamma or lambda. ``survey`` captures that invariant part
-once so that parameter sweeps only re-exponentiate.
+once. The diagonal then depends only on gamma and the strict lower part
+only on lambda, so a (gamma, lambda) sweep costs one trace per gamma and
+one lower-part series per lambda (see ``measures.kappa_sweep``).
 
 A pair (i, j) gets an edge only when every ranking k puts i strictly
 after j, so |p_k(i) - p_k(j)| = p_k(i) - p_k(j) in every ranking and the
@@ -107,7 +109,12 @@ class Survey:
             return math.sqrt(self.mad[index])
         return math.sqrt(self.var[index])
 
-    def matrix(self, params: MeasureParams) -> "ConsensusMatrix":
+    def _diagonal(self, params: MeasureParams) -> list[int | float]:
+        """Per-item weights gamma**d, 1 on the exact path, 0 off the common items.
+
+        It reads only gamma, the deviation variant and the exact flag, so a
+        sweep can take one trace per gamma from it without building a matrix.
+        """
         n = len(self.items)
         exact = params.exact
         diag: list[int | float] = [0] * n
@@ -117,13 +124,18 @@ class Survey:
                     diag[i] = 1
                 else:
                     diag[i] = params.gamma ** self.deviation_of(i, params.deviation)
+        return diag
+
+    def matrix(self, params: MeasureParams) -> "ConsensusMatrix":
+        n = len(self.items)
+        exact = params.exact
         rows: list[list[tuple[int, int | float]]] = [[] for _ in range(n)]
         for i, j, gap in self.edges:
             rows[i].append((j, 1 if exact else params.lam ** gap))
         return ConsensusMatrix(
             order=n,
             items=self.items,
-            diag=diag,
+            diag=self._diagonal(params),
             rows=rows,
             reference_index=self.reference_index,
             exact=exact,

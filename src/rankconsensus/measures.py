@@ -43,21 +43,38 @@ def kappa_series(matrix: ConsensusMatrix, params: MeasureParams) -> KappaProfile
     most order steps can contribute.
     """
     epsilon: int | float = 0 if matrix.exact else params.epsilon
-    series: list[tuple[int, int | float]] = []
-    term: int | float = matrix.trace()
-    vector: list[int | float] = [1] * matrix.order
-    p = 1
+    trace = matrix.trace()
+    series = [(1, trace), *_lower_terms(matrix, epsilon)] if trace > epsilon else []
+    return _profile(series, matrix.exact)
+
+
+def _lower_terms(
+    matrix: ConsensusMatrix, epsilon: int | float
+) -> list[tuple[int, int | float]]:
+    """kappa_p for p >= 2, from y <- L y on the ones vector.
+
+    Stops at the first term not exceeding epsilon or past p = order. The
+    diagonal never enters, so the terms depend on lambda alone.
+    """
+    terms: list[tuple[int, int | float]] = []
+    vector = matrix.multiply_lower([1] * matrix.order)
+    term: int | float = sum(vector)
+    p = 2
     while term > epsilon and p <= matrix.order:
-        series.append((p, term))
+        terms.append((p, term))
         vector = matrix.multiply_lower(vector)
         term = sum(vector)
         p += 1
+    return terms
+
+
+def _profile(series: list[tuple[int, int | float]], exact: bool) -> KappaProfile:
     total: int | float = sum(value for _, value in series)
     return KappaProfile(
         series=tuple(series),
         ell=series[-1][0] if series else 0,
         total=total,
-        exact=matrix.exact,
+        exact=exact,
     )
 
 
@@ -135,17 +152,43 @@ def kappa_sweep(
 ) -> list[SweepPoint]:
     """Evaluate the measure over a (gamma, lambda) grid.
 
-    The set is surveyed once; each grid point only re-exponentiates the
-    stored deviations and gaps. Points come back in grid order, gamma
-    outer, lambda inner.
+    Every gamma and lambda is checked before the set is surveyed, and the
+    set is surveyed once. kappa_1 is the trace, which depends on gamma alone, and every kappa_p
+    with p >= 2 comes from the strict lower part, which depends on lambda
+    alone. So the grid costs one trace per gamma and one lower-part series
+    per lambda, plus one integer series for the exact corner gamma =
+    lambda = 1. Each point is the profile kappa_series gives for its own
+    matrix, bit for bit, including the epsilon cutoff on kappa_1: a gamma
+    whose trace does not exceed epsilon gets the empty profile (ell 0,
+    total 0) at every lambda, and a gamma whose trace does gets kappa_1
+    followed by that lambda's whole series. A lambda's series is only
+    computed once some point needs it. Points come back in grid order,
+    gamma outer, lambda inner.
     """
     if params is None:
         params = MeasureParams()
+    # MeasureParams refuses an invalid value before any work is done.
+    for gamma in gammas:
+        replace(params, gamma=gamma)
+    for lam in lams:
+        replace(params, lam=lam)
     sv = survey(rset)
+    tails: dict[tuple[int, bool], list[tuple[int, int | float]]] = {}
     points = []
     for gamma in gammas:
-        for lam in lams:
+        traces: dict[bool, int | float] = {}
+        for index, lam in enumerate(lams):
             point_params = replace(params, gamma=gamma, lam=lam)
-            matrix = sv.matrix(point_params)
-            points.append(SweepPoint(gamma, lam, kappa_series(matrix, point_params)))
+            exact = point_params.exact
+            epsilon: int | float = 0 if exact else params.epsilon
+            if exact not in traces:
+                traces[exact] = sum(sv._diagonal(point_params))
+            trace = traces[exact]
+            series = []
+            if trace > epsilon:
+                key = (index, exact)
+                if key not in tails:
+                    tails[key] = _lower_terms(sv.matrix(point_params), epsilon)
+                series = [(1, trace), *tails[key]]
+            points.append(SweepPoint(gamma, lam, _profile(series, exact)))
     return points

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from rankconsensus import Dataset, load_dataset, load_reference_sweep
+from rankconsensus import Dataset, load_dataset, load_reference_sweep, measures
 from rankconsensus.graph import Deviation, MeasureParams, survey
 from rankconsensus.measures import (
     kappa1_topk,
@@ -154,6 +154,45 @@ class TestSweep:
         (point,) = kappa_sweep(example_set, [1.0], [1.0])
         assert point.profile.total == 17
         assert point.profile.exact
+
+    def test_epsilon_cuts_kappa_1_per_gamma(self):
+        # a and b swap places (mad 0.5), c stays third (mad 0), so the
+        # trace is 2 * gamma**0.5 + 1. The only chains of two are (a, c)
+        # and (b, c), both with gap 1.5, so kappa_2 = 2 * lambda**1.5.
+        rset = make_set("a b c", "b a c")
+        params = MeasureParams(epsilon=1.5)
+        points = kappa_sweep(rset, [0.25, 0.01], [1.0, 0.9], params)
+        kept = {pt.lam: pt.profile for pt in points if pt.gamma == 0.25}
+        assert kept[1.0].series == ((1, 2.0), (2, 2.0))
+        assert kept[0.9].series == ((1, 2.0), (2, 2 * 0.9**1.5))
+        for lam, profile in kept.items():
+            assert profile.ell == 2
+            assert profile == measure(rset, MeasureParams(gamma=0.25, lam=lam, epsilon=1.5))
+        # 2 * 0.01**0.5 + 1 = 1.2 <= 1.5: the point is empty even though
+        # kappa_2 = 2.0 at lambda = 1 lies above epsilon.
+        for point in points[2:]:
+            assert point.gamma == 0.01
+            assert point.profile.series == ()
+            assert point.profile.ell == 0
+            assert point.profile.total == 0
+
+    @pytest.mark.parametrize(
+        "gammas,lams", [([0.9, 1.5], [0.9]), ([0.9], [0.5, 0.0]), ([0.9], [float("nan")])]
+    )
+    def test_invalid_grid_value_raises_before_the_survey(
+        self, example_set, monkeypatch, gammas, lams
+    ):
+        calls = []
+        real = measures.survey
+
+        def recording_survey(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(measures, "survey", recording_survey)
+        with pytest.raises(ValueError):
+            kappa_sweep(example_set, gammas, lams)
+        assert calls == []
 
 
 @pytest.mark.parametrize(

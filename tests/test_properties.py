@@ -3,10 +3,13 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankconsensus.graph import MeasureParams, survey
-from rankconsensus.measures import measure
+from dataclasses import replace
+
+from rankconsensus.cli import _profiles_match
+from rankconsensus.graph import Deviation, MeasureParams, survey
+from rankconsensus.measures import kappa_series, kappa_sweep, measure
 from rankconsensus.model import RankingSet
-from rankconsensus.oracle import enumerate_common
+from rankconsensus.oracle import enumerate_common, oracle_profile
 from rankconsensus.io import parse_json, parse_text, serialize_json, serialize_text
 
 from conftest import random_set
@@ -104,6 +107,45 @@ def test_survey_gaps_are_the_per_ranking_mean(rng):
     assert {(i, j) for i, j, _ in sv.edges} == ordered
     for i, j, gap in sv.edges:
         assert gap == sum(abs(p[i] - p[j]) for p in sv.positions) / N
+
+
+# Grid values that hit the exact corner, the float tail at lambda = 1,
+# weights near underflow and mid values; duplicates are allowed.
+SWEEP_VALUES = st.sampled_from([1.0, 1e-9, 0.05, 0.3, 0.5, 0.77, 0.9, 0.999])
+SWEEP_GRIDS = st.lists(SWEEP_VALUES, min_size=1, max_size=5)
+
+
+@given(
+    st.randoms(use_true_random=False),
+    SWEEP_GRIDS,
+    SWEEP_GRIDS,
+    st.sampled_from([0.0, 1e-12, 0.5, 1.5, 3.0]),
+    st.sampled_from(list(Deviation)),
+)
+@settings(max_examples=150, deadline=None)
+def test_sweep_matches_the_per_point_series(rng, gammas, lams, epsilon, deviation):
+    # Differential check of the separable sweep against one matrix and one
+    # series per point. The epsilon values cut kappa_1 for some gammas and
+    # not for others; repr tells 2 from 2.0, so the tails' types must match.
+    rset = random_set(rng)
+    params = MeasureParams(epsilon=epsilon, deviation=deviation)
+    sv = survey(rset)
+    points = kappa_sweep(rset, gammas, lams, params)
+    assert [(pt.gamma, pt.lam) for pt in points] == [(g, l) for g in gammas for l in lams]
+    for point in points:
+        point_params = replace(params, gamma=point.gamma, lam=point.lam)
+        expected = kappa_series(sv.matrix(point_params), point_params)
+        assert point.profile == expected
+        assert repr(point.profile) == repr(expected)
+
+
+@given(st.randoms(use_true_random=False), SWEEP_GRIDS, SWEEP_GRIDS)
+@settings(max_examples=60, deadline=None)
+def test_sweep_matches_the_oracle(rng, gammas, lams):
+    rset = random_set(rng, max_rankings=4, universe=7)
+    for point in kappa_sweep(rset, gammas, lams):
+        reference = oracle_profile(rset, MeasureParams(gamma=point.gamma, lam=point.lam))
+        assert _profiles_match(point.profile, reference, point.profile.exact)
 
 
 @given(ranking_sets(min_rankings=2))
