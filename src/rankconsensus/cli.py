@@ -61,8 +61,8 @@ def _load_document(source: str) -> io.RankingDocument:
         return io.load_dataset(dataset)
     content = Path(source).read_text(encoding="utf-8")
     if content.lstrip().startswith("{"):
-        return io.parse_json(content, source=source)
-    return io.parse_text(content, source=source)
+        return io.parse_json(content)
+    return io.parse_text(content)
 
 
 def _load(source: str) -> tuple[io.RankingDocument, RankingSet]:
@@ -74,7 +74,9 @@ def _load(source: str) -> tuple[io.RankingDocument, RankingSet]:
         raise CommandError(
             EXIT_PARSE, f"{source}: not UTF-8 text ({exc.reason} at byte {exc.start})"
         ) from None
-    except (io.ParseError, ValidationError, OSError) as exc:
+    except OSError as exc:
+        raise CommandError(EXIT_PARSE, f"{source}: {exc.strerror}") from None
+    except (io.ParseError, ValidationError) as exc:
         raise CommandError(EXIT_PARSE, str(exc)) from None
 
 
@@ -298,17 +300,14 @@ def cmd_baseline(args: argparse.Namespace) -> int:
         lines.append(f"aggregate,{args.mode},{aggregate!r}")
         text = "\n".join(lines) + "\n"
     else:
-        value_by_pair = {(a, b): v for a, b, v in pairs}
-        width = max(len(label) for label in labels + ["-"])
-        cells = [["-".rjust(width)] + [label.rjust(width) for label in labels]]
-        for a in labels:
-            row = [a.rjust(width)]
-            for b in labels:
-                row.append(
-                    ("." if a == b else io.round3(value_by_pair[(a, b)])).rjust(width)
-                )
-            cells.append(row)
-        lines = ["  ".join(row) for row in cells]
+        # Cells are looked up by ranking index, since labels may repeat.
+        shown = {(i, j): io.round3(v) for i, j, v in values}
+        cells = [["-", *labels]]
+        for i, label in enumerate(labels):
+            row = ["." if i == j else shown[(i, j)] for j in range(len(labels))]
+            cells.append([label, *row])
+        width = max(len(cell) for row in cells for cell in row)
+        lines = ["  ".join(cell.rjust(width) for cell in row) for row in cells]
         lines.append(f"aggregate ({args.mode}): {io.round3(aggregate)}")
         text = "\n".join(lines) + "\n"
     _emit(text, args.output)

@@ -1,18 +1,20 @@
 """Weighted precedence-graph construction over a set of rankings.
 
 The graph is a lower-triangular matrix indexed by the items of a
-reference ranking (the shortest member of the set), held as a diagonal
-vector plus one adjacency list per row. The diagonal carries per-item
-weights gamma**d for items that occur in every ranking; the adjacency
-lists carry the strict lower part, pair weights lambda**g for item pairs
-ordered consistently by every ranking. Everything above the diagonal is
-zero, so the graph is acyclic by construction.
+reference ranking (by default the shortest member of the set). The
+diagonal carries per-item weights gamma**d for items that occur in every
+ranking; the strict lower part carries pair weights lambda**g for item
+pairs ordered consistently by every ranking. Everything above the
+diagonal is zero, so the graph is acyclic by construction.
 
-The zero/nonzero pattern, the deviation statistics and the pair gaps do
-not depend on gamma or lambda. ``survey`` captures that invariant part
-once. The diagonal then depends only on gamma and the strict lower part
-only on lambda, so a (gamma, lambda) sweep costs one trace per gamma and
-one lower-part series per lambda (see ``measures.kappa_sweep``).
+Its vertices and edges, the deviation statistics and the pair gaps do
+not depend on gamma or lambda. ``survey`` captures them once, and the
+``Survey`` owns the reference index and the item order. A
+``ConsensusMatrix`` holds only weights: a diagonal vector plus one
+adjacency list per row, indexed like the survey's items. The diagonal
+depends only on gamma and the strict lower part only on lambda, so a
+(gamma, lambda) sweep costs one trace per gamma and one lower-part
+series per lambda (see ``measures.kappa_sweep``).
 
 A pair (i, j) gets an edge only when every ranking k puts i strictly
 after j, so |p_k(i) - p_k(j)| = p_k(i) - p_k(j) in every ranking and the
@@ -132,14 +134,7 @@ class Survey:
         rows: list[list[tuple[int, int | float]]] = [[] for _ in range(n)]
         for i, j, gap in self.edges:
             rows[i].append((j, 1 if exact else params.lam ** gap))
-        return ConsensusMatrix(
-            order=n,
-            items=self.items,
-            diag=self._diagonal(params),
-            rows=rows,
-            reference_index=self.reference_index,
-            exact=exact,
-        )
+        return ConsensusMatrix(order=n, diag=self._diagonal(params), rows=rows, exact=exact)
 
 
 def survey(rset: RankingSet, reference_index: int | None = None) -> Survey:
@@ -195,30 +190,21 @@ def survey(rset: RankingSet, reference_index: int | None = None) -> Survey:
 
 @dataclass(eq=False)
 class ConsensusMatrix:
-    """Lower-triangular weighted adjacency matrix over reference items.
+    """The weights of one survey's lower-triangular graph for one (gamma, lambda).
 
-    ``diag`` holds the per-item weights (index by reference position,
-    zeros for items missing from some ranking); ``rows`` holds the strict
-    lower part as per-row adjacency lists of (column, weight), columns
-    ascending. ``entry`` and ``to_dense`` are read-only views of them.
+    It holds weights only: row and column k stand for the survey's
+    ``items[k]``, and the item order and reference ranking live on the
+    ``Survey`` that built it. ``diag`` holds the per-item weights (zeros
+    for items missing from some ranking); ``rows`` holds the strict lower
+    part as per-row adjacency lists of (column, weight), columns
+    ascending. ``to_dense`` gives a copy as nested lists, so
+    ``to_dense()[i][j]`` reads one entry.
     """
 
     order: int
-    items: tuple[int, ...]
     diag: list[int | float]
     rows: list[list[tuple[int, int | float]]]
-    reference_index: int
     exact: bool
-
-    def entry(self, i: int, j: int) -> int | float:
-        if i == j:
-            return self.diag[i]
-        if i < j:
-            return 0
-        for col, w in self.rows[i]:
-            if col == j:
-                return w
-        return 0
 
     def trace(self) -> int | float:
         return sum(self.diag)

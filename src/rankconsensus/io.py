@@ -20,7 +20,7 @@ from importlib import resources
 
 from .graph import MeasureParams
 from .measures import KappaProfile, SweepPoint
-from .model import RESERVED_CHARS, RankingSet
+from .model import RankingSet, valid_token
 
 
 class ParseError(ValueError):
@@ -36,7 +36,6 @@ class RawRanking:
 @dataclass(frozen=True)
 class RankingDocument:
     rankings: tuple[RawRanking, ...]
-    source: str = "<memory>"
 
     def labels(self) -> list[str]:
         """Display labels: the declared ones, 1-based indices otherwise."""
@@ -47,10 +46,6 @@ class RankingDocument:
 
     def to_ranking_set(self) -> RankingSet:
         return RankingSet.build([raw.groups for raw in self.rankings])
-
-
-def _valid_token(token: str) -> bool:
-    return bool(token) and not any(c.isspace() or c in RESERVED_CHARS for c in token)
 
 
 def _split_line(line: str, lineno: int) -> list[tuple[str, ...]]:
@@ -88,7 +83,7 @@ def _split_line(line: str, lineno: int) -> list[tuple[str, ...]]:
     return groups
 
 
-def parse_text(content: str, source: str = "<text>") -> RankingDocument:
+def parse_text(content: str) -> RankingDocument:
     rankings: list[RawRanking] = []
     labels_seen: set[str] = set()
     for lineno, raw_line in enumerate(content.splitlines(), start=1):
@@ -116,14 +111,14 @@ def parse_text(content: str, source: str = "<text>") -> RankingDocument:
                     raise ParseError(f"duplicate item {token} at line {lineno}")
                 seen_tokens.add(token)
         rankings.append(RawRanking(label=label, groups=tuple(groups)))
-    return RankingDocument(rankings=tuple(rankings), source=source)
+    return RankingDocument(rankings=tuple(rankings))
 
 
 def _json_fail(path: str, message: str) -> ParseError:
     return ParseError(f"{path}: {message}")
 
 
-def parse_json(content: str, source: str = "<json>") -> RankingDocument:
+def parse_json(content: str) -> RankingDocument:
     # Besides JSONDecodeError, integers past the interpreter's digit limit
     # raise ValueError and very deep nesting raises RecursionError.
     try:
@@ -166,14 +161,14 @@ def parse_json(content: str, source: str = "<json>") -> RankingDocument:
             if not raw_group:
                 raise _json_fail(gpath, "empty tie group")
             for token in raw_group:
-                if not isinstance(token, str) or not _valid_token(token):
+                if not valid_token(token):
                     raise _json_fail(gpath, f"invalid token {token!r}")
                 if token in seen_tokens:
                     raise _json_fail(path, f"duplicate item {token}")
                 seen_tokens.add(token)
             groups.append(tuple(raw_group))
         rankings.append(RawRanking(label=label, groups=tuple(groups)))
-    return RankingDocument(rankings=tuple(rankings), source=source)
+    return RankingDocument(rankings=tuple(rankings))
 
 
 def serialize_text(document: RankingDocument) -> str:
@@ -215,7 +210,7 @@ def _data_text(filename: str) -> str:
 
 def load_dataset(name: Dataset | str) -> RankingDocument:
     dataset = Dataset(name)
-    return parse_text(_data_text(f"{dataset.value}.txt"), source=f"dataset:{dataset.value}")
+    return parse_text(_data_text(f"{dataset.value}.txt"))
 
 
 REFERENCE_TABLES = ("ce", "ga", "google", "bing")

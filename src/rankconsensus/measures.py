@@ -78,13 +78,13 @@ def _profile(series: list[tuple[int, int | float]], exact: bool) -> KappaProfile
     )
 
 
-def measure(
-    rset: RankingSet,
-    params: MeasureParams,
-    reference_index: int | None = None,
-) -> KappaProfile:
-    """Build the matrix for the set and run the series in one call."""
-    return kappa_series(survey(rset, reference_index).matrix(params), params)
+def measure(rset: RankingSet, params: MeasureParams) -> KappaProfile:
+    """Build the matrix for the set and run the series in one call.
+
+    The reference ranking is the default one; to choose another, call
+    ``kappa_series(survey(rset, k).matrix(params), params)``.
+    """
+    return kappa_series(survey(rset).matrix(params), params)
 
 
 def kappa_total_closed(matrix: ConsensusMatrix) -> int | float:

@@ -18,14 +18,17 @@ class ValidationError(ValueError):
     """Raised when tokens or ranking structure violate the model rules."""
 
 
-def _check_token(token: str) -> str:
-    if not isinstance(token, str) or not token:
-        raise ValidationError("item tokens must be non-empty strings")
-    if any(c.isspace() for c in token):
-        raise ValidationError(f"item token may not contain whitespace: {token!r}")
-    if any(c in RESERVED_CHARS for c in token):
-        raise ValidationError(f"item token may not contain braces: {token!r}")
-    return token
+def valid_token(token: object) -> bool:
+    """True for an item token: a non-empty string without braces or whitespace.
+
+    Whitespace is what ``str.isspace`` accepts, Unicode spaces included.
+    ``ItemTable.intern`` and ``io.parse_json`` both apply this rule.
+    """
+    return (
+        isinstance(token, str)
+        and bool(token)
+        and not any(c.isspace() or c in RESERVED_CHARS for c in token)
+    )
 
 
 class ItemTable:
@@ -36,7 +39,11 @@ class ItemTable:
         self._tokens: list[str] = []
 
     def intern(self, token: str) -> int:
-        _check_token(token)
+        if not valid_token(token):
+            raise ValidationError(
+                f"invalid item token {token!r}: tokens are non-empty strings"
+                " without whitespace or braces"
+            )
         item = self._ids.get(token)
         if item is None:
             item = len(self._tokens)

@@ -253,6 +253,34 @@ class TestBaseline:
         assert "x" in out and "y" in out
         assert "aggregate (min): -1.000" in out
 
+    @pytest.mark.parametrize(
+        "content,expected",
+        [
+            (
+                # The unlabeled second ranking gets the display label 2 too.
+                "2: a b c\nc b a\n",
+                "     -       2       2\n"
+                "     2       .  -1.000\n"
+                "     2  -1.000       .\n"
+                "aggregate (mean): -1.000\n",
+            ),
+            (
+                "a b c\na c b\n",
+                "    -      1      2\n"
+                "    1      .  0.333\n"
+                "    2  0.333      .\n"
+                "aggregate (mean): 0.333\n",
+            ),
+        ],
+        ids=["repeated-label", "cells-wider-than-labels"],
+    )
+    def test_table_golden(self, tmp_path, capsys, content, expected):
+        doc = tmp_path / "rankings.txt"
+        doc.write_text(content)
+        code, out, _ = run(capsys, "baseline", str(doc), "--index", "tau", "--format", "table")
+        assert code == 0
+        assert out == expected
+
 
 class TestOracleCheck:
     def test_passes_on_small_sets(self, capsys):

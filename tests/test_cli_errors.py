@@ -87,6 +87,17 @@ def test_unwritable_output_exits_2(tmp_path, capsys, argv):
     assert err == f"error: {target}: {os.strerror(errno.ENOENT)}\n"
 
 
+@pytest.mark.parametrize("code", [errno.ENOENT, errno.EISDIR], ids=["missing-file", "directory"])
+def test_unreadable_input_exits_2(tmp_path, capsys, code):
+    path = tmp_path / "input"
+    if code == errno.EISDIR:
+        path.mkdir()
+    status, out, err = run(capsys, "measure", str(path))
+    assert status == cli.EXIT_PARSE
+    assert out == ""
+    assert err == f"error: {path}: {os.strerror(code)}\n"
+
+
 @pytest.mark.parametrize("grid", ["nan:1:0.1", "0.5:inf:0.1", "1:0.5:nan", "0.5:1:-inf", "snan:1:0.1"])
 def test_non_finite_grid_exits_3(example_file, capsys, grid):
     with pytest.raises(ValueError, match="finite"):

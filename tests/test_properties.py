@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,9 +10,9 @@ from dataclasses import replace
 from rankconsensus.cli import _profiles_match
 from rankconsensus.graph import Deviation, MeasureParams, survey
 from rankconsensus.measures import kappa_series, kappa_sweep, measure
-from rankconsensus.model import RankingSet
+from rankconsensus.model import ItemTable, RankingSet, ValidationError, valid_token
 from rankconsensus.oracle import enumerate_common, oracle_profile
-from rankconsensus.io import parse_json, parse_text, serialize_json, serialize_text
+from rankconsensus.io import ParseError, parse_json, parse_text, serialize_json, serialize_text
 
 from conftest import random_set
 
@@ -166,8 +168,10 @@ def test_reference_choice_does_not_change_the_series(rset):
     weighted_params = MeasureParams(gamma=0.85, lam=0.65, epsilon=0.0)
     weighted = measure(rset, weighted_params)
     for k in range(len(rset)):
-        assert measure(rset, MeasureParams(), reference_index=k).series == baseline.series
-        other = measure(rset, weighted_params, reference_index=k)
+        sv = survey(rset, k)
+        exact = kappa_series(sv.matrix(MeasureParams()), MeasureParams())
+        assert exact.series == baseline.series
+        other = kappa_series(sv.matrix(weighted_params), weighted_params)
         assert other.ell == weighted.ell
         for p in range(1, weighted.ell + 1):
             a, b = weighted.value_at(p), other.value_at(p)
@@ -247,3 +251,25 @@ def test_parse_serialize_round_trips(text):
     doc = parse_text(text)
     assert parse_text(serialize_text(doc)).rankings == doc.rankings
     assert parse_json(serialize_json(doc)).rankings == doc.rankings
+
+
+ASCII_WHITESPACE = " \t\n\r\x0b\x0c"
+UNICODE_WHITESPACE = "\u00a0\u2003"
+
+
+@given(st.text(alphabet="ab:{}" + ASCII_WHITESPACE + UNICODE_WHITESPACE, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_one_token_rule_for_the_model_and_json(token):
+    forbidden = set("{}" + ASCII_WHITESPACE + UNICODE_WHITESPACE)
+    expected = bool(token) and not forbidden.intersection(token)
+    try:
+        ItemTable().intern(token)
+        interned = True
+    except ValidationError:
+        interned = False
+    try:
+        parse_json(json.dumps({"rankings": [{"groups": [[token]]}]}))
+        parsed = True
+    except ParseError:
+        parsed = False
+    assert valid_token(token) == interned == parsed == expected
