@@ -13,8 +13,11 @@ Every failure except an oracle mismatch is reported by ``main`` as one
 from __future__ import annotations
 
 import argparse
+import csv
+import json
 import sys
 from decimal import Decimal, InvalidOperation, Overflow, localcontext
+from io import StringIO
 from pathlib import Path
 
 from . import baselines, io, measures, oracle
@@ -243,12 +246,13 @@ def cmd_measure(args: argparse.Namespace) -> int:
         )
     params = _params_from(args)
     _, rset = _load(args.input)
-    profile = measures.measure(rset, params)
+    sv = measures.survey(rset)
+    profile = measures.kappa_series(sv.matrix(params), params)
     extras: dict[str, object] = {}
     if args.dedup:
         extras["kappa_dup"] = measures.kappa_dup(rset, params)
     if params.zeta is not None:
-        extras["kappa_1_topk"] = measures.kappa1_topk(rset, params)
+        extras["kappa_1_topk"] = measures.kappa1_topk(sv, params)
     text = io.write_results(
         profile, _default_format(args.format), params=params, extras=extras or None
     )
@@ -268,7 +272,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if per_p and fmt != "csv":
         raise CommandError(EXIT_PARAMS, "per-p columns are only available with --format csv")
     _, rset = _load(args.input)
-    points = measures.kappa_sweep(rset, gammas, lams, params)
+    points = measures.kappa_sweep(measures.survey(rset), gammas, lams, params)
     _emit(io.write_results(points, fmt, per_p=per_p), args.output)
     return EXIT_OK
 
@@ -283,24 +287,23 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     aggregate = baselines.aggregate_values([v for _, _, v in values], args.mode)
     pairs = [(labels[i], labels[j], v) for i, j, v in values]
     fmt = _default_format(args.format)
-    lines: list[str]
     if fmt == "json":
-        import json as _json
-
         payload = {
             "index": args.index,
             "mode": args.mode,
             "pairs": [[a, b, v] for a, b, v in pairs],
             "aggregate": aggregate,
         }
-        text = _json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(payload, indent=2) + "\n"
     elif fmt == "csv":
-        lines = ["first,second,value"]
-        lines += [f"{a},{b},{v!r}" for a, b, v in pairs]
-        lines.append(f"aggregate,{args.mode},{aggregate!r}")
-        text = "\n".join(lines) + "\n"
+        # The csv module quotes a label that holds a comma, a quote or a newline.
+        buffer = StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(["first", "second", "value"])
+        writer.writerows([a, b, repr(v)] for a, b, v in pairs)
+        writer.writerow(["aggregate", args.mode, repr(aggregate)])
+        text = buffer.getvalue()
     else:
-        # Cells are looked up by ranking index, since labels may repeat.
         shown = {(i, j): io.round3(v) for i, j, v in values}
         cells = [["-", *labels]]
         for i, label in enumerate(labels):
@@ -357,7 +360,7 @@ def _experiment_report(name: str) -> str:
     contract_variants = (Deviation.MAD, Deviation.SQRT_MAD)
     lines: list[str] = []
     for title, dataset, table in jobs:
-        rset = io.load_dataset(dataset).to_ranking_set()
+        sv = measures.survey(io.load_dataset(dataset).to_ranking_set())
         gammas, lams, reference = io.load_reference_sweep(table)
         if gammas != grid or lams != grid:
             raise CommandError(
@@ -367,7 +370,7 @@ def _experiment_report(name: str) -> str:
         max_dev: dict[Deviation, float] = {}
         for variant in Deviation:
             params = MeasureParams(deviation=variant)
-            points = measures.kappa_sweep(rset, gammas, lams, params)
+            points = measures.kappa_sweep(sv, gammas, lams, params)
             lines.append(f"kappa table (deviation={variant.value}):")
             lines.append(io.sweep_table(points).rstrip("\n"))
             worst = 0.0
@@ -391,8 +394,8 @@ def _experiment_report(name: str) -> str:
             "reproduces reference within 0.001: " + (", ".join(within) if within else "none")
         )
         if name == "search":
-            exact = measures.measure(rset, MeasureParams())
-            lines.append(f"kappa_1 at gamma=1: {exact.value_at(1)}")
+            # The grid starts at gamma = lambda = 1, the exact point of every variant.
+            lines.append(f"kappa_1 at gamma=1: {points[0].profile.value_at(1)}")
         lines.append("")
     return "\n".join(lines)
 

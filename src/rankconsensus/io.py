@@ -38,11 +38,24 @@ class RankingDocument:
     rankings: tuple[RawRanking, ...]
 
     def labels(self) -> list[str]:
-        """Display labels: the declared ones, 1-based indices otherwise."""
-        return [
+        """Display labels: the declared ones, 1-based indices otherwise.
+
+        Declared labels keep their text. An index that some ranking
+        declares as its label gets "#" prefixed until no label has it, so
+        a document whose declared labels differ gets distinct labels.
+        """
+        labels = [
             raw.label if raw.label is not None else str(k + 1)
             for k, raw in enumerate(self.rankings)
         ]
+        declared = {raw.label for raw in self.rankings}
+        taken = set(labels)
+        for k, raw in enumerate(self.rankings):
+            if raw.label is None and labels[k] in declared:
+                while labels[k] in taken:
+                    labels[k] = "#" + labels[k]
+                taken.add(labels[k])
+        return labels
 
     def to_ranking_set(self) -> RankingSet:
         return RankingSet.build([raw.groups for raw in self.rankings])

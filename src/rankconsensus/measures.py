@@ -15,13 +15,20 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .graph import ConsensusMatrix, MeasureParams, survey
+from .graph import ConsensusMatrix, MeasureParams, Survey, survey
 from .model import RankingSet
 
 
 @dataclass(frozen=True)
 class KappaProfile:
-    """The series kappa_1..kappa_ell, its length ell, and the total kappa."""
+    """The series kappa_1..kappa_ell, its length ell, and the total kappa.
+
+    ell is the last p the series kept. The exact path ignores epsilon and
+    keeps every nonzero term, so there ell is the longest length with a
+    nonzero count. The weighted path stops at the first term not
+    exceeding epsilon, so there ell is the last p whose term exceeded
+    epsilon, which can be shorter than the longest common chain.
+    """
 
     series: tuple[tuple[int, int | float], ...]
     ell: int
@@ -118,15 +125,14 @@ def kappa_dup(rset: RankingSet, params: MeasureParams) -> int | float:
     return float(profile.total + bonus)
 
 
-def kappa1_topk(rset: RankingSet, params: MeasureParams) -> float:
+def kappa1_topk(sv: Survey, params: MeasureParams) -> float:
     """Cutoff-weighted variant of kappa_1 for top-k style rankings.
 
-    Each common item contributes beta**mu * gamma**d, but only while
-    mu + d stays strictly below the cutoff zeta.
+    Each common item of ``sv = survey(rset)`` adds beta**mu * gamma**d,
+    but only while mu + d stays strictly below the cutoff zeta.
     """
     if params.zeta is None or params.beta is None:
         raise ValueError("top-k weighting requires both zeta and beta")
-    sv = survey(rset)
     total = 0.0
     for i, mu in enumerate(sv.mu):
         if not sv.common[i]:
@@ -145,25 +151,26 @@ class SweepPoint:
 
 
 def kappa_sweep(
-    rset: RankingSet,
+    sv: Survey,
     gammas: Sequence[float],
     lams: Sequence[float],
     params: MeasureParams | None = None,
 ) -> list[SweepPoint]:
-    """Evaluate the measure over a (gamma, lambda) grid.
+    """Evaluate the measure over a (gamma, lambda) grid of one survey.
 
-    Every gamma and lambda is checked before the set is surveyed, and the
-    set is surveyed once. kappa_1 is the trace, which depends on gamma alone, and every kappa_p
-    with p >= 2 comes from the strict lower part, which depends on lambda
-    alone. So the grid costs one trace per gamma and one lower-part series
-    per lambda, plus one integer series for the exact corner gamma =
-    lambda = 1. Each point is the profile kappa_series gives for its own
-    matrix, bit for bit, including the epsilon cutoff on kappa_1: a gamma
-    whose trace does not exceed epsilon gets the empty profile (ell 0,
-    total 0) at every lambda, and a gamma whose trace does gets kappa_1
-    followed by that lambda's whole series. A lambda's series is only
-    computed once some point needs it. Points come back in grid order,
-    gamma outer, lambda inner.
+    Call it as ``kappa_sweep(survey(rset), gammas, lams, params)``. Every
+    gamma and lambda is checked before any weight is computed. kappa_1 is
+    the trace, which depends on gamma alone, and every kappa_p with
+    p >= 2 comes from the strict lower part, which depends on lambda
+    alone. So the grid costs one trace per gamma and one lower-part
+    series per lambda, plus one integer series for the exact corner
+    gamma = lambda = 1. Each point is the profile kappa_series gives for
+    its own matrix, bit for bit, including the epsilon cutoff on kappa_1:
+    a gamma whose trace does not exceed epsilon gets the empty profile
+    (ell 0, total 0) at every lambda, and a gamma whose trace does gets
+    kappa_1 followed by that lambda's whole series. A lambda's series is
+    only computed once some point needs it. Points come back in grid
+    order, gamma outer, lambda inner.
     """
     if params is None:
         params = MeasureParams()
@@ -172,7 +179,6 @@ def kappa_sweep(
         replace(params, gamma=gamma)
     for lam in lams:
         replace(params, lam=lam)
-    sv = survey(rset)
     tails: dict[tuple[int, bool], list[tuple[int, int | float]]] = {}
     points = []
     for gamma in gammas:

@@ -39,13 +39,16 @@ class ItemTable:
         self._tokens: list[str] = []
 
     def intern(self, token: str) -> int:
-        if not valid_token(token):
-            raise ValidationError(
-                f"invalid item token {token!r}: tokens are non-empty strings"
-                " without whitespace or braces"
-            )
-        item = self._ids.get(token)
+        # A stored token has passed valid_token, so only new tokens are
+        # checked. The isinstance test keeps an unhashable token away from
+        # the dict; valid_token refuses it.
+        item = self._ids.get(token) if isinstance(token, str) else None
         if item is None:
+            if not valid_token(token):
+                raise ValidationError(
+                    f"invalid item token {token!r}: tokens are non-empty strings"
+                    " without whitespace or braces"
+                )
             item = len(self._tokens)
             self._ids[token] = item
             self._tokens.append(token)

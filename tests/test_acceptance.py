@@ -127,7 +127,7 @@ def test_criterion_3_reference_tables_or_documented_variant():
             for variant in contract:
                 started = time.perf_counter()
                 points = kappa_sweep(
-                    rset, gammas, lams, MeasureParams(deviation=variant)
+                    survey(rset), gammas, lams, MeasureParams(deviation=variant)
                 )
                 elapsed = time.perf_counter() - started
                 assert elapsed < 1.0, f"sweep took {elapsed:.2f}s"
@@ -339,14 +339,14 @@ def test_criterion_8_duplicate_and_topk_examples():
         assert kappa_dup(distinct, MeasureParams()) == 18
 
         abc = make_set("a b c")
-        value = kappa1_topk(abc, MeasureParams(zeta=10.0, beta=0.5))
+        value = kappa1_topk(survey(abc), MeasureParams(zeta=10.0, beta=0.5))
         assert abs(value - (0.5 + 0.25 + 0.125)) <= 1e-12
 
         ab = make_set("a b")
-        assert kappa1_topk(ab, MeasureParams(zeta=1.0, beta=0.5)) == 0.0
+        assert kappa1_topk(survey(ab), MeasureParams(zeta=1.0, beta=0.5)) == 0.0
 
         beta = 1.0 - 1e-13
-        near = kappa1_topk(abc, MeasureParams(zeta=1e9, beta=beta))
+        near = kappa1_topk(survey(abc), MeasureParams(zeta=1e9, beta=beta))
         assert abs(near - (beta + beta**2 + beta**3)) <= 1e-12
         assert abs(near - 3.0) <= 1e-12
 

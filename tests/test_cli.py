@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import csv
 import json
+from io import StringIO
 
 import pytest
 
-from rankconsensus import cli, oracle
+from rankconsensus import cli, graph, measures, oracle
 from rankconsensus.graph import MeasureParams
 from rankconsensus.measures import measure
 
@@ -257,11 +259,11 @@ class TestBaseline:
         "content,expected",
         [
             (
-                # The unlabeled second ranking gets the display label 2 too.
+                # The unlabeled second ranking would be 2, which the first declares.
                 "2: a b c\nc b a\n",
-                "     -       2       2\n"
+                "     -       2      #2\n"
                 "     2       .  -1.000\n"
-                "     2  -1.000       .\n"
+                "    #2  -1.000       .\n"
                 "aggregate (mean): -1.000\n",
             ),
             (
@@ -280,6 +282,37 @@ class TestBaseline:
         code, out, _ = run(capsys, "baseline", str(doc), "--index", "tau", "--format", "table")
         assert code == 0
         assert out == expected
+
+    def test_generated_label_differs_from_declared_ones(self, tmp_path, capsys):
+        doc = tmp_path / "rankings.txt"
+        doc.write_text("2: a b c\nc b a\n")
+        code, out, _ = run(capsys, "baseline", str(doc), "--index", "tau", "--format", "csv")
+        assert code == 0
+        assert out == "first,second,value\n2,#2,-1.0\n#2,2,-1.0\naggregate,mean,-1.0\n"
+        code, out, _ = run(capsys, "baseline", str(doc), "--index", "tau", "--format", "json")
+        assert code == 0
+        assert out == (
+            '{\n  "index": "tau",\n  "mode": "mean",\n  "pairs": [\n'
+            '    [\n      "2",\n      "#2",\n      -1.0\n    ],\n'
+            '    [\n      "#2",\n      "2",\n      -1.0\n    ]\n'
+            '  ],\n  "aggregate": -1.0\n}\n'
+        )
+
+    def test_csv_quotes_labels(self, tmp_path, capsys):
+        doc = tmp_path / "rankings.json"
+        doc.write_text(json.dumps({"rankings": [
+            {"label": "x,y", "groups": [["a"], ["b"], ["c"]]},
+            {"label": 'say "q"\nnow', "groups": [["c"], ["b"], ["a"]]},
+        ]}))
+        code, out, _ = run(capsys, "baseline", str(doc), "--index", "tau", "--format", "csv")
+        assert code == 0
+        assert out == (
+            "first,second,value\n"
+            '"x,y","say ""q""\nnow",-1.0\n'
+            '"say ""q""\nnow","x,y",-1.0\n'
+            "aggregate,mean,-1.0\n"
+        )
+        assert [len(row) for row in csv.reader(StringIO(out))] == [3, 3, 3, 3]
 
 
 class TestOracleCheck:
@@ -335,3 +368,36 @@ class TestExperiment:
         _, first, _ = run(capsys, "experiment", "search")
         _, second, _ = run(capsys, "experiment", "search")
         assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv,surveys",
+    [
+        (["measure", "clustering"], 1),
+        (
+            ["measure", "clustering", "--gamma", "0.9", "--dedup",
+             "--topk-zeta", "8.3", "--topk-beta", "0.5"],
+            2,
+        ),
+        (["sweep", "clustering"], 1),
+        (["oracle-check", "clustering"], 1),
+        (["experiment", "clustering"], 2),
+        (["experiment", "search"], 2),
+    ],
+    ids=["measure", "measure-dedup-topk", "sweep", "oracle-check", "experiment-clustering",
+         "experiment-search"],
+)
+def test_survey_calls_per_command(monkeypatch, capsys, argv, surveys):
+    # One survey per input; --dedup adds the survey of the distinct set.
+    calls = []
+    for module in (graph, measures):
+        real = module.survey
+
+        def counted(*args, real=real):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(module, "survey", counted)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(calls) == surveys

@@ -156,13 +156,25 @@ GRIDS = st.builds(
 ) | st.sampled_from(["1:0.5", "a:b:c", "0.5:0.5:0"])
 PARAMS = {"--gamma": FLOATS, "--lambda": FLOATS, "--epsilon": FLOATS}
 TEXT = st.text(alphabet="abc {}:#\n", max_size=30).map(lambda s: s.encode("utf-8"))
-INPUT = TEXT | st.binary(max_size=30) | st.just("\n".join(EXAMPLE_LINES).encode("utf-8"))
+INPUT = (
+    TEXT
+    | st.binary(max_size=30)
+    | st.just("\n".join(EXAMPLE_LINES).encode("utf-8"))
+    | st.just(b"2: a b c\nc b a\nx,y: b a c\n")
+)
+BASELINE_OPTIONS = {
+    "--index": [b.value for b in baselines.Baseline] + ["kendall"],
+    "--mode": [m.value for m in baselines.Aggregate] + ["max"],
+    "--format": ["json", "csv", "table", "xml"],
+}
 
 
 @st.composite
 def invocations(draw):
-    command = draw(st.sampled_from(["measure", "sweep", "oracle-check"]))
-    options = dict(PARAMS)
+    command = draw(st.sampled_from(["measure", "sweep", "oracle-check", "baseline", "experiment"]))
+    if command == "experiment":
+        return [command, draw(st.sampled_from(["clustering", "search", "other"]))], None
+    options = BASELINE_OPTIONS if command == "baseline" else dict(PARAMS)
     if command == "measure":
         options.update({"--topk-zeta": FLOATS, "--topk-beta": FLOATS})
     argv = [command]
@@ -181,12 +193,14 @@ def invocations(draw):
 def test_fuzzed_cli_exits_with_a_documented_code(invocation):
     argv, content = invocation
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "input"
-        path.write_bytes(content)
+        if content is not None:  # every command but experiment reads an input file
+            path = Path(tmp) / "input"
+            path.write_bytes(content)
+            argv = [argv[0], str(path), *argv[1:]]
         stdout, stderr = stdio.StringIO(), stdio.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             try:
-                code = cli.main([argv[0], str(path), *argv[1:]])
+                code = cli.main(argv)
             except SystemExit as exc:  # argparse rejects the command line
                 code = exc.code
     assert code in {0, 2, 3, 4, 5, 6}, (argv, content, stderr.getvalue())

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from rankconsensus.graph import MeasureParams
+from rankconsensus.graph import MeasureParams, survey
 from rankconsensus.io import (
     Dataset,
     ParseError,
@@ -233,7 +233,7 @@ class TestRendering:
         from rankconsensus.measures import kappa_sweep
 
         rset = load_dataset(Dataset.CLUSTERING_CE).to_ranking_set()
-        points = kappa_sweep(rset, [1.0], [0.95])
+        points = kappa_sweep(survey(rset), [1.0], [0.95])
         text = write_results(points, "table")
         assert "17.589" in text
 
@@ -267,7 +267,7 @@ class TestRendering:
         from rankconsensus.measures import kappa_sweep
 
         rset = make_set("a b c", "a b c")
-        points = kappa_sweep(rset, [1.0], [1.0])
+        points = kappa_sweep(survey(rset), [1.0], [1.0])
         text = write_results(points, "csv", per_p=[1, 2, 9])
         lines = text.splitlines()
         assert lines[0] == "gamma,lambda,kappa,kappa_1,kappa_2,kappa_9"
@@ -277,7 +277,7 @@ class TestRendering:
         from rankconsensus.measures import kappa_sweep
 
         rset = make_set("a b c", "a b c")
-        points = kappa_sweep(rset, [1.0, 0.9], [1.0, 0.8])
+        points = kappa_sweep(survey(rset), [1.0, 0.9], [1.0, 0.8])
         text = write_results(points, "table")
         lines = text.splitlines()
         assert lines[0].split() == ["gamma\\lambda", "1.0", "0.8"]
@@ -287,7 +287,7 @@ class TestRendering:
         from rankconsensus.measures import kappa_sweep
 
         rset = make_set("a b", "a b")
-        points = kappa_sweep(rset, [1.0], [1.0])
+        points = kappa_sweep(survey(rset), [1.0], [1.0])
         payload = json.loads(write_results(points, "json"))
         assert payload == [
             {"gamma": 1.0, "lambda": 1.0, "kappa": 3, "series": [[1, 2], [2, 1]]}

@@ -2,8 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from rankconsensus import Dataset, load_dataset, load_reference_sweep, measures
-from rankconsensus.graph import Deviation, MeasureParams, survey
+from rankconsensus import Dataset, load_dataset, load_reference_sweep
+from rankconsensus.graph import Deviation, MeasureParams, Survey, survey
 from rankconsensus.measures import (
     kappa1_topk,
     kappa_dup,
@@ -106,52 +106,62 @@ class TestDuplicates:
         assert value == pytest.approx(total + 4.0)
 
 
+def test_ell_is_the_last_term_the_series_kept():
+    # Weighted, ell is the last p whose term exceeded epsilon, so a small
+    # lambda cuts it short; exact, epsilon is ignored (kappa_4 = 3 < 5).
+    rset = load_dataset(Dataset.SEARCH_GOOGLE).to_ranking_set()
+    for lam, ell in ((1.0, 4), (0.5, 4), (0.05, 3)):
+        assert measure(rset, MeasureParams(gamma=0.9, lam=lam)).ell == ell
+    for epsilon in (1e-12, 5.0):
+        assert measure(rset, MeasureParams(epsilon=epsilon)).ell == 4
+
+
 class TestTopK:
     def test_single_ranking_geometric_sum(self):
         rset = make_set("a b c")
         params = MeasureParams(zeta=10.0, beta=0.5)
-        assert kappa1_topk(rset, params) == pytest.approx(0.875, abs=1e-12)
+        assert kappa1_topk(survey(rset), params) == pytest.approx(0.875, abs=1e-12)
 
     def test_cutoff_excludes_everything(self):
         rset = make_set("a b")
         params = MeasureParams(zeta=1.0, beta=0.5)
-        assert kappa1_topk(rset, params) == 0.0
+        assert kappa1_topk(survey(rset), params) == 0.0
 
     def test_beta_near_one_recovers_plain_count(self):
         rset = make_set("a b c")
         params = MeasureParams(zeta=1e9, beta=1.0 - 1e-13)
         plain = measure(rset, MeasureParams()).value_at(1)
-        assert kappa1_topk(rset, params) == pytest.approx(plain, abs=1e-12)
+        assert kappa1_topk(survey(rset), params) == pytest.approx(plain, abs=1e-12)
 
     def test_requires_both_parameters(self, example_set):
         with pytest.raises(ValueError, match="requires both zeta and beta"):
-            kappa1_topk(example_set, MeasureParams(zeta=5.0))
+            kappa1_topk(survey(example_set), MeasureParams(zeta=5.0))
 
     def test_deviation_shifts_the_cutoff(self):
         # f sits at positions 6, 5, 10, 5: mu 6.5, spread 1.75. A window
         # of 8.3 admits mu + dev for mad but not for std (2.06...).
         rset = make_set(*EXAMPLE_LINES)
-        near = kappa1_topk(rset, MeasureParams(zeta=8.3, beta=0.5))
+        near = kappa1_topk(survey(rset), MeasureParams(zeta=8.3, beta=0.5))
         far = kappa1_topk(
-            rset, MeasureParams(zeta=8.3, beta=0.5, deviation=Deviation.STD)
+            survey(rset), MeasureParams(zeta=8.3, beta=0.5, deviation=Deviation.STD)
         )
         assert near > far
 
 
 class TestSweep:
     def test_grid_order_gamma_outer(self, example_set):
-        points = kappa_sweep(example_set, [1.0, 0.9], [1.0, 0.8])
+        points = kappa_sweep(survey(example_set), [1.0, 0.9], [1.0, 0.8])
         combos = [(pt.gamma, pt.lam) for pt in points]
         assert combos == [(1.0, 1.0), (1.0, 0.8), (0.9, 1.0), (0.9, 0.8)]
 
     def test_single_point_matches_measure(self, example_set):
         params = MeasureParams(gamma=0.7, lam=0.6)
         direct = measure(example_set, params)
-        (point,) = kappa_sweep(example_set, [0.7], [0.6], MeasureParams())
+        (point,) = kappa_sweep(survey(example_set), [0.7], [0.6], MeasureParams())
         assert point.profile.series == direct.series
 
     def test_exact_corner_is_integer(self, example_set):
-        (point,) = kappa_sweep(example_set, [1.0], [1.0])
+        (point,) = kappa_sweep(survey(example_set), [1.0], [1.0])
         assert point.profile.total == 17
         assert point.profile.exact
 
@@ -161,7 +171,7 @@ class TestSweep:
         # and (b, c), both with gap 1.5, so kappa_2 = 2 * lambda**1.5.
         rset = make_set("a b c", "b a c")
         params = MeasureParams(epsilon=1.5)
-        points = kappa_sweep(rset, [0.25, 0.01], [1.0, 0.9], params)
+        points = kappa_sweep(survey(rset), [0.25, 0.01], [1.0, 0.9], params)
         kept = {pt.lam: pt.profile for pt in points if pt.gamma == 0.25}
         assert kept[1.0].series == ((1, 2.0), (2, 2.0))
         assert kept[0.9].series == ((1, 2.0), (2, 2 * 0.9**1.5))
@@ -182,16 +192,18 @@ class TestSweep:
     def test_invalid_grid_value_raises_before_the_survey(
         self, example_set, monkeypatch, gammas, lams
     ):
+        sv = survey(example_set)
         calls = []
-        real = measures.survey
+        for name in ("matrix", "_diagonal"):
+            real = getattr(Survey, name)
 
-        def recording_survey(*args):
-            calls.append(args)
-            return real(*args)
+            def recording(self, params, name=name, real=real):
+                calls.append(name)
+                return real(self, params)
 
-        monkeypatch.setattr(measures, "survey", recording_survey)
+            monkeypatch.setattr(Survey, name, recording)
         with pytest.raises(ValueError):
-            kappa_sweep(example_set, gammas, lams)
+            kappa_sweep(sv, gammas, lams)
         assert calls == []
 
 
@@ -209,7 +221,7 @@ def test_std_variant_reproduces_reference_tables(table, dataset):
     rset = load_dataset(dataset).to_ranking_set()
     gammas, lams, reference = load_reference_sweep(table)
     assert gammas == GRID and lams == GRID
-    points = kappa_sweep(rset, gammas, lams, MeasureParams(deviation=Deviation.STD))
+    points = kappa_sweep(survey(rset), gammas, lams, MeasureParams(deviation=Deviation.STD))
     for gi in range(12):
         for li in range(12):
             computed = float(points[gi * 12 + li].profile.total)

@@ -29,6 +29,14 @@ class TestItemTable:
             with pytest.raises(ValidationError):
                 table.intern(bad)
 
+    def test_rejects_non_string_tokens_after_interning(self):
+        # Known tokens skip the check, so a non-string must not reach the lookup.
+        table = ItemTable()
+        table.intern("a")
+        for bad in (None, 5, ["a"], ("a",)):
+            with pytest.raises(ValidationError):
+                table.intern(bad)
+
     def test_unknown_lookups_raise(self):
         table = ItemTable()
         with pytest.raises(ValueError, match="unknown item"):

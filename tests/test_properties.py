@@ -12,7 +12,15 @@ from rankconsensus.graph import Deviation, MeasureParams, survey
 from rankconsensus.measures import kappa_series, kappa_sweep, measure
 from rankconsensus.model import ItemTable, RankingSet, ValidationError, valid_token
 from rankconsensus.oracle import enumerate_common, oracle_profile
-from rankconsensus.io import ParseError, parse_json, parse_text, serialize_json, serialize_text
+from rankconsensus.io import (
+    ParseError,
+    RankingDocument,
+    RawRanking,
+    parse_json,
+    parse_text,
+    serialize_json,
+    serialize_text,
+)
 
 from conftest import random_set
 
@@ -132,7 +140,7 @@ def test_sweep_matches_the_per_point_series(rng, gammas, lams, epsilon, deviatio
     rset = random_set(rng)
     params = MeasureParams(epsilon=epsilon, deviation=deviation)
     sv = survey(rset)
-    points = kappa_sweep(rset, gammas, lams, params)
+    points = kappa_sweep(sv, gammas, lams, params)
     assert [(pt.gamma, pt.lam) for pt in points] == [(g, l) for g in gammas for l in lams]
     for point in points:
         point_params = replace(params, gamma=point.gamma, lam=point.lam)
@@ -145,7 +153,7 @@ def test_sweep_matches_the_per_point_series(rng, gammas, lams, epsilon, deviatio
 @settings(max_examples=60, deadline=None)
 def test_sweep_matches_the_oracle(rng, gammas, lams):
     rset = random_set(rng, max_rankings=4, universe=7)
-    for point in kappa_sweep(rset, gammas, lams):
+    for point in kappa_sweep(survey(rset), gammas, lams):
         reference = oracle_profile(rset, MeasureParams(gamma=point.gamma, lam=point.lam))
         assert _profiles_match(point.profile, reference, point.profile.exact)
 
@@ -273,3 +281,22 @@ def test_one_token_rule_for_the_model_and_json(token):
     except ParseError:
         parsed = False
     assert valid_token(token) == interned == parsed == expected
+
+
+# Declared labels are unique, as both parsers require; the candidates
+# include the indices and their "#" forms so that collisions are common.
+DECLARED_LABELS = st.lists(
+    st.none() | st.sampled_from(["1", "2", "3", "#1", "#2", "##2", "x"]), max_size=7
+).map(lambda labels: [None if label in labels[:k] else label for k, label in enumerate(labels)])
+
+
+@given(DECLARED_LABELS)
+@settings(max_examples=200, deadline=None)
+def test_display_labels_are_pairwise_distinct(declared):
+    document = RankingDocument(tuple(RawRanking(label, (("a",),)) for label in declared))
+    labels = document.labels()
+    assert len(set(labels)) == len(labels)
+    assert all(shown == label for shown, label in zip(labels, declared) if label is not None)
+    indices = [label if label is not None else str(k + 1) for k, label in enumerate(declared)]
+    if len(set(indices)) == len(indices):
+        assert labels == indices
