@@ -277,6 +277,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _csv_line(row: list[str]) -> str:
+    """One csv row ending in "\\n", quoted wherever csv.reader needs it.
+
+    The writer quotes a field holding a character of its line terminator,
+    so its default "\\r\\n" makes it quote a bare "\\r" as well as "\\n".
+    """
+    buffer = StringIO()
+    csv.writer(buffer).writerow(row)
+    return buffer.getvalue()[:-2] + "\n"
+
+
 def cmd_baseline(args: argparse.Namespace) -> int:
     document, rset = _load(args.input)
     labels = document.labels()
@@ -296,13 +307,12 @@ def cmd_baseline(args: argparse.Namespace) -> int:
         }
         text = json.dumps(payload, indent=2) + "\n"
     elif fmt == "csv":
-        # The csv module quotes a label that holds a comma, a quote or a newline.
-        buffer = StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["first", "second", "value"])
-        writer.writerows([a, b, repr(v)] for a, b, v in pairs)
-        writer.writerow(["aggregate", args.mode, repr(aggregate)])
-        text = buffer.getvalue()
+        rows = [
+            ["first", "second", "value"],
+            *([a, b, repr(v)] for a, b, v in pairs),
+            ["aggregate", args.mode, repr(aggregate)],
+        ]
+        text = "".join(_csv_line(row) for row in rows)
     else:
         shown = {(i, j): io.round3(v) for i, j, v in values}
         cells = [["-", *labels]]

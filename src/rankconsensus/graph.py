@@ -134,7 +134,7 @@ class Survey:
         rows: list[list[tuple[int, int | float]]] = [[] for _ in range(n)]
         for i, j, gap in self.edges:
             rows[i].append((j, 1 if exact else params.lam ** gap))
-        return ConsensusMatrix(order=n, diag=self._diagonal(params), rows=rows, exact=exact)
+        return ConsensusMatrix(diag=self._diagonal(params), rows=rows)
 
 
 def survey(rset: RankingSet, reference_index: int | None = None) -> Survey:
@@ -201,10 +201,12 @@ class ConsensusMatrix:
     ``to_dense()[i][j]`` reads one entry.
     """
 
-    order: int
     diag: list[int | float]
     rows: list[list[tuple[int, int | float]]]
-    exact: bool
+
+    @property
+    def order(self) -> int:
+        return len(self.diag)
 
     def trace(self) -> int | float:
         return sum(self.diag)

@@ -21,19 +21,26 @@ from .model import RankingSet
 
 @dataclass(frozen=True)
 class KappaProfile:
-    """The series kappa_1..kappa_ell, its length ell, and the total kappa.
+    """The series kappa_1..kappa_ell; ell and the total kappa read from it.
 
-    ell is the last p the series kept. The exact path ignores epsilon and
-    keeps every nonzero term, so there ell is the longest length with a
-    nonzero count. The weighted path stops at the first term not
-    exceeding epsilon, so there ell is the last p whose term exceeded
-    epsilon, which can be shorter than the longest common chain.
+    p runs 1..ell without gaps, so ell is the length of the series and
+    the total its sum. The exact path ignores epsilon and keeps every
+    nonzero term, so there ell is the longest length with a nonzero
+    count. The weighted path stops at the first term not exceeding
+    epsilon, so there ell is the last p whose term exceeded epsilon,
+    which can be shorter than the longest common chain.
     """
 
     series: tuple[tuple[int, int | float], ...]
-    ell: int
-    total: int | float
     exact: bool
+
+    @property
+    def ell(self) -> int:
+        return len(self.series)
+
+    @property
+    def total(self) -> int | float:
+        return sum(value for _, value in self.series)
 
     def value_at(self, p: int) -> int | float:
         """kappa_p, taking p beyond the series as zero."""
@@ -45,44 +52,21 @@ class KappaProfile:
 def kappa_series(matrix: ConsensusMatrix, params: MeasureParams) -> KappaProfile:
     """Accumulate kappa_p by repeated y <- L y until the terms vanish.
 
-    On the exact path the loop stops at the first true zero; otherwise at
-    the first term not exceeding params.epsilon. L is nilpotent, so at
-    most order steps can contribute.
+    kappa_1 is the trace; later terms never read the diagonal, so they
+    depend on lambda alone. On the exact path the loop stops at the first
+    true zero; otherwise at the first term not exceeding params.epsilon.
+    L is nilpotent, so at most order steps can contribute. kappa_sweep
+    makes one call per lambda plus one for the exact corner.
     """
-    epsilon: int | float = 0 if matrix.exact else params.epsilon
-    trace = matrix.trace()
-    series = [(1, trace), *_lower_terms(matrix, epsilon)] if trace > epsilon else []
-    return _profile(series, matrix.exact)
-
-
-def _lower_terms(
-    matrix: ConsensusMatrix, epsilon: int | float
-) -> list[tuple[int, int | float]]:
-    """kappa_p for p >= 2, from y <- L y on the ones vector.
-
-    Stops at the first term not exceeding epsilon or past p = order. The
-    diagonal never enters, so the terms depend on lambda alone.
-    """
-    terms: list[tuple[int, int | float]] = []
-    vector = matrix.multiply_lower([1] * matrix.order)
-    term: int | float = sum(vector)
-    p = 2
-    while term > epsilon and p <= matrix.order:
-        terms.append((p, term))
+    epsilon: int | float = 0 if params.exact else params.epsilon
+    term = matrix.trace()
+    series: list[tuple[int, int | float]] = []
+    vector: list[int | float] = [1] * matrix.order
+    while term > epsilon and len(series) < matrix.order:
+        series.append((len(series) + 1, term))
         vector = matrix.multiply_lower(vector)
         term = sum(vector)
-        p += 1
-    return terms
-
-
-def _profile(series: list[tuple[int, int | float]], exact: bool) -> KappaProfile:
-    total: int | float = sum(value for _, value in series)
-    return KappaProfile(
-        series=tuple(series),
-        ell=series[-1][0] if series else 0,
-        total=total,
-        exact=exact,
-    )
+    return KappaProfile(series=tuple(series), exact=params.exact)
 
 
 def measure(rset: RankingSet, params: MeasureParams) -> KappaProfile:
@@ -162,15 +146,15 @@ def kappa_sweep(
     gamma and lambda is checked before any weight is computed. kappa_1 is
     the trace, which depends on gamma alone, and every kappa_p with
     p >= 2 comes from the strict lower part, which depends on lambda
-    alone. So the grid costs one trace per gamma and one lower-part
-    series per lambda, plus one integer series for the exact corner
-    gamma = lambda = 1. Each point is the profile kappa_series gives for
-    its own matrix, bit for bit, including the epsilon cutoff on kappa_1:
-    a gamma whose trace does not exceed epsilon gets the empty profile
-    (ell 0, total 0) at every lambda, and a gamma whose trace does gets
-    kappa_1 followed by that lambda's whole series. A lambda's series is
-    only computed once some point needs it. Points come back in grid
-    order, gamma outer, lambda inner.
+    alone. So the grid costs one trace per gamma and one kappa_series
+    call per lambda, plus one for the exact corner gamma = lambda = 1.
+    Each point is the profile kappa_series gives for its own matrix, bit
+    for bit, including the epsilon cutoff on kappa_1: a gamma whose trace
+    does not exceed epsilon gets the empty profile (ell 0, total 0) at
+    every lambda, and a gamma whose trace does gets kappa_1 followed by
+    that lambda's whole series. A lambda's series is only computed once
+    some point needs it. Points come back in grid order, gamma outer,
+    lambda inner.
     """
     if params is None:
         params = MeasureParams()
@@ -179,22 +163,25 @@ def kappa_sweep(
         replace(params, gamma=gamma)
     for lam in lams:
         replace(params, lam=lam)
-    tails: dict[tuple[int, bool], list[tuple[int, int | float]]] = {}
+    tails: dict[tuple[int, bool], tuple[tuple[int, int | float], ...]] = {}
     points = []
     for gamma in gammas:
         traces: dict[bool, int | float] = {}
         for index, lam in enumerate(lams):
             point_params = replace(params, gamma=gamma, lam=lam)
             exact = point_params.exact
-            epsilon: int | float = 0 if exact else params.epsilon
             if exact not in traces:
                 traces[exact] = sum(sv._diagonal(point_params))
             trace = traces[exact]
-            series = []
-            if trace > epsilon:
+            series = ()
+            if trace > (0 if exact else params.epsilon):
                 key = (index, exact)
                 if key not in tails:
-                    tails[key] = _lower_terms(sv.matrix(point_params), epsilon)
-                series = [(1, trace), *tails[key]]
-            points.append(SweepPoint(gamma, lam, _profile(series, exact)))
+                    # The matrix's trace() is the same sum as trace, which
+                    # exceeds the cutoff, so this series keeps kappa_1 and
+                    # its tail is the lambda's whole series.
+                    matrix = sv.matrix(point_params)
+                    tails[key] = kappa_series(matrix, point_params).series[1:]
+                series = ((1, trace), *tails[key])
+            points.append(SweepPoint(gamma, lam, KappaProfile(series=series, exact=exact)))
     return points

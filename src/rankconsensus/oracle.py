@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import takewhile
 
 from .graph import Deviation, MeasureParams
 from .measures import KappaProfile
@@ -129,21 +130,25 @@ def enumerate_common(
 
 
 def oracle_profile(rset: RankingSet, params: MeasureParams | None = None) -> KappaProfile:
-    """Kappa profile obtained by summing enumerated subsequence weights."""
+    """Kappa profile obtained by summing enumerated subsequence weights.
+
+    It keeps terms by the rule of kappa_series: on the weighted path
+    kappa_1, kappa_2, ... while each exceeds params.epsilon, on the exact
+    path every nonzero count. It enumerates once per (gamma, lambda),
+    where kappa_sweep costs one kappa_series call per lambda plus one for
+    the exact corner.
+    """
     if params is None:
         params = MeasureParams()
     by_length: dict[int, int | float] = {}
     for sub in enumerate_common(rset, params=params):
         length = len(sub.items)
         by_length[length] = by_length.get(length, 0) + sub.weight
-    ell = max(by_length) if by_length else 0
-    series = tuple((p, by_length[p]) for p in range(1, ell + 1))
-    return KappaProfile(
-        series=series,
-        ell=ell,
-        total=sum(value for _, value in series),
-        exact=params.exact,
-    )
+    # enumerate_common sorts by length and every prefix of a common chain
+    # is common, so the lengths run 1..longest in order.
+    epsilon: int | float = 0 if params.exact else params.epsilon
+    series = tuple(takewhile(lambda term: term[1] > epsilon, by_length.items()))
+    return KappaProfile(series=series, exact=params.exact)
 
 
 def format_subsequences(rset: RankingSet, subsequences: list[CommonSubsequence]) -> str:

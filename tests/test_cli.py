@@ -10,7 +10,7 @@ from rankconsensus import cli, graph, measures, oracle
 from rankconsensus.graph import MeasureParams
 from rankconsensus.measures import measure
 
-from conftest import make_set
+from conftest import EXAMPLE_LINES, make_set
 
 
 def run(capsys, *argv):
@@ -314,6 +314,23 @@ class TestBaseline:
         )
         assert [len(row) for row in csv.reader(StringIO(out))] == [3, 3, 3, 3]
 
+    def test_csv_quotes_a_bare_carriage_return(self, tmp_path, capsys):
+        doc = tmp_path / "rankings.json"
+        doc.write_text(json.dumps({"rankings": [
+            {"label": "a\rb", "groups": [["a"], ["b"]]},
+            {"label": "c", "groups": [["b"], ["a"]]},
+        ]}))
+        code, out, _ = run(capsys, "baseline", str(doc), "--index", "tau", "--format", "csv")
+        assert code == 0
+        assert out == (
+            "first,second,value\n"
+            '"a\rb",c,-1.0\n'
+            'c,"a\rb",-1.0\n'
+            "aggregate,mean,-1.0\n"
+        )
+        rows = list(csv.reader(StringIO(out)))
+        assert rows[1:3] == [["a\rb", "c", "-1.0"], ["c", "a\rb", "-1.0"]]
+
 
 class TestOracleCheck:
     def test_passes_on_small_sets(self, capsys):
@@ -328,6 +345,17 @@ class TestOracleCheck:
             "oracle-check", "clustering_ga", "--gamma", "0.8", "--lambda", "0.6",
         )
         assert code == 0
+
+    def test_weighted_routes_share_the_epsilon_cutoff(self, tmp_path, capsys):
+        # kappa_4 = 1.0 does not exceed epsilon = 1, so neither route keeps it.
+        path = tmp_path / "example.txt"
+        path.write_text("\n".join(EXAMPLE_LINES) + "\n")
+        code, out, err = run(
+            capsys, "oracle-check", str(path), "--gamma", "0.9", "--epsilon", "1"
+        )
+        assert code == 0
+        assert err == ""
+        assert out == "oracle check passed: ell=3 kappa=15.579425958575573\n"
 
     def test_large_input_exits_6(self, capsys):
         code, _, err = run(capsys, "oracle-check", "search_google")

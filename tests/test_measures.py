@@ -2,8 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from rankconsensus import Dataset, load_dataset, load_reference_sweep
-from rankconsensus.graph import Deviation, MeasureParams, Survey, survey
+from rankconsensus import Dataset, load_dataset, load_reference_sweep, measures
+from rankconsensus.graph import ConsensusMatrix, Deviation, MeasureParams, Survey, survey
 from rankconsensus.measures import (
     kappa1_topk,
     kappa_dup,
@@ -185,6 +185,36 @@ class TestSweep:
             assert point.profile.series == ()
             assert point.profile.ell == 0
             assert point.profile.total == 0
+
+    def test_every_series_runs_through_kappa_series(self, monkeypatch):
+        # One kappa_series call per lambda plus one for the exact corner,
+        # and no y <- L y product outside those calls.
+        sv = survey(load_dataset(Dataset.CLUSTERING_CE).to_ranking_set())
+        series_calls = 0
+        open_calls = 0
+        products = []
+        real_series = measures.kappa_series
+        real_multiply = ConsensusMatrix.multiply_lower
+
+        def counting_series(matrix, params):
+            nonlocal series_calls, open_calls
+            series_calls += 1
+            open_calls += 1
+            try:
+                return real_series(matrix, params)
+            finally:
+                open_calls -= 1
+
+        def recording_multiply(self, vector):
+            products.append(open_calls)
+            return real_multiply(self, vector)
+
+        monkeypatch.setattr(measures, "kappa_series", counting_series)
+        monkeypatch.setattr(ConsensusMatrix, "multiply_lower", recording_multiply)
+        kappa_sweep(sv, GRID, GRID)
+        assert series_calls == 13
+        assert products
+        assert all(depth == 1 for depth in products)
 
     @pytest.mark.parametrize(
         "gammas,lams", [([0.9, 1.5], [0.9]), ([0.9], [0.5, 0.0]), ([0.9], [float("nan")])]

@@ -149,12 +149,19 @@ def test_sweep_matches_the_per_point_series(rng, gammas, lams, epsilon, deviatio
         assert repr(point.profile) == repr(expected)
 
 
-@given(st.randoms(use_true_random=False), SWEEP_GRIDS, SWEEP_GRIDS)
+@given(
+    st.randoms(use_true_random=False),
+    SWEEP_GRIDS,
+    SWEEP_GRIDS,
+    st.sampled_from([1e-12, 0.5, 1.0, 3.0]),
+)
 @settings(max_examples=60, deadline=None)
-def test_sweep_matches_the_oracle(rng, gammas, lams):
+def test_sweep_matches_the_oracle(rng, gammas, lams, epsilon):
     rset = random_set(rng, max_rankings=4, universe=7)
-    for point in kappa_sweep(survey(rset), gammas, lams):
-        reference = oracle_profile(rset, MeasureParams(gamma=point.gamma, lam=point.lam))
+    for point in kappa_sweep(survey(rset), gammas, lams, MeasureParams(epsilon=epsilon)):
+        reference = oracle_profile(
+            rset, MeasureParams(gamma=point.gamma, lam=point.lam, epsilon=epsilon)
+        )
         assert _profiles_match(point.profile, reference, point.profile.exact)
 
 
