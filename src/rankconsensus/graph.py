@@ -82,6 +82,19 @@ class MeasureParams:
         """True when both weight bases are 1 and integer arithmetic applies."""
         return self.gamma == 1.0 and self.lam == 1.0
 
+    def weight(self, base: float, exponent: float) -> int | float:
+        """An item's or pair's weight base**exponent; the int 1 on the exact path."""
+        return 1 if self.exact else base ** exponent
+
+    def keeps(self, term: int | float) -> bool:
+        """Whether a series keeps the term; it stops at the first one it does not.
+
+        The exact path keeps every nonzero count and ignores epsilon, so
+        there ell is the longest common chain. The weighted path keeps a
+        term that exceeds epsilon, so there ell depends on epsilon.
+        """
+        return term > (0 if self.exact else self.epsilon)
+
 
 @dataclass(frozen=True)
 class Survey:
@@ -117,21 +130,19 @@ class Survey:
         It reads only gamma, the deviation variant and the exact flag, so a
         sweep can take one trace per gamma from it without building a matrix.
         """
-        n = len(self.items)
-        exact = params.exact
-        diag: list[int | float] = [0] * n
-        for i in range(n):
-            if self.common[i]:
-                if exact:
-                    diag[i] = 1
-                else:
-                    diag[i] = params.gamma ** self.deviation_of(i, params.deviation)
+        diag: list[int | float] = [0] * len(self.items)
+        for i, common in enumerate(self.common):
+            if common:
+                diag[i] = params.weight(params.gamma, self.deviation_of(i, params.deviation))
         return diag
 
     def matrix(self, params: MeasureParams) -> "ConsensusMatrix":
         n = len(self.items)
         exact = params.exact
         rows: list[list[tuple[int, int | float]]] = [[] for _ in range(n)]
+        # params.weight(params.lam, gap), written out: a method call per edge
+        # took 12 builds of a 689-edge n=40 set from 1.3-1.7 ms to 3.3-3.6 ms
+        # (Python 3.11, 2-vCPU Xeon).
         for i, j, gap in self.edges:
             rows[i].append((j, 1 if exact else params.lam ** gap))
         return ConsensusMatrix(diag=self._diagonal(params), rows=rows)

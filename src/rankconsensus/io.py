@@ -7,14 +7,17 @@ Text format, one ranking per line:
 The leading ``label:`` is optional (any first token ending in a colon is
 taken as a label), braces group tied items, ``#`` starts a comment and
 blank lines are skipped. The JSON format is an object with a "rankings"
-list of {"label": ..., "groups": [[token, ...], ...]} entries; the two
-formats describe the same model and round-trip through each other.
+list of {"label": ..., "groups": [[token, ...], ...]} entries. Both
+describe the same model, and every text document round-trips through
+JSON. JSON can hold more: a token or label with "#", a label that is
+empty or holds whitespace or braces, and an unlabelled ranking that
+starts with a token ending in ":". serialize_text refuses those.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 from enum import Enum
 from importlib import resources
 
@@ -184,11 +187,34 @@ def parse_json(content: str) -> RankingDocument:
     return RankingDocument(rankings=tuple(rankings))
 
 
+def _text_hazard(text: str) -> bool:
+    """True when parse_text would split, refuse or cut at a comment this token or label."""
+    return not valid_token(text) or "#" in text
+
+
 def serialize_text(document: RankingDocument) -> str:
+    """The document in the text format, which parse_text reads back unchanged.
+
+    Raises ValueError naming the first token or label the format cannot
+    hold: one with "#", which starts a comment; a label that is empty or
+    holds whitespace or braces; or a single token ending in ":" at the
+    start of an unlabelled ranking, which would be read as its label.
+    """
     lines = []
     for raw in document.rankings:
+        if raw.label is not None and _text_hazard(raw.label):
+            raise ValueError(f"label {raw.label!r} cannot be written as text")
+        first = raw.groups[0] if raw.groups else ()
+        if raw.label is None and len(first) == 1 and first[0].endswith(":"):
+            raise ValueError(
+                f"token {first[0]!r} cannot start an unlabelled ranking in text; "
+                "it would be read as a label"
+            )
         parts = []
         for group in raw.groups:
+            for token in group:
+                if _text_hazard(token):
+                    raise ValueError(f"token {token!r} cannot be written as text")
             if len(group) == 1:
                 parts.append(group[0])
             else:
@@ -245,9 +271,21 @@ def load_reference_sweep(name: str) -> tuple[list[float], list[float], list[list
 
 
 def round3(value: int | float) -> str:
-    """Three decimals, halves away from zero, as the reference tables print."""
+    """Three decimals, halves away from zero, as the reference tables print.
+
+    An int is written as its digits, so an exact count past the float
+    range keeps every digit instead of being rounded or overflowing. A
+    float has at most 309 digits before the point, more than the default
+    context's 28, so the rounding runs at a precision that holds them all.
+    """
+    if isinstance(value, int):
+        return f"{value}.000"
     quantum = Decimal("0.001")
-    return str(Decimal(repr(float(value))).quantize(quantum, rounding=ROUND_HALF_UP))
+    return str(
+        Decimal(repr(float(value))).quantize(
+            quantum, rounding=ROUND_HALF_UP, context=Context(prec=320)
+        )
+    )
 
 
 def _fmt_number(value: int | float) -> str:

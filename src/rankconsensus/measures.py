@@ -24,11 +24,8 @@ class KappaProfile:
     """The series kappa_1..kappa_ell; ell and the total kappa read from it.
 
     p runs 1..ell without gaps, so ell is the length of the series and
-    the total its sum. The exact path ignores epsilon and keeps every
-    nonzero term, so there ell is the longest length with a nonzero
-    count. The weighted path stops at the first term not exceeding
-    epsilon, so there ell is the last p whose term exceeded epsilon,
-    which can be shorter than the longest common chain.
+    the total its sum. The series stops at the first term that
+    ``MeasureParams.keeps`` refuses, which says when ell depends on epsilon.
     """
 
     series: tuple[tuple[int, int | float], ...]
@@ -53,16 +50,15 @@ def kappa_series(matrix: ConsensusMatrix, params: MeasureParams) -> KappaProfile
     """Accumulate kappa_p by repeated y <- L y until the terms vanish.
 
     kappa_1 is the trace; later terms never read the diagonal, so they
-    depend on lambda alone. On the exact path the loop stops at the first
-    true zero; otherwise at the first term not exceeding params.epsilon.
-    L is nilpotent, so at most order steps can contribute. kappa_sweep
-    makes one call per lambda plus one for the exact corner.
+    depend on lambda alone. The loop stops at the first term that
+    params.keeps refuses; L is nilpotent, so at most order steps can
+    contribute. kappa_sweep makes one call per lambda plus one for the
+    exact corner.
     """
-    epsilon: int | float = 0 if params.exact else params.epsilon
     term = matrix.trace()
     series: list[tuple[int, int | float]] = []
     vector: list[int | float] = [1] * matrix.order
-    while term > epsilon and len(series) < matrix.order:
+    while params.keeps(term) and len(series) < matrix.order:
         series.append((len(series) + 1, term))
         vector = matrix.multiply_lower(vector)
         term = sum(vector)
@@ -174,7 +170,7 @@ def kappa_sweep(
                 traces[exact] = sum(sv._diagonal(point_params))
             trace = traces[exact]
             series = ()
-            if trace > (0 if exact else params.epsilon):
+            if point_params.keeps(trace):
                 key = (index, exact)
                 if key not in tails:
                     # The matrix's trace() is the same sum as trace, which

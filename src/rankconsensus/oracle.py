@@ -73,27 +73,19 @@ def enumerate_common(
         item: [ranking.position_of(item) for ranking in rset]
         for item in candidates
     }
-    exact = params.exact
-
-    singleton_weight: dict[int, int | float] = {}
-    for item in candidates:
-        if exact:
-            singleton_weight[item] = 1
-        else:
-            d = _deviation(columns[item], params.deviation)
-            singleton_weight[item] = params.gamma ** d
+    singleton_weight = {
+        item: params.weight(params.gamma, _deviation(columns[item], params.deviation))
+        for item in candidates
+    }
 
     pair_weight: dict[tuple[int, int], int | float] = {}
 
     def weight_of_pair(a: int, b: int) -> int | float:
         key = (a, b)
         if key not in pair_weight:
-            if exact:
-                pair_weight[key] = 1
-            else:
-                ca, cb = columns[a], columns[b]
-                gap = sum(abs(pb - pa) for pa, pb in zip(ca, cb)) / len(ca)
-                pair_weight[key] = params.lam ** gap
+            ca, cb = columns[a], columns[b]
+            gap = sum(abs(pb - pa) for pa, pb in zip(ca, cb)) / len(ca)
+            pair_weight[key] = params.weight(params.lam, gap)
         return pair_weight[key]
 
     def ordered_after(a: int, b: int) -> bool:
@@ -132,11 +124,10 @@ def enumerate_common(
 def oracle_profile(rset: RankingSet, params: MeasureParams | None = None) -> KappaProfile:
     """Kappa profile obtained by summing enumerated subsequence weights.
 
-    It keeps terms by the rule of kappa_series: on the weighted path
-    kappa_1, kappa_2, ... while each exceeds params.epsilon, on the exact
-    path every nonzero count. It enumerates once per (gamma, lambda),
-    where kappa_sweep costs one kappa_series call per lambda plus one for
-    the exact corner.
+    It keeps kappa_1, kappa_2, ... by the rule of kappa_series,
+    ``params.keeps``. It enumerates once per (gamma, lambda), where
+    kappa_sweep costs one kappa_series call per lambda plus one for the
+    exact corner.
     """
     if params is None:
         params = MeasureParams()
@@ -146,8 +137,7 @@ def oracle_profile(rset: RankingSet, params: MeasureParams | None = None) -> Kap
         by_length[length] = by_length.get(length, 0) + sub.weight
     # enumerate_common sorts by length and every prefix of a common chain
     # is common, so the lengths run 1..longest in order.
-    epsilon: int | float = 0 if params.exact else params.epsilon
-    series = tuple(takewhile(lambda term: term[1] > epsilon, by_length.items()))
+    series = tuple(takewhile(lambda term: params.keeps(term[1]), by_length.items()))
     return KappaProfile(series=series, exact=params.exact)
 
 

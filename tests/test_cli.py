@@ -110,6 +110,29 @@ class TestMeasure:
         assert payload["kappa_dup"] == 11
         assert payload["kappa_1_topk"] == pytest.approx(0.875)
 
+    def test_dedup_total_past_the_float_range_exits_6(self, tmp_path, monkeypatch, capsys):
+        # Three distinct rankings, one of them twice: N*s/D = 8/3 is not an
+        # integer, so the exact total plus it can only be written as a float.
+        doc = tmp_path / "set.txt"
+        doc.write_text("a b c\nc b a\na b c\nb a c\n")
+        huge = measures.KappaProfile(series=((1, 2**1100),), exact=True)
+        monkeypatch.setattr(measures, "measure", lambda rset, params: huge)
+        code, out, err = run(capsys, "measure", str(doc), "--dedup", "--format", "csv")
+        assert (code, out) == (6, "")
+        assert err == "error: kappa_dup is not an integer and exceeds the float range\n"
+
+    def test_weighted_table_total_past_1e25(self, tmp_path, capsys):
+        # Two identical rankings of 100 tokens: every item deviates by 0, so
+        # at lambda = 1 the weighted total is 2**100 - 1 up to rounding.
+        doc = tmp_path / "same.txt"
+        tokens = " ".join(f"t{k}" for k in range(100))
+        doc.write_text(f"{tokens}\n{tokens}\n")
+        code, out, err = run(capsys, "measure", str(doc), "--gamma", "0.9", "--format", "table")
+        assert (code, err) == (0, "")
+        label, cell = out.splitlines()[-1].split()
+        assert label == "kappa" and cell.endswith(".000")
+        assert float(cell) == pytest.approx(2**100, rel=1e-12)
+
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "result.csv"
         code, out, _ = run(
@@ -171,6 +194,19 @@ class TestSweep:
         code2, second, _ = run(capsys, *args)
         assert code1 == code2 == 0
         assert first == second
+
+    def test_exact_table_cell_past_two_to_the_53(self, tmp_path, capsys):
+        # Two identical rankings of 60 tokens share 2**60 - 1 chains.
+        path = tmp_path / "same.txt"
+        tokens = " ".join(f"t{k}" for k in range(60))
+        path.write_text(f"{tokens}\n{tokens}\n")
+        code, out, _ = run(
+            capsys,
+            "sweep", str(path), "--gamma-grid", "1:1:0", "--lambda-grid", "1:1:0",
+            "--format", "table",
+        )
+        assert code == 0
+        assert out.splitlines()[1].split() == ["1.0", f"{2**60 - 1}.000"]
 
     def test_single_exact_point_equals_measure_bytes(self, capsys):
         _, from_sweep, _ = run(
@@ -356,6 +392,17 @@ class TestOracleCheck:
         assert code == 0
         assert err == ""
         assert out == "oracle check passed: ell=3 kappa=15.579425958575573\n"
+
+    def test_a_term_within_an_ulp_of_epsilon_is_cut_once(self, capsys):
+        # The matrix route's kappa_2 is 3.9567393065812473, the oracle's
+        # 3.956739306581248: one ulp apart, on either side of epsilon.
+        code, out, err = run(
+            capsys,
+            "oracle-check", "clustering_ga", "--gamma", "0.9", "--lambda", "0.8",
+            "--epsilon", "3.9567393065812473",
+        )
+        assert (code, err) == (0, "")
+        assert out == "oracle check passed: ell=1 kappa=8.227843743254285\n"
 
     def test_large_input_exits_6(self, capsys):
         code, _, err = run(capsys, "oracle-check", "search_google")

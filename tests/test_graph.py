@@ -37,6 +37,20 @@ class TestMeasureParams:
             MeasureParams(**kwargs)
         assert message in str(err.value)
 
+    def test_exact_path_weighs_one_and_keeps_every_nonzero_term(self):
+        params = MeasureParams(epsilon=5)
+        weight = params.weight(0.5, 3.0)
+        assert weight == 1 and type(weight) is int
+        assert params.keeps(1)
+        assert not params.keeps(0)
+
+    def test_weighted_path_weighs_by_power_and_cuts_at_epsilon(self):
+        params = MeasureParams(gamma=0.9, lam=0.8, epsilon=3.9567393065812473)
+        assert params.weight(0.8, 2.5) == 0.8**2.5
+        assert params.weight(params.gamma, 1.25) == 0.9**1.25
+        assert not params.keeps(params.epsilon)
+        assert params.keeps(math.nextafter(params.epsilon, math.inf))
+
     def test_deviation_accepts_strings(self):
         assert MeasureParams(deviation="std").deviation is Deviation.STD
         assert MeasureParams(deviation="sqrt-mad").deviation is Deviation.SQRT_MAD

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -122,6 +123,28 @@ class TestRoundTrips:
         assert serialize_text(doc) == self.DOC
         assert parse_text(serialize_text(doc)) == doc
 
+    @pytest.mark.parametrize(
+        "entry,named",
+        [
+            ({"groups": [["a:"], ["b"]]}, "'a:'"),
+            ({"groups": [["a"], ["b#c"]]}, "'b#c'"),
+            ({"label": "x y", "groups": [["a"]]}, "'x y'"),
+            ({"label": "x#", "groups": [["a"]]}, "'x#'"),
+            ({"label": "{x}", "groups": [["a"]]}, "'{x}'"),
+            ({"label": "", "groups": [["a"]]}, "''"),
+        ],
+    )
+    def test_text_refuses_what_it_cannot_hold(self, entry, named):
+        doc = parse_json(json.dumps({"rankings": [entry]}))
+        with pytest.raises(ValueError, match=named):
+            serialize_text(doc)
+
+    def test_text_writes_a_colon_token_that_cannot_be_a_label(self):
+        doc = parse_json(
+            '{"rankings": [{"label": "x", "groups": [["a:"]]}, {"groups": [["b", "c:"]]}]}'
+        )
+        assert parse_text(serialize_text(doc)) == doc
+
     def test_json_round_trip(self):
         doc = parse_text(self.DOC)
         again = parse_json(serialize_json(doc))
@@ -211,6 +234,17 @@ class TestRendering:
         assert round3(2.0005) == "2.001"
         assert round3(19) == "19.000"
         assert round3(-0.0005) == "-0.001"
+
+    def test_round3_keeps_every_digit_of_an_int(self):
+        assert round3(0) == "0.000"
+        assert round3(-7) == "-7.000"
+        assert round3(2**1100) == f"{2**1100}.000"
+
+    def test_round3_of_a_float_past_the_default_decimal_precision(self):
+        assert round3(1e30) == "1" + "0" * 30 + ".000"
+        assert round3(-1.5e300) == "-15" + "0" * 299 + ".000"
+        # The digits are those of the float's repr, as for any other value.
+        assert round3(sys.float_info.max) == "17976931348623157" + "0" * 292 + ".000"
 
     def test_profile_table_golden_cell(self):
         rset = load_dataset(Dataset.CLUSTERING_CE).to_ranking_set()

@@ -268,6 +268,44 @@ def test_parse_serialize_round_trips(text):
     assert parse_json(serialize_json(doc)).rankings == doc.rankings
 
 
+# Tokens are JSON-legal by construction; labels may be any string. Both
+# draw on the characters the text format gives a meaning to.
+JSON_TOKENS = st.text(alphabet="ab:#", min_size=1, max_size=3)
+JSON_LABELS = st.none() | st.text(alphabet="ab:# {}\u2028", max_size=3)
+
+
+@st.composite
+def json_documents(draw):
+    entries = []
+    labels = set()
+    for _ in range(draw(st.integers(1, 3))):
+        tokens = draw(st.lists(JSON_TOKENS, min_size=1, max_size=4, unique=True))
+        cuts = draw(st.lists(st.booleans(), min_size=len(tokens) - 1, max_size=len(tokens) - 1))
+        groups = [[tokens[0]]]
+        for token, cut in zip(tokens[1:], cuts):
+            if cut:
+                groups.append([token])
+            else:
+                groups[-1].append(token)
+        entry: dict[str, object] = {"groups": groups}
+        label = draw(JSON_LABELS)
+        if label is not None and label not in labels:
+            labels.add(label)
+            entry["label"] = label
+        entries.append(entry)
+    return parse_json(json.dumps({"rankings": entries}))
+
+
+@given(json_documents())
+@settings(max_examples=300, deadline=None)
+def test_text_serialization_round_trips_or_refuses(doc):
+    try:
+        text = serialize_text(doc)
+    except ValueError:
+        return
+    assert parse_text(text) == doc
+
+
 ASCII_WHITESPACE = " \t\n\r\x0b\x0c"
 UNICODE_WHITESPACE = "\u00a0\u2003"
 
