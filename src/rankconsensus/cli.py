@@ -66,7 +66,9 @@ def _load_document(source: str) -> io.RankingDocument:
         dataset = None
     if dataset is not None:
         return io.load_dataset(dataset)
-    content = Path(source).read_text(encoding="utf-8")
+    # Plain utf-8, not utf-8-sig, so a decode error reports a file offset;
+    # a leading byte order mark is dropped after the decode.
+    content = Path(source).read_text(encoding="utf-8").removeprefix("\ufeff")
     if content.lstrip().startswith("{"):
         return io.parse_json(content)
     return io.parse_text(content)

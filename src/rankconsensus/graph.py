@@ -117,12 +117,15 @@ class Survey:
     var: tuple[float, ...]
     edges: tuple[tuple[int, int, float], ...]
 
-    def deviation_of(self, index: int, variant: Deviation) -> float:
+    def deviation_of(self, index: int, variant: Deviation | str) -> float:
+        """The item's deviation; variant is a Deviation or its string value."""
         if variant is Deviation.MAD:
             return self.mad[index]
         if variant is Deviation.SQRT_MAD:
             return math.sqrt(self.mad[index])
-        return math.sqrt(self.var[index])
+        if variant is Deviation.STD:
+            return math.sqrt(self.var[index])
+        return self.deviation_of(index, Deviation(variant))
 
     def _diagonal(self, params: MeasureParams) -> list[int | float]:
         """Per-item weights gamma**d, 1 on the exact path, 0 off the common items.

@@ -16,6 +16,7 @@ starts with a token ending in ":". serialize_text refuses those.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
 from enum import Enum
@@ -277,9 +278,12 @@ def round3(value: int | float) -> str:
     range keeps every digit instead of being rounded or overflowing. A
     float has at most 309 digits before the point, more than the default
     context's 28, so the rounding runs at a precision that holds them all.
+    A non-finite float is written as its repr, as the csv output writes it.
     """
     if isinstance(value, int):
         return f"{value}.000"
+    if not math.isfinite(value):
+        return repr(value)
     quantum = Decimal("0.001")
     return str(
         Decimal(repr(float(value))).quantize(

@@ -2,11 +2,13 @@
 
 This module deliberately recomputes everything from raw positions and
 never touches the matrix code, so it can stand as an independent check
-of the algebraic path. It walks subsets of the items shared by all
-rankings, growing a chain only while the newest pair keeps its relative
-order in every ranking. That prefix test is sufficient: positions within
-one ranking are transitive, so a chain whose consecutive pairs are all
-strictly ordered is strictly ordered as a whole.
+of the algebraic path. It first tables, for each item shared by all
+rankings, the later items that every ranking puts strictly after it,
+with the pair's weight. One depth-first pass then extends each chain
+once along that table; a chain's weight is its prefix's weight times the
+new pair's. Consecutive pairs suffice: positions within one ranking are
+transitive, so a chain whose consecutive pairs are all strictly ordered
+is strictly ordered as a whole.
 
 Cost grows with 2**(shortest ranking length); the guard refuses inputs
 past SIZE_GUARD items and points callers at the matrix path instead.
@@ -69,56 +71,44 @@ def enumerate_common(
         for item in reference.items()
         if all(item in ranking for ranking in rset)
     ]
-    columns = {
-        item: [ranking.position_of(item) for ranking in rset]
-        for item in candidates
-    }
-    singleton_weight = {
-        item: params.weight(params.gamma, _deviation(columns[item], params.deviation))
-        for item in candidates
-    }
+    columns = [[ranking.position_of(item) for ranking in rset] for item in candidates]
+    singleton_weight = [
+        params.weight(params.gamma, _deviation(column, params.deviation))
+        for column in columns
+    ]
+    # successors[i]: each later candidate j that every ranking puts strictly
+    # after candidate i, with the pair's weight lambda**gap.
+    successors = [
+        [
+            (j, params.weight(params.lam, sum(b - a for a, b in zip(ci, cj)) / len(ci)))
+            for j, cj in enumerate(columns[i + 1 :], i + 1)
+            if all(b > a for a, b in zip(ci, cj))
+        ]
+        for i, ci in enumerate(columns)
+    ]
 
-    pair_weight: dict[tuple[int, int], int | float] = {}
-
-    def weight_of_pair(a: int, b: int) -> int | float:
-        key = (a, b)
-        if key not in pair_weight:
-            ca, cb = columns[a], columns[b]
-            gap = sum(abs(pb - pa) for pa, pb in zip(ca, cb)) / len(ca)
-            pair_weight[key] = params.weight(params.lam, gap)
-        return pair_weight[key]
-
-    def ordered_after(a: int, b: int) -> bool:
-        return all(pb > pa for pa, pb in zip(columns[a], columns[b]))
-
-    found: list[tuple[int, ...]] = []
+    found: list[tuple[tuple[int, ...], int | float]] = []
     limit = len(candidates) if max_len is None else max_len
 
-    def extend(prefix: tuple[int, ...], start: int) -> None:
-        for idx in range(start, len(candidates)):
-            item = candidates[idx]
-            if prefix and not ordered_after(candidates[prefix[-1]], item):
-                continue
-            chain = prefix + (idx,)
-            found.append(chain)
-            if len(chain) < limit:
-                extend(chain, idx + 1)
+    def extend(chain: tuple[int, ...], product: int | float) -> None:
+        """Record every extension of chain; product is its pair-weight product."""
+        if len(chain) >= limit:
+            return
+        for j, pair in successors[chain[-1]]:
+            longer, weight = chain + (j,), product * pair
+            found.append((longer, weight))
+            extend(longer, weight)
 
     if limit >= 1:
-        extend((), 0)
+        for i, weight in enumerate(singleton_weight):
+            found.append(((i,), weight))
+            extend((i,), 1)
 
-    found.sort(key=lambda chain: (len(chain), chain))
-    result = []
-    for chain in found:
-        ids = tuple(candidates[idx] for idx in chain)
-        if len(ids) == 1:
-            weight = singleton_weight[ids[0]]
-        else:
-            weight: int | float = 1
-            for a, b in zip(ids, ids[1:]):
-                weight = weight * weight_of_pair(a, b)
-        result.append(CommonSubsequence(items=ids, weight=weight))
-    return result
+    found.sort(key=lambda entry: (len(entry[0]), entry[0]))
+    return [
+        CommonSubsequence(items=tuple(candidates[i] for i in chain), weight=weight)
+        for chain, weight in found
+    ]
 
 
 def oracle_profile(rset: RankingSet, params: MeasureParams | None = None) -> KappaProfile:

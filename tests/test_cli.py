@@ -95,6 +95,20 @@ class TestMeasure:
         assert code == 0
         assert out.splitlines()[1] == "1.0,1.0,7"
 
+    @pytest.mark.parametrize(
+        "content",
+        ["a b c\na b c\n", json.dumps({"rankings": [{"groups": [["a"], ["b"], ["c"]]}] * 2})],
+        ids=["text", "json"],
+    )
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path, capsys, content):
+        # A kept mark joins the first token (text: kappa 3) or hides the
+        # leading brace from the JSON sniff (exit 2).
+        doc = tmp_path / "bom.txt"
+        doc.write_bytes(b"\xef\xbb\xbf" + content.encode("utf-8"))
+        code, out, err = run(capsys, "measure", str(doc), "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == "1.0,1.0,7"
+
     def test_dedup_and_topk_extras(self, tmp_path, capsys):
         doc = tmp_path / "set.txt"
         doc.write_text("a b c\na b c\n")
@@ -120,6 +134,21 @@ class TestMeasure:
         code, out, err = run(capsys, "measure", str(doc), "--dedup", "--format", "csv")
         assert (code, out) == (6, "")
         assert err == "error: kappa_dup is not an integer and exceeds the float range\n"
+
+    @pytest.mark.parametrize(
+        "fmt, tail",
+        [("table", ["2 inf", "ell 2", "kappa inf"]), ("csv", ["0.9,1.0,inf"])],
+    )
+    def test_weighted_term_past_the_float_range(self, tmp_path, monkeypatch, capsys, fmt, tail):
+        # About 1030 common items at gamma and lambda near 1 take a term past
+        # the float range; that run takes minutes, so the series is stubbed.
+        doc = tmp_path / "set.txt"
+        doc.write_text("a b c\n")
+        series = measures.KappaProfile(series=((1, 3.0), (2, float("inf"))), exact=False)
+        monkeypatch.setattr(measures, "kappa_series", lambda matrix, params: series)
+        code, out, err = run(capsys, "measure", str(doc), "--gamma", "0.9", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-len(tail) :] == tail
 
     def test_weighted_table_total_past_1e25(self, tmp_path, capsys):
         # Two identical rankings of 100 tokens: every item deviates by 0, so

@@ -42,6 +42,14 @@ def test_non_utf8_file_exits_2(tmp_path, capsys, command):
     assert err == f"error: {path}: not UTF-8 text (invalid continuation byte at byte 4)\n"
 
 
+def test_non_utf8_offset_after_a_byte_order_mark_is_a_file_offset(tmp_path, capsys):
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbfa b \xe9 c\nb a c\n")
+    code, out, err = run(capsys, "measure", str(path))
+    assert (code, out) == (cli.EXIT_PARSE, "")
+    assert err == f"error: {path}: not UTF-8 text (invalid continuation byte at byte 7)\n"
+
+
 @pytest.mark.parametrize(
     "content",
     ['{"rankings": ' + "1" * 5000 + "}", '{"rankings": ' + "[" * 100000 + "]" * 100000 + "}"],

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from rankconsensus.graph import Deviation, MeasureParams, survey
+from rankconsensus.io import Dataset, load_dataset
 
 from conftest import EXAMPLE_LINES, make_set
 
@@ -106,6 +107,23 @@ class TestSurveyStatistics:
         assert sv.deviation_of(index, Deviation.STD) == pytest.approx(
             math.sqrt(4.25)
         )
+
+    @pytest.mark.parametrize("variant", list(Deviation))
+    def test_deviation_of_takes_a_member_or_its_string_value(self, variant):
+        sv = survey(load_dataset(Dataset.CLUSTERING).to_ranking_set())
+        index = sv.common.index(True)
+        expected = {
+            Deviation.MAD: sv.mad[index],
+            Deviation.SQRT_MAD: math.sqrt(sv.mad[index]),
+            Deviation.STD: math.sqrt(sv.var[index]),
+        }[variant]
+        assert sv.deviation_of(index, variant) == expected
+        assert sv.deviation_of(index, variant.value) == expected
+
+    def test_deviation_of_refuses_an_unknown_variant(self):
+        sv = survey(make_set(*EXAMPLE_LINES))
+        with pytest.raises(ValueError, match="bogus"):
+            sv.deviation_of(sv.common.index(True), "bogus")
 
     def test_position_stats_covers_common_items_only(self):
         rset = make_set(*EXAMPLE_LINES)

@@ -246,6 +246,11 @@ class TestRendering:
         # The digits are those of the float's repr, as for any other value.
         assert round3(sys.float_info.max) == "17976931348623157" + "0" * 292 + ".000"
 
+    def test_round3_writes_a_non_finite_float_as_its_repr(self):
+        assert round3(float("inf")) == "inf"
+        assert round3(float("-inf")) == "-inf"
+        assert round3(float("nan")) == "nan"
+
     def test_profile_table_golden_cell(self):
         rset = load_dataset(Dataset.CLUSTERING_CE).to_ranking_set()
         params = MeasureParams(gamma=1.0, lam=0.95)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import itertools
 import json
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -235,6 +237,82 @@ def test_enumeration_is_downward_closed(rset):
             shorter = items[:drop] + items[drop + 1 :]
             if shorter:
                 assert shorter in found
+
+
+# The exact corner and weighted parameters with every deviation variant.
+ORACLE_PARAMS = st.sampled_from(
+    [
+        MeasureParams(),
+        MeasureParams(gamma=0.9, lam=0.8),
+        MeasureParams(gamma=0.3, lam=0.99, deviation=Deviation.STD),
+        MeasureParams(gamma=0.7, lam=0.5, deviation=Deviation.SQRT_MAD),
+    ]
+)
+
+
+def _columns(rset, items):
+    return [[ranking.position_of(item) for ranking in rset] for item in items]
+
+
+def _strictly_ordered(columns):
+    return all(
+        all(pb > pa for pa, pb in zip(ca, cb)) for ca, cb in zip(columns, columns[1:])
+    )
+
+
+@given(st.randoms(use_true_random=False), ORACLE_PARAMS)
+@settings(max_examples=100, deadline=None)
+def test_enumeration_finds_exactly_the_strictly_ordered_chains(rng, params):
+    # Every chain is strictly ordered in every ranking, and every such
+    # subset of the reference order is found once, in (length, order) order.
+    rset = random_set(rng, max_rankings=3)
+    reference = rset.rankings[rset.reference_index()]
+    common = [item for item in reference.items() if all(item in r for r in rset)]
+    expected = [
+        chain
+        for length in range(1, len(common) + 1)
+        for chain in itertools.combinations(common, length)
+        if _strictly_ordered(_columns(rset, chain))
+    ]
+    assert [sub.items for sub in enumerate_common(rset, params=params)] == expected
+
+
+@given(st.randoms(use_true_random=False), ORACLE_PARAMS)
+@settings(max_examples=100, deadline=None)
+def test_enumerated_weights_follow_the_positions(rng, params):
+    # A singleton weighs gamma**d and a longer chain the left-to-right
+    # product of lambda**gap over its consecutive pairs, both recomputed
+    # here from the positions; == holds because the arithmetic is the same.
+    rset = random_set(rng, max_rankings=3)
+    for sub in enumerate_common(rset, params=params):
+        columns = _columns(rset, sub.items)
+        if len(columns) == 1:
+            column = columns[0]
+            mean = sum(column) / len(column)
+            mad = sum(abs(x - mean) for x in column) / len(column)
+            d = {
+                Deviation.MAD: mad,
+                Deviation.SQRT_MAD: math.sqrt(mad),
+                Deviation.STD: math.sqrt(sum((x - mean) ** 2 for x in column) / len(column)),
+            }[params.deviation]
+            assert sub.weight == params.weight(params.gamma, d)
+            continue
+        weight = 1
+        for ca, cb in zip(columns, columns[1:]):
+            gap = sum(abs(pb - pa) for pa, pb in zip(ca, cb)) / len(ca)
+            weight = weight * params.weight(params.lam, gap)
+        assert sub.weight == weight
+        assert type(sub.weight) is type(weight)
+
+
+@given(st.randoms(use_true_random=False), ORACLE_PARAMS)
+@settings(max_examples=60, deadline=None)
+def test_max_len_filters_the_full_enumeration(rng, params):
+    rset = random_set(rng, max_rankings=3)
+    full = enumerate_common(rset, params=params)
+    for k in range(4):
+        shorter = [sub for sub in full if len(sub.items) <= k]
+        assert enumerate_common(rset, max_len=k, params=params) == shorter
 
 
 @given(ranking_sets())
