@@ -6,9 +6,9 @@ or --output. Exit codes: 0 success, 2 unreadable or malformed input
 (including a file that is not UTF-8) or an --output that cannot be
 written, 3 invalid parameters or grid (including NaN, an infinite
 epsilon and grids of more than MAX_GRID_POINTS points), 4 input
-outside a baseline's scope, 5 oracle mismatch, 6 enumeration size guard
-or an exact ``--dedup`` total that is not an integer and exceeds the
-float range.
+outside a baseline's scope, 5 oracle mismatch, 6 enumeration size guard,
+an exact ``--dedup`` total that is not an integer and exceeds the
+float range, or an infinite or NaN result asked for as JSON.
 Every failure except an oracle mismatch is reported by ``main`` as one
 ``error: <message>`` line on stderr.
 """
@@ -245,6 +245,18 @@ def _parse_per_p(text: str) -> list[int]:
     return values
 
 
+def _render(result: measures.KappaProfile | list[measures.SweepPoint], fmt: str, **options) -> str:
+    """io.write_results; a non-finite result asked for as JSON exits 6."""
+    try:
+        return io.write_results(result, fmt, **options)
+    except ValueError:
+        if fmt != "json":
+            raise
+        raise CommandError(
+            EXIT_SIZE, "a result is inf or nan, which JSON cannot hold; csv and table write it"
+        ) from None
+
+
 def cmd_measure(args: argparse.Namespace) -> int:
     if (args.topk_zeta is None) != (args.topk_beta is None):
         raise CommandError(
@@ -264,9 +276,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
             ) from None
     if params.zeta is not None:
         extras["kappa_1_topk"] = measures.kappa1_topk(sv, params)
-    text = io.write_results(
-        profile, _default_format(args.format), params=params, extras=extras or None
-    )
+    text = _render(profile, _default_format(args.format), params=params, extras=extras or None)
     _emit(text, args.output)
     return EXIT_OK
 
@@ -284,7 +294,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise CommandError(EXIT_PARAMS, "per-p columns are only available with --format csv")
     _, rset = _load(args.input)
     points = measures.kappa_sweep(measures.survey(rset), gammas, lams, params)
-    _emit(io.write_results(points, fmt, per_p=per_p), args.output)
+    _emit(_render(points, fmt, per_p=per_p), args.output)
     return EXIT_OK
 
 

@@ -16,6 +16,16 @@ depends only on gamma and the strict lower part only on lambda, so a
 (gamma, lambda) sweep costs one trace per gamma and one lower-part
 series per lambda (see ``measures.kappa_sweep``).
 
+``survey`` finds the edges with one predecessor mask per common item,
+the bit-parallel order intersection of Allison & Dix (1986) and Hyyrö's
+bit-vector LCS applied to N weak orders. The mask of item i is a Python
+int whose bit j stands for the pair (i, j); it starts as the common items
+before i in reference order. Each ranking, walked group by group, ANDs it
+with the items of its strictly earlier tie groups, so after all N
+rankings its set bits are exactly the j that every ranking puts strictly
+before i. That is O(N n) big-int operations instead of a test of every
+pair in every ranking.
+
 A pair (i, j) gets an edge only when every ranking k puts i strictly
 after j, so |p_k(i) - p_k(j)| = p_k(i) - p_k(j) in every ranking and the
 mean gap telescopes to (S_i - S_j) / N, with S_i the item's position sum.
@@ -28,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 
 from .model import RankingSet
 
@@ -155,7 +166,10 @@ def survey(rset: RankingSet, reference_index: int | None = None) -> Survey:
     """Scan the set once: positions, commonality, deviations, ordered pairs.
 
     reference_index overrides the default shortest-ranking choice; any
-    member is admissible and yields the same measures.
+    member is admissible and yields the same measures. The ordered pairs
+    come from predecessor masks (see the module docstring): one AND per
+    item and ranking, then each mask's set bits, j ascending, become the
+    edges (i, j, gap) of row i.
     """
     if reference_index is None:
         reference_index = rset.reference_index()
@@ -183,13 +197,30 @@ def survey(rset: RankingSet, reference_index: int | None = None) -> Survey:
         mu[i] = mean
         mad[i] = sum(abs(x - mean) for x in columns[i]) / N
         var[i] = sum((x - mean) ** 2 for x in columns[i]) / N
-    edges = []
+    # Predecessor masks: bit j of masks[i] stands for the pair (i, j).
+    index = {item: i for i, item in enumerate(items) if common[i]}
+    masks = [0] * n
+    below = 0
     for i in range(n):
-        if not common[i]:
-            continue
-        for j in range(i):
-            if common[j] and all(a > b for a, b in zip(columns[i], columns[j])):
-                edges.append((i, j, (sums[i] - sums[j]) / N))
+        if common[i]:
+            masks[i] = below
+            below |= 1 << i
+    for ranking in rset:
+        earlier = 0
+        for group in ranking.groups:
+            bits = 0
+            for item in group:
+                i = index.get(item)
+                if i is not None:
+                    masks[i] &= earlier
+                    bits |= 1 << i
+            earlier |= bits
+    edges = []
+    for i, mask in enumerate(masks):
+        # bin() reversed puts bit j at string index j, so j comes out ascending.
+        digits = bin(mask)[:1:-1]
+        for j in compress(range(len(digits)), map("1".__eq__, digits)):
+            edges.append((i, j, (sums[i] - sums[j]) / N))
     return Survey(
         items=items,
         reference_index=reference_index,

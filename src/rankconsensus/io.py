@@ -320,7 +320,7 @@ def profile_json(
     }
     if extras:
         payload.update(extras)
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def profile_csv(
@@ -391,7 +391,11 @@ def write_results(
     per_p: list[int] | None = None,
     extras: dict[str, object] | None = None,
 ) -> str:
-    """Render a profile or a sweep in one of json, csv, table."""
+    """Render a profile or a sweep in one of json, csv, table.
+
+    JSON has no word for a non-finite float, so json raises ValueError on
+    an inf or nan value; csv and table write it as ``inf`` or ``nan``.
+    """
     if fmt not in ("json", "csv", "table"):
         raise ValueError(f"unknown format: {fmt!r}")
     if isinstance(result, KappaProfile):
@@ -412,7 +416,7 @@ def write_results(
             }
             for point in result
         ]
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
     if fmt == "csv":
         return sweep_csv(result, per_p)
     return sweep_table(result)

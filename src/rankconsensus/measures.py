@@ -1,19 +1,30 @@
 """Consensus measures on top of the precedence matrix.
 
-kappa_1 is the trace; kappa_p for p >= 2 comes from iterated
-multiplication by the strict lower part L, which counts (or weights)
-the consistently ordered item chains of length p. The total over all p
-is also available in closed form through one forward substitution.
+kappa_1 is the trace; kappa_p for p >= 2 is 1' L^(p-1) 1 for the strict
+lower part L, which counts (or weights) the consistently ordered item
+chains of length p. The total over all p is also available in closed
+form through one forward substitution.
 
-When gamma = lambda = 1 every weight is exactly 1 and all arithmetic is
-done in plain integers, which Python keeps exact at any magnitude; the
-total for a single ranking of length n is 2**n - 1.
+``kappa_series`` takes one of two paths, chosen by ``params.exact``:
+
+- weighted (gamma or lambda below 1): repeated float products y <- L y,
+  one per term;
+- exact (gamma = lambda = 1): every weight is exactly 1 and all
+  arithmetic is done in plain integers, which Python keeps exact at any
+  magnitude. One forward pass over the rows builds, per item, the
+  polynomial that counts the chains ending there by length, packed into
+  one int with n-bit slots (Kronecker substitution). A chain visits
+  distinct rows, so no count reaches 2**n and a slot never carries into
+  the next; kappa_p is read back from slot p of the sum.
+
+The total for a single ranking of length n is 2**n - 1.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
+from operator import itemgetter
+from typing import Iterator, Sequence
 
 from .graph import ConsensusMatrix, MeasureParams, Survey, survey
 from .model import RankingSet
@@ -46,22 +57,57 @@ class KappaProfile:
         return 0
 
 
-def kappa_series(matrix: ConsensusMatrix, params: MeasureParams) -> KappaProfile:
-    """Accumulate kappa_p by repeated y <- L y until the terms vanish.
+def _product_terms(matrix: ConsensusMatrix) -> Iterator[int | float]:
+    """kappa_2, kappa_3, ... as sums of y <- L y, starting from y = 1."""
+    vector: list[int | float] = [1] * matrix.order
+    while True:
+        vector = matrix.multiply_lower(vector)
+        yield sum(vector)
 
-    kappa_1 is the trace; later terms never read the diagonal, so they
-    depend on lambda alone. The loop stops at the first term that
-    params.keeps refuses; L is nilpotent, so at most order steps can
-    contribute. kappa_sweep makes one call per lambda plus one for the
-    exact corner.
+
+def _packed_terms(matrix: ConsensusMatrix) -> Iterator[int]:
+    """kappa_2, kappa_3, ... of a matrix whose weights are all 1, from one pass.
+
+    f_i = x * (1 + sum of f_j over row i's columns j) counts the chains
+    that end at item i by their length, and kappa_p is the coefficient of
+    x**p in P(x) = sum_i f_i(x). Each f_i is one int whose B-bit slot p
+    holds its coefficient of x**p (Kronecker substitution), so a row
+    costs one sum of ints. B is the order n: a chain visits distinct rows,
+    so every coefficient is at most C(n, p) <= 2**n - 1 < 2**B, no slot
+    carries into the next, and each slot reads back the exact count.
     """
+    width = matrix.order
+    packed: list[int] = []
+    for row in matrix.rows:
+        packed.append((1 + sum(map(packed.__getitem__, map(itemgetter(0), row)))) << width)
+    slot = (1 << width) - 1
+    rest = sum(packed) >> 2 * width  # slot 1 counts every row; kappa_1 is the trace
+    while True:
+        yield rest & slot
+        rest >>= width
+
+
+def kappa_series(matrix: ConsensusMatrix, params: MeasureParams) -> KappaProfile:
+    """kappa_1 is the trace; each later kappa_p weighs the chains of p items.
+
+    Later terms never read the diagonal, so they depend on lambda alone.
+    On the weighted path each comes from one float product y <- L y. On
+    the exact path (``params.exact``) every weight is 1 and all of them
+    come from one integer pass (``_packed_terms``): each row's chain
+    counts by length are packed into one int, in slots of n bits for a
+    matrix of order n. A chain visits distinct rows, so every count is
+    below 2**n and no slot carries into the next; each slot holds bit for
+    bit the count the products would give. The series stops at the first
+    term that params.keeps refuses, and after at most order terms, since
+    L is nilpotent. kappa_sweep makes one call per lambda plus one for
+    the exact corner.
+    """
+    later = _packed_terms(matrix) if params.exact else _product_terms(matrix)
     term = matrix.trace()
     series: list[tuple[int, int | float]] = []
-    vector: list[int | float] = [1] * matrix.order
     while params.keeps(term) and len(series) < matrix.order:
         series.append((len(series) + 1, term))
-        vector = matrix.multiply_lower(vector)
-        term = sum(vector)
+        term = next(later)
     return KappaProfile(series=tuple(series), exact=params.exact)
 
 

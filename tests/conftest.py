@@ -52,3 +52,18 @@ def random_set(
                 index += 1
         lines.append(" ".join(parts))
     return make_set(*lines)
+
+
+def near_consensus_set(rng: random.Random, n: int, count: int) -> RankingSet:
+    """count untied full rankings of n items, each one shuffled base order
+    after n random swaps of adjacent items."""
+    base = [f"t{k}" for k in range(n)]
+    rng.shuffle(base)
+    rankings = []
+    for _ in range(count):
+        order = base[:]
+        for _ in range(n):
+            k = rng.randrange(n - 1)
+            order[k], order[k + 1] = order[k + 1], order[k]
+        rankings.append(order)
+    return RankingSet.build(rankings)

@@ -150,6 +150,27 @@ class TestMeasure:
         assert (code, err) == (0, "")
         assert out.splitlines()[-len(tail) :] == tail
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    @pytest.mark.parametrize(
+        "argv",
+        [["measure"], ["sweep", "--gamma-grid", "0.9:0.9:0", "--lambda-grid", "1:1:0"]],
+    )
+    def test_weighted_term_past_the_float_range_as_json_exits_6(
+        self, tmp_path, monkeypatch, capsys, argv, value
+    ):
+        # JSON has no word for inf or nan; csv and table write them.
+        doc = tmp_path / "set.txt"
+        doc.write_text("a b c\n")
+        series = measures.KappaProfile(series=((1, 3.0), (2, value)), exact=False)
+        monkeypatch.setattr(measures, "kappa_series", lambda matrix, params: series)
+        code, out, err = run(
+            capsys, argv[0], str(doc), *argv[1:], "--gamma", "0.9", "--format", "json"
+        )
+        assert (code, out) == (6, "")
+        assert err == (
+            "error: a result is inf or nan, which JSON cannot hold; csv and table write it\n"
+        )
+
     def test_weighted_table_total_past_1e25(self, tmp_path, capsys):
         # Two identical rankings of 100 tokens: every item deviates by 0, so
         # at lambda = 1 the weighted total is 2**100 - 1 up to rounding.

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankconsensus.graph import Deviation, MeasureParams, survey
 from rankconsensus.io import Dataset, load_dataset
 
-from conftest import EXAMPLE_LINES, make_set
+from conftest import EXAMPLE_LINES, make_set, near_consensus_set, random_set
+from reference import pairwise_survey
 
 
 class TestMeasureParams:
@@ -199,3 +203,21 @@ class TestReferenceChoice:
         rset = make_set("a b", "b a")
         with pytest.raises(ValueError):
             survey(rset, reference_index=2)
+
+
+class TestPredecessorMasks:
+    """survey against the pairwise test of every pair in every ranking."""
+
+    @given(st.randoms(use_true_random=False), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_random_sets_match_the_pairwise_survey(self, rng, last_reference):
+        rset = random_set(rng)
+        reference = len(rset) - 1 if last_reference else None
+        assert survey(rset, reference) == pairwise_survey(rset, reference)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_near_consensus_sets_match_the_pairwise_survey(self, seed):
+        rset = near_consensus_set(random.Random(seed), 128, 50)
+        sv = survey(rset)
+        assert sv == pairwise_survey(rset)
+        assert len(sv.edges) > 128 * 127 // 4

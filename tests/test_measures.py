@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import random
+from math import comb
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankconsensus import Dataset, load_dataset, load_reference_sweep, measures
 from rankconsensus.graph import ConsensusMatrix, Deviation, MeasureParams, Survey, survey
@@ -13,7 +18,8 @@ from rankconsensus.measures import (
     measure,
 )
 
-from conftest import EXAMPLE_LINES, make_set
+from conftest import EXAMPLE_LINES, make_set, near_consensus_set, random_set
+from reference import product_series
 
 GRID = [x / 100 for x in range(100, 44, -5)]
 
@@ -40,8 +46,6 @@ class TestExactSeries:
         profile = measure(rset, MeasureParams())
         assert profile.total == 2**n - 1
         assert profile.ell == n
-        from math import comb
-
         assert profile.series == tuple((p, comb(n, p)) for p in range(1, n + 1))
 
     def test_disjoint_rankings_have_empty_profile(self):
@@ -50,6 +54,48 @@ class TestExactSeries:
         assert profile.series == ()
         assert profile.ell == 0
         assert profile.total == 0
+
+
+class TestPackedSeries:
+    """The packed exact series against one product y <- L y per term."""
+
+    EXACT = MeasureParams()
+
+    @given(
+        st.randoms(use_true_random=False),
+        st.sampled_from([(5, 10), (3, 26)]),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_sets_match_the_products(self, rng, shape, last_reference):
+        max_rankings, universe = shape
+        rset = random_set(rng, max_rankings=max_rankings, universe=universe)
+        reference = len(rset) - 1 if last_reference else None
+        matrix = survey(rset, reference).matrix(self.EXACT)
+        assert kappa_series(matrix, self.EXACT) == product_series(matrix, self.EXACT)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_near_consensus_sets_match_the_products(self, seed):
+        rset = near_consensus_set(random.Random(seed), 128, 50)
+        matrix = survey(rset).matrix(self.EXACT)
+        assert kappa_series(matrix, self.EXACT) == product_series(matrix, self.EXACT)
+
+    def test_the_largest_total_fits_its_slots(self):
+        # Every subset of 200 items is a common chain: kappa_p = C(200, p)
+        # and the total 2**200 - 1, the most the 200-bit slots must hold.
+        tokens = " ".join(f"t{k}" for k in range(200))
+        profile = measure(make_set(tokens, tokens), self.EXACT)
+        assert profile.series == tuple((p, comb(200, p)) for p in range(1, 201))
+        assert profile.total == 2**200 - 1
+
+    @pytest.mark.parametrize(
+        "lines, series",
+        [(("a b", "c d"), ()), (("a b", "c a"), ((1, 1),)), (("a b c", "c a"), ((1, 2),))],
+    )
+    def test_few_common_items(self, lines, series):
+        matrix = survey(make_set(*lines)).matrix(self.EXACT)
+        assert kappa_series(matrix, self.EXACT).series == series
+        assert product_series(matrix, self.EXACT).series == series
 
 
 class TestWeightedSeries:
