@@ -16,15 +16,22 @@ depends only on gamma and the strict lower part only on lambda, so a
 (gamma, lambda) sweep costs one trace per gamma and one lower-part
 series per lambda (see ``measures.kappa_sweep``).
 
-``survey`` finds the edges with one predecessor mask per common item,
-the bit-parallel order intersection of Allison & Dix (1986) and Hyyrö's
-bit-vector LCS applied to N weak orders. The mask of item i is a Python
-int whose bit j stands for the pair (i, j); it starts as the common items
-before i in reference order. Each ranking, walked group by group, ANDs it
-with the items of its strictly earlier tie groups, so after all N
+``survey`` walks each ranking's tie groups once. For every reference
+item it meets, it appends the group index to that item's column and
+ANDs the item's predecessor mask; there is no per-ranking position
+table. An item is common when its column has N entries, and its
+position sum, mean and deviations come from the column.
+
+The masks are the bit-parallel order intersection of Allison & Dix
+(1986) and Hyyrö's bit-vector LCS applied to N weak orders. The mask of
+item i is a Python int whose bit j stands for the pair (i, j); it starts
+as every item before i in reference order. Each ranking ANDs it with
+the items of that ranking's strictly earlier tie groups, so after all N
 rankings its set bits are exactly the j that every ranking puts strictly
-before i. That is O(N n) big-int operations instead of a test of every
-pair in every ranking.
+before i. Such a j is in every ranking that holds i, so for a common i
+it is common too; the masks of the other items are zeroed. That is
+O(N n) big-int operations instead of a test of every pair in every
+ranking.
 
 A pair (i, j) gets an edge only when every ranking k puts i strictly
 after j, so |p_k(i) - p_k(j)| = p_k(i) - p_k(j) in every ranking and the
@@ -111,17 +118,19 @@ class MeasureParams:
 class Survey:
     """The parameter-independent part of the matrix for one ranking set.
 
-    positions is an N x n table of 1-based tie-group indices (0 marks
-    absence) over the reference ranking's items. edges lists the strict
-    lower-triangle candidates (i, j, mean gap) that survive the ordering
-    test in every ranking. Because i follows j in every ranking, the mean
-    gap is (S_i - S_j) / N for the integer position sums S, bit-for-bit
-    the mean of the per-ranking gaps; mu[i] is S_i / N.
+    Every field is indexed by the reference ranking's items. common[i]
+    says the item is in every ranking; mu, mad and var are its mean
+    position and deviations, read from its column of 1-based tie-group
+    indices, one per ranking (0.0 off the common items). The columns
+    themselves are not kept. edges lists the strict lower-triangle pairs
+    (i, j, mean gap) that every ranking orders j before i. Because i
+    follows j in every ranking, the mean gap is (S_i - S_j) / N for the
+    integer position sums S, bit-for-bit the mean of the per-ranking
+    gaps; mu[i] is S_i / N.
     """
 
     items: tuple[int, ...]
     reference_index: int
-    positions: tuple[tuple[int, ...], ...]
     common: tuple[bool, ...]
     mu: tuple[float, ...]
     mad: tuple[float, ...]
@@ -163,12 +172,12 @@ class Survey:
 
 
 def survey(rset: RankingSet, reference_index: int | None = None) -> Survey:
-    """Scan the set once: positions, commonality, deviations, ordered pairs.
+    """Walk the set once: commonality, deviations, ordered pairs.
 
     reference_index overrides the default shortest-ranking choice; any
-    member is admissible and yields the same measures. The ordered pairs
-    come from predecessor masks (see the module docstring): one AND per
-    item and ranking, then each mask's set bits, j ascending, become the
+    member is admissible and yields the same measures. One walk over the
+    tie groups fills each item's column and predecessor mask (see the
+    module docstring); then each mask's set bits, j ascending, become the
     edges (i, j, gap) of row i.
     """
     if reference_index is None:
@@ -181,40 +190,35 @@ def survey(rset: RankingSet, reference_index: int | None = None) -> Survey:
     items = tuple(rset.rankings[reference_index].items())
     n = len(items)
     N = len(rset)
-    positions = tuple(
-        tuple(ranking.position_of(item) for item in items) for ranking in rset
-    )
-    columns = tuple(zip(*positions))
-    common = tuple(all(x > 0 for x in column) for column in columns)
-    sums = [sum(column) for column in columns]
-    mu = [0.0] * n
-    mad = [0.0] * n
-    var = [0.0] * n
-    for i in range(n):
-        if not common[i]:
-            continue
-        mean = sums[i] / N
-        mu[i] = mean
-        mad[i] = sum(abs(x - mean) for x in columns[i]) / N
-        var[i] = sum((x - mean) ** 2 for x in columns[i]) / N
-    # Predecessor masks: bit j of masks[i] stands for the pair (i, j).
-    index = {item: i for i, item in enumerate(items) if common[i]}
-    masks = [0] * n
-    below = 0
-    for i in range(n):
-        if common[i]:
-            masks[i] = below
-            below |= 1 << i
+    index = {item: i for i, item in enumerate(items)}
+    # columns[i] lists item i's group index in each ranking that holds it,
+    # in set order; bit j of masks[i] stands for the pair (i, j).
+    columns: list[list[int]] = [[] for _ in range(n)]
+    masks = [(1 << i) - 1 for i in range(n)]
     for ranking in rset:
         earlier = 0
-        for group in ranking.groups:
+        for position, group in enumerate(ranking.groups, start=1):
             bits = 0
             for item in group:
                 i = index.get(item)
                 if i is not None:
                     masks[i] &= earlier
+                    columns[i].append(position)
                     bits |= 1 << i
             earlier |= bits
+    common = tuple(len(column) == N for column in columns)
+    sums = [sum(column) for column in columns]
+    mu = [0.0] * n
+    mad = [0.0] * n
+    var = [0.0] * n
+    for i, column in enumerate(columns):
+        if not common[i]:
+            masks[i] = 0
+            continue
+        mean = sums[i] / N
+        mu[i] = mean
+        mad[i] = sum(abs(x - mean) for x in column) / N
+        var[i] = sum((x - mean) ** 2 for x in column) / N
     edges = []
     for i, mask in enumerate(masks):
         # bin() reversed puts bit j at string index j, so j comes out ascending.
@@ -224,7 +228,6 @@ def survey(rset: RankingSet, reference_index: int | None = None) -> Survey:
     return Survey(
         items=items,
         reference_index=reference_index,
-        positions=positions,
         common=common,
         mu=tuple(mu),
         mad=tuple(mad),
@@ -242,8 +245,8 @@ class ConsensusMatrix:
     ``Survey`` that built it. ``diag`` holds the per-item weights (zeros
     for items missing from some ranking); ``rows`` holds the strict lower
     part as per-row adjacency lists of (column, weight), columns
-    ascending. ``to_dense`` gives a copy as nested lists, so
-    ``to_dense()[i][j]`` reads one entry.
+    ascending, so entry (i, j) is ``diag[i]`` when i == j and the weight
+    beside column j in ``rows[i]`` when j < i; every other entry is 0.
     """
 
     diag: list[int | float]
@@ -265,12 +268,3 @@ class ConsensusMatrix:
                 acc += w * vector[j]
             result[i] = acc
         return result
-
-    def to_dense(self) -> list[list[int | float]]:
-        """Full n x n matrix as nested lists (a copy)."""
-        dense = [[0] * self.order for _ in range(self.order)]
-        for i in range(self.order):
-            dense[i][i] = self.diag[i]
-            for j, w in self.rows[i]:
-                dense[i][j] = w
-        return dense

@@ -1,4 +1,4 @@
-"""Ranking file formats, bundled datasets, and result serialization.
+r"""Ranking file formats, bundled datasets, and result serialization.
 
 Text format, one ranking per line:
 
@@ -6,12 +6,18 @@ Text format, one ranking per line:
 
 The leading ``label:`` is optional (any first token ending in a colon is
 taken as a label), braces group tied items, ``#`` starts a comment and
-blank lines are skipped. The JSON format is an object with a "rankings"
-list of {"label": ..., "groups": [[token, ...], ...]} entries. Both
-describe the same model, and every text document round-trips through
-JSON. JSON can hold more: a token or label with "#", a label that is
-empty or holds whitespace or braces, and an unlabelled ranking that
-starts with a token ending in ":". serialize_text refuses those.
+blank lines are skipped. A line ends at ``\n``, ``\r\n`` or ``\r``, the
+line ends that ``Path.read_text`` and editors agree on, and the line
+numbers in error messages count those. Every other whitespace character,
+``\f``, ``\x1c`` and ``\u2028`` among them, separates tokens within
+a line.
+
+The JSON format is an object with a "rankings" list of
+{"label": ..., "groups": [[token, ...], ...]} entries. Both describe the
+same model, and every text document round-trips through JSON. JSON can
+hold more: a token or label with "#", a label that is empty or holds
+whitespace or braces, and an unlabelled ranking that starts with a token
+ending in ":". serialize_text refuses those.
 """
 from __future__ import annotations
 
@@ -66,44 +72,39 @@ class RankingDocument:
 
 
 def _split_line(line: str, lineno: int) -> list[tuple[str, ...]]:
-    """Tokenize one line into tie groups, honoring braces."""
+    """Tokenize one line into tie groups, honoring braces.
+
+    Each piece after a "{" opens a tie group that its first "}" closes;
+    the text after that "}", like the text before the first "{", holds
+    singleton tokens. The checks run in line order, so the first fault in
+    the line is the one reported.
+    """
     groups: list[tuple[str, ...]] = []
-    depth = 0
-    buf: list[str] = []
-    for ch in line:
-        if ch == "{":
-            if depth:
-                raise ParseError(f"nested braces at line {lineno}")
-            if buf and not buf[-1].isspace():
-                raise ParseError(f"brace must start a token at line {lineno}")
-            depth = 1
-            buf = []
-        elif ch == "}":
-            if not depth:
-                raise ParseError(f"unbalanced braces at line {lineno}")
-            members = tuple("".join(buf).split())
+    pieces = line.split("{")
+    last = len(pieces) - 1
+    for k, piece in enumerate(pieces):
+        if k:
+            inner, closed, piece = piece.partition("}")
+            if not closed:
+                fault = "nested" if k < last else "unbalanced"
+                raise ParseError(f"{fault} braces at line {lineno}")
+            members = tuple(inner.split())
             if not members:
                 raise ParseError(f"empty tie group at line {lineno}")
             groups.append(members)
-            depth = 0
-            buf = []
-        elif ch.isspace() and not depth:
-            if buf:
-                groups.append(("".join(buf),))
-                buf = []
-        else:
-            buf.append(ch)
-    if depth:
-        raise ParseError(f"unbalanced braces at line {lineno}")
-    if buf:
-        groups.append(("".join(buf),))
+        if "}" in piece:
+            raise ParseError(f"unbalanced braces at line {lineno}")
+        groups.extend((token,) for token in piece.split())
+        if k < last and piece and not piece[-1].isspace():
+            raise ParseError(f"brace must start a token at line {lineno}")
     return groups
 
 
 def parse_text(content: str) -> RankingDocument:
     rankings: list[RawRanking] = []
     labels_seen: set[str] = set()
-    for lineno, raw_line in enumerate(content.splitlines(), start=1):
+    lines = content.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw_line in enumerate(lines, start=1):
         line = raw_line.split("#", 1)[0]
         if not line.strip():
             continue

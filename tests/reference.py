@@ -1,14 +1,18 @@
 """Reference implementations that the fast paths are tested against.
 
 ``pairwise_survey`` is ``graph.survey`` as it was before predecessor
-masks: it tests every pair of common items against every ranking.
-``product_series`` is the exact path of ``measures.kappa_series`` as it
-was before packing: one product y <- L y per term. Neither is used
-outside the tests.
+masks: it fills an N x n position table and tests every pair of common
+items against every ranking. ``product_series`` is the exact path of
+``measures.kappa_series`` as it was before packing: one product
+y <- L y per term. ``char_split_line`` is ``io._split_line`` as it was
+before it split on braces: a state machine over the characters. None
+of them is used outside the tests; ``to_dense`` only spells a matrix out
+for assertions.
 """
 from __future__ import annotations
 
 from rankconsensus.graph import ConsensusMatrix, MeasureParams, Survey
+from rankconsensus.io import ParseError
 from rankconsensus.measures import KappaProfile
 from rankconsensus.model import RankingSet
 
@@ -45,7 +49,6 @@ def pairwise_survey(rset: RankingSet, reference_index: int | None = None) -> Sur
     return Survey(
         items=items,
         reference_index=reference_index,
-        positions=positions,
         common=common,
         mu=tuple(mu),
         mad=tuple(mad),
@@ -63,3 +66,47 @@ def product_series(matrix: ConsensusMatrix, params: MeasureParams) -> KappaProfi
         vector = matrix.multiply_lower(vector)
         term = sum(vector)
     return KappaProfile(series=tuple(series), exact=params.exact)
+
+
+def char_split_line(line: str, lineno: int) -> list[tuple[str, ...]]:
+    groups: list[tuple[str, ...]] = []
+    depth = 0
+    buf: list[str] = []
+    for ch in line:
+        if ch == "{":
+            if depth:
+                raise ParseError(f"nested braces at line {lineno}")
+            if buf and not buf[-1].isspace():
+                raise ParseError(f"brace must start a token at line {lineno}")
+            depth = 1
+            buf = []
+        elif ch == "}":
+            if not depth:
+                raise ParseError(f"unbalanced braces at line {lineno}")
+            members = tuple("".join(buf).split())
+            if not members:
+                raise ParseError(f"empty tie group at line {lineno}")
+            groups.append(members)
+            depth = 0
+            buf = []
+        elif ch.isspace() and not depth:
+            if buf:
+                groups.append(("".join(buf),))
+                buf = []
+        else:
+            buf.append(ch)
+    if depth:
+        raise ParseError(f"unbalanced braces at line {lineno}")
+    if buf:
+        groups.append(("".join(buf),))
+    return groups
+
+
+def to_dense(matrix: ConsensusMatrix) -> list[list[int | float]]:
+    """The full n x n matrix as nested lists: diag on the diagonal, rows below."""
+    entries = [[0] * matrix.order for _ in range(matrix.order)]
+    for i, row in enumerate(matrix.rows):
+        entries[i][i] = matrix.diag[i]
+        for j, w in row:
+            entries[i][j] = w
+    return entries

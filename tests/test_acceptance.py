@@ -35,6 +35,7 @@ from rankconsensus.model import ItemTable, RankingSet, build_ranking
 from rankconsensus.oracle import enumerate_common, oracle_profile
 
 from conftest import EXAMPLE_LINES, make_set, random_set
+from reference import to_dense
 
 GRID = [x / 100 for x in range(100, 44, -5)]
 TABLES = (
@@ -84,7 +85,7 @@ def test_criterion_1_worked_example():
             [0, 1, 0, 1, 1, 0],
             [0, 1, 0, 1, 1, 1],
         ]
-        dense = survey(rset).matrix(MeasureParams()).to_dense()
+        dense = to_dense(survey(rset).matrix(MeasureParams()))
         assert dense == pattern
         assert all(isinstance(v, int) for row in dense for v in row)
 
@@ -264,7 +265,7 @@ def test_criterion_6_structural_invariants():
 
         for rset in sets:
             sv = survey(rset)
-            dense = sv.matrix(MeasureParams(gamma=0.9, lam=0.9)).to_dense()
+            dense = to_dense(sv.matrix(MeasureParams(gamma=0.9, lam=0.9)))
             for i in range(len(sv.items)):
                 for j in range(i + 1, len(sv.items)):
                     assert dense[i][j] == 0

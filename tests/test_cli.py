@@ -85,6 +85,15 @@ class TestMeasure:
         assert code == 2
         assert "duplicate item a at line 1" in err
 
+    def test_form_feed_separates_tokens_like_a_space(self, tmp_path, capsys):
+        outputs = []
+        for name, separator in (("ff", "\f"), ("space", " ")):
+            path = tmp_path / f"{name}.txt"
+            path.write_text(f"a b{separator}c d\na b c d\n", encoding="utf-8")
+            outputs.append(run(capsys, "measure", str(path), "--format", "csv"))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][1].splitlines()[1] == "1.0,1.0,15"
+
     def test_json_file_input(self, tmp_path, capsys):
         doc = tmp_path / "set.json"
         doc.write_text(json.dumps({"rankings": [

@@ -11,7 +11,7 @@ from rankconsensus.graph import Deviation, MeasureParams, survey
 from rankconsensus.io import Dataset, load_dataset
 
 from conftest import EXAMPLE_LINES, make_set, near_consensus_set, random_set
-from reference import pairwise_survey
+from reference import pairwise_survey, to_dense
 
 
 class TestMeasureParams:
@@ -80,15 +80,15 @@ class TestExampleMatrix:
     def test_exact_pattern_bit_identical(self):
         rset = make_set(*EXAMPLE_LINES)
         matrix = survey(rset).matrix(MeasureParams())
-        assert matrix.to_dense() == self.PATTERN
+        assert to_dense(matrix) == self.PATTERN
         assert matrix.trace() == 5
         assert sum(map(len, matrix.rows)) == 7
-        assert all(isinstance(v, int) for row in matrix.to_dense() for v in row)
+        assert all(isinstance(v, int) for row in to_dense(matrix) for v in row)
 
     def test_upper_triangle_is_zero(self):
         rset = make_set(*EXAMPLE_LINES)
         matrix = survey(rset).matrix(MeasureParams(gamma=0.9, lam=0.8))
-        dense = matrix.to_dense()
+        dense = to_dense(matrix)
         for i in range(matrix.order):
             for j in range(i + 1, matrix.order):
                 assert dense[i][j] == 0
@@ -100,10 +100,10 @@ class TestSurveyStatistics:
         sv = survey(rset)
         f = rset.table.id_of("f")
         index = sv.items.index(f)
-        assert sv.positions[0][index] == 6
-        assert [row[index] for row in sv.positions] == [6, 5, 10, 5]
-        assert sv.mu[index] == pytest.approx(6.5)
-        assert sv.mad[index] == pytest.approx(1.75)
+        assert [ranking.position_of(f) for ranking in rset] == [6, 5, 10, 5]
+        assert sv.mu[index] == 6.5
+        assert sv.mad[index] == 1.75
+        assert sv.var[index] == 4.25
         assert sv.deviation_of(index, Deviation.MAD) == pytest.approx(1.75)
         assert sv.deviation_of(index, Deviation.SQRT_MAD) == pytest.approx(
             math.sqrt(1.75)
@@ -154,25 +154,28 @@ class TestSurveyStatistics:
         gaps = {(i, j): gap for i, j, gap in sv.edges}
         assert gaps[(c, b)] == 2.25
         assert gaps[(f, b)] == 5.25
-        assert matrix.to_dense()[c][b] == pytest.approx(0.5**2.25)
-        assert matrix.to_dense()[f][b] == pytest.approx(0.5**5.25)
+        assert to_dense(matrix)[c][b] == pytest.approx(0.5**2.25)
+        assert to_dense(matrix)[f][b] == pytest.approx(0.5**5.25)
 
     def test_diagonal_weights_use_deviation(self):
         rset = make_set(*EXAMPLE_LINES)
         sv = survey(rset)
         matrix = sv.matrix(MeasureParams(gamma=0.8, deviation=Deviation.MAD))
         f = sv.items.index(rset.table.id_of("f"))
-        assert matrix.to_dense()[f][f] == pytest.approx(0.8**1.75)
+        assert to_dense(matrix)[f][f] == pytest.approx(0.8**1.75)
 
 
 class TestTies:
     def test_tied_items_share_a_position(self):
         rset = make_set("a {b c} d", "a b c d")
         sv = survey(rset)
-        b = sv.items.index(rset.table.id_of("b"))
-        c = sv.items.index(rset.table.id_of("c"))
-        assert sv.positions[0][b] == sv.positions[0][c] == 2
-        assert sv.positions[1][c] == 3
+        tied, untied = rset
+        b, c = (rset.table.id_of(t) for t in "bc")
+        assert tied.position_of(b) == tied.position_of(c) == 2
+        assert untied.position_of(c) == 3
+        # The survey reads the same positions: b sits at 2 and 2, c at 2 and 3.
+        assert sv.mu[sv.items.index(b)] == 2.0
+        assert sv.mu[sv.items.index(c)] == 2.5
 
     def test_tie_breaks_strict_order(self):
         # b and c tie in the first ranking, so neither is strictly
@@ -184,8 +187,8 @@ class TestTies:
         c = sv.items.index(rset.table.id_of("c"))
         lower = {j for j, _ in matrix.rows[c]}
         assert b not in lower
-        assert matrix.to_dense()[b][b] == 1
-        assert matrix.to_dense()[c][c] == 1
+        assert to_dense(matrix)[b][b] == 1
+        assert to_dense(matrix)[c][c] == 1
 
 
 class TestReferenceChoice:

@@ -71,12 +71,29 @@ class TestParseText:
             ("a {}", "empty tie group at line 1"),
             ("a {b {c} }", "nested braces at line 1"),
             ("ok\na{b c}", "brace must start a token at line 2"),
+            ("a\x1cb\nc c", "duplicate item c at line 2"),
         ],
     )
     def test_errors(self, content, message):
         with pytest.raises(ParseError) as err:
             parse_text(content)
         assert str(err.value) == message
+
+    def test_newline_and_carriage_return_end_a_line(self):
+        doc = parse_text("a b\r\nb a\rc a\n")
+        assert [raw.groups for raw in doc.rankings] == [
+            (("a",), ("b",)),
+            (("b",), ("a",)),
+            (("c",), ("a",)),
+        ]
+
+    @pytest.mark.parametrize(
+        "separator", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_other_line_breaks_separate_tokens(self, separator):
+        assert parse_text(f"a b{separator}c d\na b c d\n") == parse_text(
+            "a b c d\na b c d\n"
+        )
 
     def test_empty_document_fails_at_model_level(self):
         doc = parse_text("# only comments\n")

@@ -18,6 +18,7 @@ from rankconsensus.io import (
     ParseError,
     RankingDocument,
     RawRanking,
+    _split_line,
     parse_json,
     parse_text,
     serialize_json,
@@ -25,6 +26,7 @@ from rankconsensus.io import (
 )
 
 from conftest import random_set
+from reference import char_split_line, to_dense
 
 ALPHABET = [chr(ord("a") + i) for i in range(8)]
 
@@ -71,7 +73,7 @@ def test_distinct_is_idempotent(rset):
 @settings(max_examples=60, deadline=None)
 def test_upper_triangle_is_always_zero(rset):
     matrix = survey(rset).matrix(MeasureParams(gamma=0.9, lam=0.7))
-    dense = matrix.to_dense()
+    dense = to_dense(matrix)
     for i in range(matrix.order):
         for j in range(i + 1, matrix.order):
             assert dense[i][j] == 0
@@ -80,8 +82,8 @@ def test_upper_triangle_is_always_zero(rset):
 @given(ranking_sets(), st.floats(0.05, 1.0), st.floats(0.05, 1.0))
 @settings(max_examples=60, deadline=None)
 def test_weights_never_change_the_matrix_pattern(rset, gamma, lam):
-    exact = survey(rset).matrix(MeasureParams()).to_dense()
-    weighted = survey(rset).matrix(MeasureParams(gamma=gamma, lam=lam)).to_dense()
+    exact = to_dense(survey(rset).matrix(MeasureParams()))
+    weighted = to_dense(survey(rset).matrix(MeasureParams(gamma=gamma, lam=lam)))
     for exact_row, weighted_row in zip(exact, weighted):
         for e, w in zip(exact_row, weighted_row):
             assert (e == 0) == (w == 0)
@@ -110,15 +112,16 @@ def test_survey_gaps_are_the_per_ranking_mean(rng):
     rset = random_set(rng)
     sv = survey(rset)
     n, N = len(sv.items), len(rset)
+    positions = [[ranking.position_of(item) for item in sv.items] for ranking in rset]
     ordered = {
         (i, j)
         for i in range(n)
         for j in range(i)
-        if all(p[i] > p[j] > 0 for p in sv.positions)
+        if all(p[i] > p[j] > 0 for p in positions)
     }
     assert {(i, j) for i, j, _ in sv.edges} == ordered
     for i, j, gap in sv.edges:
-        assert gap == sum(abs(p[i] - p[j]) for p in sv.positions) / N
+        assert gap == sum(abs(p[i] - p[j]) for p in positions) / N
 
 
 # Grid values that hit the exact corner, the float tail at lambda = 1,
@@ -171,7 +174,7 @@ def test_sweep_matches_the_oracle(rng, gammas, lams, epsilon):
 @settings(max_examples=60, deadline=None)
 def test_absent_items_zero_their_row_and_column(rset):
     sv = survey(rset)
-    dense = sv.matrix(MeasureParams()).to_dense()
+    dense = to_dense(sv.matrix(MeasureParams()))
     for i in range(len(sv.items)):
         if not sv.common[i]:
             assert all(v == 0 for v in dense[i])
@@ -404,6 +407,31 @@ def test_one_token_rule_for_the_model_and_json(token):
     except ParseError:
         parsed = False
     assert valid_token(token) == interned == parsed == expected
+
+
+def _tokenized(split_line, line):
+    try:
+        return split_line(line, 3)
+    except ParseError as exc:
+        return str(exc)
+
+
+# Braces, a label colon and a comment sign, which _split_line leaves in
+# tokens, with whitespace that str.split() and str.isspace() both accept.
+LINE_ALPHABET = "ab:#{}" + ASCII_WHITESPACE + "\x1c\u00a0\u2028"
+
+
+@given(st.text(alphabet=LINE_ALPHABET, max_size=30))
+@settings(max_examples=500, deadline=None)
+def test_split_line_matches_the_character_loop(line):
+    assert _tokenized(_split_line, line) == _tokenized(char_split_line, line)
+
+
+def test_split_line_matches_the_character_loop_on_every_short_line():
+    for size in range(7):
+        for chars in itertools.product("a{} ", repeat=size):
+            line = "".join(chars)
+            assert _tokenized(_split_line, line) == _tokenized(char_split_line, line)
 
 
 # Declared labels are unique, as both parsers require; the candidates
