@@ -265,7 +265,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
     params = _params_from(args)
     _, rset = _load(args.input)
     sv = measures.survey(rset)
-    profile = measures.kappa_series(sv.matrix(params), params)
+    profile = measures.kappa_series(sv, params)
     extras: dict[str, object] = {}
     if args.dedup:
         try:

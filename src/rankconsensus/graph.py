@@ -33,18 +33,24 @@ it is common too; the masks of the other items are zeroed. That is
 O(N n) big-int operations instead of a test of every pair in every
 ranking.
 
-A pair (i, j) gets an edge only when every ranking k puts i strictly
-after j, so |p_k(i) - p_k(j)| = p_k(i) - p_k(j) in every ranking and the
-mean gap telescopes to (S_i - S_j) / N, with S_i the item's position sum.
-The numerator is the same integer the per-ranking sum of absolute
-differences gives, and the division is the same int/int true division,
-so the gap is exact, not an approximation of the per-ranking mean.
+The survey keeps the masks and the integer position sums; it lists no
+pairs. A pair (i, j) is an edge only when every ranking k puts i
+strictly after j, so |p_k(i) - p_k(j)| = p_k(i) - p_k(j) in every
+ranking and the mean gap telescopes to (S_i - S_j) / N, with S_i the
+item's position sum. The numerator is the same integer the per-ranking
+sum of absolute differences gives, and the division is the same int/int
+true division, so the gap is exact, not an approximation of the
+per-ranking mean. ``Survey.edges`` spells the masks out as (i, j, gap)
+triples on its first read and keeps them; the weighted matrix and the
+closed-form total read them, while the exact series reads the masks
+(see ``measures``).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import compress
 
 from .model import RankingSet
@@ -118,15 +124,21 @@ class MeasureParams:
 class Survey:
     """The parameter-independent part of the matrix for one ranking set.
 
-    Every field is indexed by the reference ranking's items. common[i]
-    says the item is in every ranking; mu, mad and var are its mean
-    position and deviations, read from its column of 1-based tie-group
-    indices, one per ranking (0.0 off the common items). The columns
-    themselves are not kept. edges lists the strict lower-triangle pairs
-    (i, j, mean gap) that every ranking orders j before i. Because i
-    follows j in every ranking, the mean gap is (S_i - S_j) / N for the
-    integer position sums S, bit-for-bit the mean of the per-ranking
-    gaps; mu[i] is S_i / N.
+    Every per-item field is indexed by the reference ranking's items.
+    common[i] says the item is in every ranking; mu, mad and var are its
+    mean position and deviations, read from its column of 1-based
+    tie-group indices, one per ranking (0.0 off the common items). The
+    columns themselves are not kept. sums[i] is the column's integer sum
+    and count the number N of rankings, so on the common items mu[i] is
+    sums[i] / N. Bit j of masks[i] is set when every ranking puts item j
+    strictly before item i (so j < i); the masks of the items outside
+    ``common`` are 0.
+
+    ``edges`` lists those pairs as (i, j, mean gap) triples, i then j
+    ascending. It is built from the masks on its first read and kept.
+    Because i follows j in every ranking, the mean gap is
+    (S_i - S_j) / N for the position sums S, bit-for-bit the mean of the
+    per-ranking gaps.
     """
 
     items: tuple[int, ...]
@@ -135,7 +147,21 @@ class Survey:
     mu: tuple[float, ...]
     mad: tuple[float, ...]
     var: tuple[float, ...]
-    edges: tuple[tuple[int, int, float], ...]
+    masks: tuple[int, ...]
+    sums: tuple[int, ...]
+    count: int
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """(i, j, mean gap) for each set bit j of each masks[i], listed on first read."""
+        sums, N = self.sums, self.count
+        edges = []
+        for i, mask in enumerate(self.masks):
+            # bin() reversed puts bit j at string index j, so j comes out ascending.
+            digits = bin(mask)[:1:-1]
+            for j in compress(range(len(digits)), map("1".__eq__, digits)):
+                edges.append((i, j, (sums[i] - sums[j]) / N))
+        return tuple(edges)
 
     def deviation_of(self, index: int, variant: Deviation | str) -> float:
         """The item's deviation; variant is a Deviation or its string value."""
@@ -177,8 +203,9 @@ def survey(rset: RankingSet, reference_index: int | None = None) -> Survey:
     reference_index overrides the default shortest-ranking choice; any
     member is admissible and yields the same measures. One walk over the
     tie groups fills each item's column and predecessor mask (see the
-    module docstring); then each mask's set bits, j ascending, become the
-    edges (i, j, gap) of row i.
+    module docstring). The survey keeps the masks as the walk leaves
+    them, with the masks of the items outside the common set zeroed; it
+    lists no pairs.
     """
     if reference_index is None:
         reference_index = rset.reference_index()
@@ -219,12 +246,6 @@ def survey(rset: RankingSet, reference_index: int | None = None) -> Survey:
         mu[i] = mean
         mad[i] = sum(abs(x - mean) for x in column) / N
         var[i] = sum((x - mean) ** 2 for x in column) / N
-    edges = []
-    for i, mask in enumerate(masks):
-        # bin() reversed puts bit j at string index j, so j comes out ascending.
-        digits = bin(mask)[:1:-1]
-        for j in compress(range(len(digits)), map("1".__eq__, digits)):
-            edges.append((i, j, (sums[i] - sums[j]) / N))
     return Survey(
         items=items,
         reference_index=reference_index,
@@ -232,7 +253,9 @@ def survey(rset: RankingSet, reference_index: int | None = None) -> Survey:
         mu=tuple(mu),
         mad=tuple(mad),
         var=tuple(var),
-        edges=tuple(edges),
+        masks=tuple(masks),
+        sums=tuple(sums),
+        count=N,
     )
 
 

@@ -5,17 +5,26 @@ lower part L, which counts (or weights) the consistently ordered item
 chains of length p. The total over all p is also available in closed
 form through one forward substitution.
 
-``kappa_series`` takes one of two paths, chosen by ``params.exact``:
+``kappa_series`` takes a ``Survey`` and one of two paths, chosen by
+``params.exact``:
 
-- weighted (gamma or lambda below 1): repeated float products y <- L y,
-  one per term;
+- weighted (gamma or lambda below 1): it builds the survey's matrix and
+  repeats float products y <- L y, one per term;
 - exact (gamma = lambda = 1): every weight is exactly 1 and all
   arithmetic is done in plain integers, which Python keeps exact at any
-  magnitude. One forward pass over the rows builds, per item, the
-  polynomial that counts the chains ending there by length, packed into
-  one int with n-bit slots (Kronecker substitution). A chain visits
+  magnitude. One forward pass over the common items builds, per item,
+  the polynomial that counts the chains ending there by length, packed
+  into one int with n-bit slots (Kronecker substitution). A chain visits
   distinct rows, so no count reaches 2**n and a slot never carries into
   the next; kappa_p is read back from slot p of the sum.
+
+The exact pass reads the survey's predecessor masks, not an edge list.
+A row's sum over its predecessors equals the sum over every common item
+before it (a running prefix) minus the sum over the common items
+missing from its mask. The pass adds whichever list is shorter, so on
+near-consensus input, where almost every pair is ordered the same way,
+most rows subtract a few ints instead of adding hundreds. The
+subtraction is exact, so every count is bit for bit the direct sum.
 
 The total for a single ranking of length n is 2**n - 1.
 """
@@ -23,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .graph import ConsensusMatrix, MeasureParams, Survey, survey
@@ -65,66 +73,108 @@ def _product_terms(matrix: ConsensusMatrix) -> Iterator[int | float]:
         yield sum(vector)
 
 
-def _packed_terms(matrix: ConsensusMatrix) -> Iterator[int]:
-    """kappa_2, kappa_3, ... of a matrix whose weights are all 1, from one pass.
+def _shorter_rows(sv: Survey) -> Iterator[tuple[int, int, bool]]:
+    """(i, bits, complement) for each common item i, in reference order.
 
-    f_i = x * (1 + sum of f_j over row i's columns j) counts the chains
+    bits is the item's predecessor mask, or, when complement is true, the
+    common items before i that are missing from the mask, whichever has
+    fewer set bits. A tie goes to the mask, which needs no subtraction.
+    The mask of a common item holds only common items before it, so the
+    two lists partition those items.
+    """
+    below = 0
+    for i, mask in enumerate(sv.masks):
+        if sv.common[i]:
+            missing = below & ~mask
+            if missing.bit_count() < mask.bit_count():
+                yield i, missing, True
+            else:
+                yield i, mask, False
+            below |= 1 << i
+
+
+def _packed_terms(sv: Survey) -> Iterator[int]:
+    """kappa_2, kappa_3, ... on the exact path, from one pass over the masks.
+
+    f_i = x * (1 + sum of f_j over i's predecessors j) counts the chains
     that end at item i by their length, and kappa_p is the coefficient of
     x**p in P(x) = sum_i f_i(x). Each f_i is one int whose B-bit slot p
     holds its coefficient of x**p (Kronecker substitution), so a row
-    costs one sum of ints. B is the order n: a chain visits distinct rows,
-    so every coefficient is at most C(n, p) <= 2**n - 1 < 2**B, no slot
-    carries into the next, and each slot reads back the exact count.
+    costs one sum of ints. B is the order n: a chain visits distinct
+    items, so every coefficient is at most C(n, p) <= 2**n - 1 < 2**B, no
+    slot carries into the next, and each slot reads back the exact count.
+    prefix is the sum of f_j over the common items so far; a complement
+    row (see ``_shorter_rows``) is prefix minus its listed f_j.
     """
-    width = matrix.order
-    packed: list[int] = []
-    for row in matrix.rows:
-        packed.append((1 + sum(map(packed.__getitem__, map(itemgetter(0), row)))) << width)
+    width = len(sv.items)
+    packed = [0] * width
+    prefix = 0
+    for i, bits, complement in _shorter_rows(sv):
+        listed = 0
+        while bits:
+            low = bits & -bits
+            listed += packed[low.bit_length() - 1]
+            bits ^= low
+        f = (1 + (prefix - listed if complement else listed)) << width
+        packed[i] = f
+        prefix += f
     slot = (1 << width) - 1
-    rest = sum(packed) >> 2 * width  # slot 1 counts every row; kappa_1 is the trace
+    rest = prefix >> 2 * width  # slot 1 counts the common items, the trace
     while True:
         yield rest & slot
         rest >>= width
 
 
-def kappa_series(matrix: ConsensusMatrix, params: MeasureParams) -> KappaProfile:
+def kappa_series(sv: Survey, params: MeasureParams) -> KappaProfile:
     """kappa_1 is the trace; each later kappa_p weighs the chains of p items.
 
-    Later terms never read the diagonal, so they depend on lambda alone.
-    On the weighted path each comes from one float product y <- L y. On
-    the exact path (``params.exact``) every weight is 1 and all of them
-    come from one integer pass (``_packed_terms``): each row's chain
-    counts by length are packed into one int, in slots of n bits for a
-    matrix of order n. A chain visits distinct rows, so every count is
-    below 2**n and no slot carries into the next; each slot holds bit for
-    bit the count the products would give. The series stops at the first
-    term that params.keeps refuses, and after at most order terms, since
-    L is nilpotent. kappa_sweep makes one call per lambda plus one for
-    the exact corner.
+    Call it as ``kappa_series(survey(rset), params)``. Later terms never
+    read the diagonal, so they depend on lambda alone. On the weighted
+    path the series builds ``sv.matrix(params)`` and each term comes from
+    one float product y <- L y. On the exact path (``params.exact``)
+    every weight is 1, no matrix is built, and all the terms come from
+    one integer pass over the survey's masks (``_packed_terms``): each
+    item's chain counts by length are packed into one int, in slots of n
+    bits for n reference items, and each row adds the shorter of its
+    predecessor list and the complement of it among the common items
+    before it. A chain visits distinct items, so every count is below
+    2**n and no slot carries into the next; each slot holds bit for bit
+    the count the products would give. The series stops at the first
+    term that params.keeps refuses, and after at most n terms, since L
+    is nilpotent. kappa_sweep makes one call per lambda plus one for the
+    exact corner.
     """
-    later = _packed_terms(matrix) if params.exact else _product_terms(matrix)
-    term = matrix.trace()
+    if params.exact:
+        term = sum(sv._diagonal(params))
+        later = _packed_terms(sv)
+    else:
+        matrix = sv.matrix(params)
+        term = matrix.trace()
+        later = _product_terms(matrix)
     series: list[tuple[int, int | float]] = []
-    while params.keeps(term) and len(series) < matrix.order:
+    while params.keeps(term) and len(series) < len(sv.items):
         series.append((len(series) + 1, term))
         term = next(later)
     return KappaProfile(series=tuple(series), exact=params.exact)
 
 
 def measure(rset: RankingSet, params: MeasureParams) -> KappaProfile:
-    """Build the matrix for the set and run the series in one call.
+    """Survey the set and run the series in one call.
 
     The reference ranking is the default one; to choose another, call
-    ``kappa_series(survey(rset, k).matrix(params), params)``.
+    ``kappa_series(survey(rset, k), params)``. On the exact path this
+    reads the survey's masks and lists no edges.
     """
-    return kappa_series(survey(rset).matrix(params), params)
+    return kappa_series(survey(rset), params)
 
 
 def kappa_total_closed(matrix: ConsensusMatrix) -> int | float:
     """Total kappa without the series: trace(A) + z' (I - L)^-1 z - n.
 
     (I - L) v = z is solved by forward substitution; no inversion, one
-    pass over the nonzero entries.
+    pass over the nonzero entries. It reads the matrix's rows, which
+    list every edge (``Survey.edges``), never the complement rows of the
+    exact series, so it checks that series by an independent route.
     """
     n = matrix.order
     v: list[int | float] = [1] * n
@@ -190,11 +240,11 @@ def kappa_sweep(
     p >= 2 comes from the strict lower part, which depends on lambda
     alone. So the grid costs one trace per gamma and one kappa_series
     call per lambda, plus one for the exact corner gamma = lambda = 1.
-    Each point is the profile kappa_series gives for its own matrix, bit
-    for bit, including the epsilon cutoff on kappa_1: a gamma whose trace
-    does not exceed epsilon gets the empty profile (ell 0, total 0) at
-    every lambda, and a gamma whose trace does gets kappa_1 followed by
-    that lambda's whole series. A lambda's series is only computed once
+    Each point is the profile kappa_series gives for its own parameters,
+    bit for bit, including the epsilon cutoff on kappa_1: a gamma whose
+    trace does not exceed epsilon gets the empty profile (ell 0, total 0)
+    at every lambda, and a gamma whose trace does gets kappa_1 followed
+    by that lambda's whole series. A lambda's series is only computed once
     some point needs it. Points come back in grid order, gamma outer,
     lambda inner.
     """
@@ -219,11 +269,10 @@ def kappa_sweep(
             if point_params.keeps(trace):
                 key = (index, exact)
                 if key not in tails:
-                    # The matrix's trace() is the same sum as trace, which
+                    # The series' kappa_1 is the same sum as trace, which
                     # exceeds the cutoff, so this series keeps kappa_1 and
                     # its tail is the lambda's whole series.
-                    matrix = sv.matrix(point_params)
-                    tails[key] = kappa_series(matrix, point_params).series[1:]
+                    tails[key] = kappa_series(sv, point_params).series[1:]
                 series = ((1, trace), *tails[key])
             points.append(SweepPoint(gamma, lam, KappaProfile(series=series, exact=exact)))
     return points

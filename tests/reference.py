@@ -2,7 +2,9 @@
 
 ``pairwise_survey`` is ``graph.survey`` as it was before predecessor
 masks: it fills an N x n position table and tests every pair of common
-items against every ranking. ``product_series`` is the exact path of
+items against every ranking. ``pairwise_edges`` lists the pairs that
+test finds, with their per-ranking mean gaps, and the reference survey
+sets its masks from them. ``product_series`` is the exact path of
 ``measures.kappa_series`` as it was before packing: one product
 y <- L y per term. ``char_split_line`` is ``io._split_line`` as it was
 before it split on braces: a state machine over the characters. None
@@ -17,16 +19,37 @@ from rankconsensus.measures import KappaProfile
 from rankconsensus.model import RankingSet
 
 
-def pairwise_survey(rset: RankingSet, reference_index: int | None = None) -> Survey:
+def _position_columns(
+    rset: RankingSet, reference_index: int | None
+) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """(reference index, items, one column of 1-based positions per item, 0 if absent)."""
     if reference_index is None:
         reference_index = rset.reference_index()
     items = tuple(rset.rankings[reference_index].items())
-    n = len(items)
-    N = len(rset)
     positions = tuple(
         tuple(ranking.position_of(item) for item in items) for ranking in rset
     )
-    columns = tuple(zip(*positions))
+    return reference_index, items, tuple(zip(*positions))
+
+
+def pairwise_edges(
+    rset: RankingSet, reference_index: int | None = None
+) -> tuple[tuple[int, int, float], ...]:
+    """(i, j, mean gap) for every j < i that every ranking puts strictly before i."""
+    _, items, columns = _position_columns(rset, reference_index)
+    edges = []
+    for i in range(len(items)):
+        for j in range(i):
+            pairs = list(zip(columns[i], columns[j]))
+            if all(a > b > 0 for a, b in pairs):
+                edges.append((i, j, sum(a - b for a, b in pairs) / len(rset)))
+    return tuple(edges)
+
+
+def pairwise_survey(rset: RankingSet, reference_index: int | None = None) -> Survey:
+    reference_index, items, columns = _position_columns(rset, reference_index)
+    n = len(items)
+    N = len(rset)
     common = tuple(all(x > 0 for x in column) for column in columns)
     sums = [sum(column) for column in columns]
     mu = [0.0] * n
@@ -39,13 +62,9 @@ def pairwise_survey(rset: RankingSet, reference_index: int | None = None) -> Sur
         mu[i] = mean
         mad[i] = sum(abs(x - mean) for x in columns[i]) / N
         var[i] = sum((x - mean) ** 2 for x in columns[i]) / N
-    edges = []
-    for i in range(n):
-        if not common[i]:
-            continue
-        for j in range(i):
-            if common[j] and all(a > b for a, b in zip(columns[i], columns[j])):
-                edges.append((i, j, (sums[i] - sums[j]) / N))
+    masks = [0] * n
+    for i, j, _ in pairwise_edges(rset, reference_index):
+        masks[i] |= 1 << j
     return Survey(
         items=items,
         reference_index=reference_index,
@@ -53,7 +72,9 @@ def pairwise_survey(rset: RankingSet, reference_index: int | None = None) -> Sur
         mu=tuple(mu),
         mad=tuple(mad),
         var=tuple(var),
-        edges=tuple(edges),
+        masks=tuple(masks),
+        sums=tuple(sums),
+        count=N,
     )
 
 

@@ -154,7 +154,7 @@ class TestMeasure:
         doc = tmp_path / "set.txt"
         doc.write_text("a b c\n")
         series = measures.KappaProfile(series=((1, 3.0), (2, float("inf"))), exact=False)
-        monkeypatch.setattr(measures, "kappa_series", lambda matrix, params: series)
+        monkeypatch.setattr(measures, "kappa_series", lambda sv, params: series)
         code, out, err = run(capsys, "measure", str(doc), "--gamma", "0.9", "--format", fmt)
         assert (code, err) == (0, "")
         assert out.splitlines()[-len(tail) :] == tail
@@ -171,7 +171,7 @@ class TestMeasure:
         doc = tmp_path / "set.txt"
         doc.write_text("a b c\n")
         series = measures.KappaProfile(series=((1, 3.0), (2, value)), exact=False)
-        monkeypatch.setattr(measures, "kappa_series", lambda matrix, params: series)
+        monkeypatch.setattr(measures, "kappa_series", lambda sv, params: series)
         code, out, err = run(
             capsys, argv[0], str(doc), *argv[1:], "--gamma", "0.9", "--format", "json"
         )
@@ -535,3 +535,27 @@ def test_survey_calls_per_command(monkeypatch, capsys, argv, surveys):
     code, _, _ = run(capsys, *argv)
     assert code == 0
     assert len(calls) == surveys
+
+
+def test_repeated_calls_in_one_process_give_the_same_results(tmp_path, capsys):
+    # main runs many times in one process (the benchmark's worker does);
+    # calls that fail, in argparse or in a handler, leave the next call's
+    # output and exit code as they were.
+    doc = tmp_path / "set.txt"
+    doc.write_text("\n".join(EXAMPLE_LINES) + "\n")
+    measure_argv = ["measure", str(doc), "--format", "json"]
+    first = run(capsys, *measure_argv)
+    assert first[0] == 0
+    assert json.loads(first[1])["kappa_total"] == 17
+    sweep = run(capsys, "sweep", str(doc), "--gamma-grid", "1:0.9:0.1",
+                "--lambda-grid", "1:1:0", "--per-p", "1,2", "--format", "csv")
+    assert sweep[0] == 0
+    assert sweep[1].splitlines()[0] == "gamma,lambda,kappa,kappa_1,kappa_2"
+    assert run(capsys, "measure", str(doc), "--gamma", "1.5") == (
+        3, "", "error: gamma must be in (0,1]\n"
+    )
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["measure", str(doc), "--format", "yaml"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'yaml'" in capsys.readouterr().err
+    assert run(capsys, *measure_argv) == first

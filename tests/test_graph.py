@@ -11,7 +11,7 @@ from rankconsensus.graph import Deviation, MeasureParams, survey
 from rankconsensus.io import Dataset, load_dataset
 
 from conftest import EXAMPLE_LINES, make_set, near_consensus_set, random_set
-from reference import pairwise_survey, to_dense
+from reference import pairwise_edges, pairwise_survey, to_dense
 
 
 class TestMeasureParams:
@@ -216,11 +216,40 @@ class TestPredecessorMasks:
     def test_random_sets_match_the_pairwise_survey(self, rng, last_reference):
         rset = random_set(rng)
         reference = len(rset) - 1 if last_reference else None
-        assert survey(rset, reference) == pairwise_survey(rset, reference)
+        sv = survey(rset, reference)
+        assert sv == pairwise_survey(rset, reference)
+        assert sv.edges == pairwise_edges(rset, reference)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_near_consensus_sets_match_the_pairwise_survey(self, seed):
         rset = near_consensus_set(random.Random(seed), 128, 50)
         sv = survey(rset)
         assert sv == pairwise_survey(rset)
+        assert sv.edges == pairwise_edges(rset)
         assert len(sv.edges) > 128 * 127 // 4
+
+
+class TestEdgesOnFirstRead:
+    def test_edges_are_listed_once_and_kept(self):
+        sv = survey(make_set(*EXAMPLE_LINES))
+        assert "edges" not in vars(sv)
+        edges = sv.edges
+        assert vars(sv)["edges"] is edges
+        assert sv.edges is edges
+        assert len(edges) == sum(mask.bit_count() for mask in sv.masks) == 7
+
+    def test_equality_ignores_whether_edges_were_read(self):
+        rset = make_set(*EXAMPLE_LINES)
+        read, unread = survey(rset), survey(rset)
+        read.edges
+        assert read == unread
+        assert hash(read) == hash(unread)
+
+    def test_masks_hold_common_items_only(self):
+        sv = survey(make_set(*EXAMPLE_LINES))
+        common = sum(1 << i for i, c in enumerate(sv.common) if c)
+        for i, mask in enumerate(sv.masks):
+            assert mask & ~common == 0
+            assert mask >> i == 0
+            if not sv.common[i]:
+                assert mask == 0

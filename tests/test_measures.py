@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from math import comb
 
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankconsensus import Dataset, load_dataset, load_reference_sweep, measures
+from rankconsensus import Dataset, cli, load_dataset, load_reference_sweep, measures
 from rankconsensus.graph import ConsensusMatrix, Deviation, MeasureParams, Survey, survey
 from rankconsensus.measures import (
+    _shorter_rows,
     kappa1_topk,
     kappa_dup,
     kappa_series,
@@ -19,7 +21,7 @@ from rankconsensus.measures import (
 )
 
 from conftest import EXAMPLE_LINES, make_set, near_consensus_set, random_set
-from reference import product_series
+from reference import pairwise_edges, pairwise_survey, product_series
 
 GRID = [x / 100 for x in range(100, 44, -5)]
 
@@ -56,10 +58,46 @@ class TestExactSeries:
         assert profile.total == 0
 
 
+def _bit_set(bits: int) -> set[int]:
+    return {j for j in range(bits.bit_length()) if bits >> j & 1}
+
+
+def _expected_rows(rset, reference=None) -> list[tuple[int, set[int], bool]]:
+    """The rows the exact pass should sum, from the pairwise reference survey.
+
+    A row lists its predecessors, or the common items before it that are
+    missing from them when that list is strictly shorter.
+    """
+    ref = pairwise_survey(rset, reference)
+    predecessors = {i: set() for i, common in enumerate(ref.common) if common}
+    for i, j, _ in pairwise_edges(rset, reference):
+        predecessors[i].add(j)
+    rows = []
+    for i, before in predecessors.items():
+        missing = {j for j in predecessors if j < i} - before
+        if len(missing) < len(before):
+            rows.append((i, missing, True))
+        else:
+            rows.append((i, before, False))
+    return rows
+
+
+def _rows(sv: Survey) -> list[tuple[int, set[int], bool]]:
+    return [(i, _bit_set(bits), complement) for i, bits, complement in _shorter_rows(sv)]
+
+
 class TestPackedSeries:
-    """The packed exact series against one product y <- L y per term."""
+    """The exact pass over the masks against the products on the reference survey.
+
+    The reference is one product y <- L y per term on the matrix of the
+    pairwise survey, whose rows list every edge; the pass sums the
+    shorter of each row and its complement.
+    """
 
     EXACT = MeasureParams()
+
+    def products(self, rset, reference=None):
+        return product_series(pairwise_survey(rset, reference).matrix(self.EXACT), self.EXACT)
 
     @given(
         st.randoms(use_true_random=False),
@@ -71,31 +109,88 @@ class TestPackedSeries:
         max_rankings, universe = shape
         rset = random_set(rng, max_rankings=max_rankings, universe=universe)
         reference = len(rset) - 1 if last_reference else None
-        matrix = survey(rset, reference).matrix(self.EXACT)
-        assert kappa_series(matrix, self.EXACT) == product_series(matrix, self.EXACT)
+        sv = survey(rset, reference)
+        assert kappa_series(sv, self.EXACT) == self.products(rset, reference)
+        assert _rows(sv) == _expected_rows(rset, reference)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_near_consensus_sets_match_the_products(self, seed):
         rset = near_consensus_set(random.Random(seed), 128, 50)
-        matrix = survey(rset).matrix(self.EXACT)
-        assert kappa_series(matrix, self.EXACT) == product_series(matrix, self.EXACT)
+        sv = survey(rset)
+        assert kappa_series(sv, self.EXACT) == self.products(rset)
+        rows = _rows(sv)
+        assert rows == _expected_rows(rset)
+        assert any(complement for _, _, complement in rows)
 
     def test_the_largest_total_fits_its_slots(self):
         # Every subset of 200 items is a common chain: kappa_p = C(200, p)
         # and the total 2**200 - 1, the most the 200-bit slots must hold.
+        # Each row after the first has all earlier items as predecessors,
+        # so its complement is empty; the first row's two lists are both
+        # empty, and the tie goes to the mask.
         tokens = " ".join(f"t{k}" for k in range(200))
-        profile = measure(make_set(tokens, tokens), self.EXACT)
+        sv = survey(make_set(tokens, tokens, tokens))
+        rows = list(_shorter_rows(sv))
+        assert rows[0] == (0, 0, False)
+        assert rows[1:] == [(i, 0, True) for i in range(1, 200)]
+        profile = kappa_series(sv, self.EXACT)
         assert profile.series == tuple((p, comb(200, p)) for p in range(1, 201))
         assert profile.total == 2**200 - 1
 
     @pytest.mark.parametrize(
-        "lines, series",
-        [(("a b", "c d"), ()), (("a b", "c a"), ((1, 1),)), (("a b c", "c a"), ((1, 2),))],
+        "lines, series, complements",
+        [
+            (("a b", "c d"), (), 0),
+            (("a b", "c a"), ((1, 1),), 0),
+            (("a b c", "c a"), ((1, 2),), 0),
+            (("a b c", "a c"), ((1, 2), (2, 1)), 1),
+        ],
     )
-    def test_few_common_items(self, lines, series):
-        matrix = survey(make_set(*lines)).matrix(self.EXACT)
-        assert kappa_series(matrix, self.EXACT).series == series
-        assert product_series(matrix, self.EXACT).series == series
+    def test_few_common_items(self, lines, series, complements):
+        # 0, 1 and 2 common items. Only a row with a predecessor and
+        # nothing missing has a strictly shorter complement, the empty one.
+        rset = make_set(*lines)
+        sv = survey(rset)
+        assert kappa_series(sv, self.EXACT).series == series
+        assert self.products(rset).series == series
+        rows = _rows(sv)
+        assert rows == _expected_rows(rset)
+        assert [bits for _, bits, complement in rows if complement] == [set()] * complements
+
+    def test_exact_path_reads_neither_edges_nor_matrix(self, monkeypatch, tmp_path, capsys):
+        def refuse(*args):
+            raise AssertionError("the exact path read an edge list")
+
+        monkeypatch.setattr(Survey, "edges", property(refuse))
+        monkeypatch.setattr(Survey, "matrix", refuse)
+        rset = near_consensus_set(random.Random(4), 40, 5)
+        sv = survey(rset)
+        expected = measure(rset, self.EXACT)
+        assert kappa_series(sv, self.EXACT) == expected
+        (corner,) = kappa_sweep(sv, [1.0], [1.0])
+        assert corner.profile == expected
+        doc = tmp_path / "set.txt"
+        token = rset.table.token_of
+        doc.write_text("".join(" ".join(map(token, r.items())) + "\n" for r in rset))
+        assert cli.main(["measure", str(doc), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["kappa_total"] == expected.total
+
+
+class TestReferenceRoute:
+    """kappa_total_closed, the benchmark's reference for totals, reads every edge."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_closed_form_equals_the_complement_pass(self, seed):
+        sv = survey(near_consensus_set(random.Random(seed), 128, 50))
+        exact = MeasureParams()
+        matrix = sv.matrix(exact)
+        listed = [(i, j) for i, row in enumerate(matrix.rows) for j, _ in row]
+        assert listed == [(i, j) for i, j, _ in sv.edges]
+        assert any(complement for _, _, complement in _shorter_rows(sv))
+        closed = kappa_total_closed(matrix)
+        assert kappa_series(sv, exact).total == closed
+        (corner,) = kappa_sweep(sv, [1.0], [1.0])
+        assert corner.profile.total == closed
 
 
 class TestWeightedSeries:
@@ -125,9 +220,9 @@ class TestClosedForm:
     @pytest.mark.parametrize("lam", [1.0, 0.9, 0.5])
     def test_matches_series_weighted(self, example_set, gamma, lam):
         params = MeasureParams(gamma=gamma, lam=lam, epsilon=0.0)
-        matrix = survey(example_set).matrix(params)
-        series_total = kappa_series(matrix, params).total
-        closed = kappa_total_closed(matrix)
+        sv = survey(example_set)
+        series_total = kappa_series(sv, params).total
+        closed = kappa_total_closed(sv.matrix(params))
         assert abs(closed - series_total) <= 1e-9 * max(1.0, abs(closed))
 
 
@@ -242,12 +337,12 @@ class TestSweep:
         real_series = measures.kappa_series
         real_multiply = ConsensusMatrix.multiply_lower
 
-        def counting_series(matrix, params):
+        def counting_series(sv, params):
             nonlocal series_calls, open_calls
             series_calls += 1
             open_calls += 1
             try:
-                return real_series(matrix, params)
+                return real_series(sv, params)
             finally:
                 open_calls -= 1
 

@@ -149,7 +149,7 @@ def test_sweep_matches_the_per_point_series(rng, gammas, lams, epsilon, deviatio
     assert [(pt.gamma, pt.lam) for pt in points] == [(g, l) for g in gammas for l in lams]
     for point in points:
         point_params = replace(params, gamma=point.gamma, lam=point.lam)
-        expected = kappa_series(sv.matrix(point_params), point_params)
+        expected = kappa_series(sv, point_params)
         assert point.profile == expected
         assert repr(point.profile) == repr(expected)
 
@@ -189,9 +189,9 @@ def test_reference_choice_does_not_change_the_series(rset):
     weighted = measure(rset, weighted_params)
     for k in range(len(rset)):
         sv = survey(rset, k)
-        exact = kappa_series(sv.matrix(MeasureParams()), MeasureParams())
+        exact = kappa_series(sv, MeasureParams())
         assert exact.series == baseline.series
-        other = kappa_series(sv.matrix(weighted_params), weighted_params)
+        other = kappa_series(sv, weighted_params)
         assert other.ell == weighted.ell
         for p in range(1, weighted.ell + 1):
             a, b = weighted.value_at(p), other.value_at(p)
