@@ -4,9 +4,12 @@ The package measures how much a set of rankings agrees by counting, with
 optional weights, the ordered item sequences the rankings share. The
 count is organized by sequence length: kappa_p covers the sequences of
 length p, ell is the longest shared length, and kappa is the grand
-total. Everything is computed from one lower triangular matrix built in
-a single pass over the rankings, and an independent enumeration oracle
-is included for cross-checking on small inputs.
+total. One walk over the rankings finds, for each item common to all of
+them, the common items that every ranking puts strictly before it, as a
+bit mask. The exact counts come from these masks in integer arithmetic;
+the weighted measures use a lower triangular matrix built from them. An
+independent enumeration oracle is included for cross-checking on small
+inputs.
 """
 from .baselines import (
     Aggregate,

@@ -18,7 +18,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from decimal import Decimal, InvalidOperation, Overflow, localcontext
 from io import StringIO
 from itertools import takewhile
@@ -96,15 +96,10 @@ def _default_format(chosen: str | None) -> str:
 
 
 def _params_from(args: argparse.Namespace) -> MeasureParams:
+    """The subcommand's options named like MeasureParams fields; the rest keep their defaults."""
+    given = {f.name: getattr(args, f.name) for f in fields(MeasureParams) if hasattr(args, f.name)}
     try:
-        return MeasureParams(
-            gamma=args.gamma,
-            lam=args.lam,
-            epsilon=args.epsilon,
-            deviation=Deviation(args.deviation),
-            zeta=getattr(args, "topk_zeta", None),
-            beta=getattr(args, "topk_beta", None),
-        )
+        return MeasureParams(**given)
     except ValueError as exc:
         raise CommandError(EXIT_PARAMS, str(exc)) from None
 
@@ -152,89 +147,6 @@ def parse_grid(text: str) -> list[float]:
     return grid
 
 
-def _add_input(parser: argparse.ArgumentParser) -> None:
-    datasets = ", ".join(d.value for d in io.Dataset)
-    parser.add_argument(
-        "input",
-        help=f"ranking file (text or JSON) or bundled dataset name ({datasets})",
-    )
-
-
-def _add_params(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--gamma", type=float, default=1.0, help="item weight base in (0,1]")
-    parser.add_argument(
-        "--lambda", dest="lam", type=float, default=1.0, help="pair weight base in (0,1]"
-    )
-    parser.add_argument(
-        "--epsilon", type=float, default=1e-12, help="series termination threshold"
-    )
-    parser.add_argument(
-        "--deviation",
-        choices=[d.value for d in Deviation],
-        default=Deviation.MAD.value,
-        help="position deviation statistic (std reproduces the bundled reference tables)",
-    )
-
-
-def _add_output(parser: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
-    parser.add_argument("--format", choices=formats, default=None)
-    parser.add_argument("--output", metavar="PATH", help="write results to a file")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rankconsensus",
-        description="Set-wise consensus measures of rankings.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("measure", help="kappa series, ell and total for one set")
-    _add_input(p)
-    _add_params(p)
-    p.add_argument("--dedup", action="store_true", help="add the duplicate-adjusted total")
-    p.add_argument("--topk-zeta", type=float, default=None, help="top-k position cutoff")
-    p.add_argument("--topk-beta", type=float, default=None, help="top-k weight base in (0,1)")
-    _add_output(p, ("json", "csv", "table"))
-
-    p = sub.add_parser("sweep", help="evaluate a gamma/lambda grid")
-    _add_input(p)
-    _add_params(p)
-    p.add_argument("--gamma-grid", default=EXPERIMENT_GRID, help="start:stop:step")
-    p.add_argument("--lambda-grid", default=EXPERIMENT_GRID, help="start:stop:step")
-    p.add_argument(
-        "--per-p",
-        default=None,
-        metavar="P1,P2,...",
-        help="also emit kappa_p columns (csv format only)",
-    )
-    _add_output(p, ("json", "csv", "table"))
-
-    p = sub.add_parser("baseline", help="pairwise correlation indices and aggregate")
-    _add_input(p)
-    p.add_argument(
-        "--index",
-        required=True,
-        choices=[b.value for b in baselines.Baseline],
-        help="tau, dtau, rho or footrule",
-    )
-    p.add_argument(
-        "--mode",
-        choices=[m.value for m in baselines.Aggregate],
-        default=baselines.Aggregate.MEAN.value,
-    )
-    _add_output(p, ("json", "csv", "table"))
-
-    p = sub.add_parser("oracle-check", help="compare matrix path against enumeration")
-    _add_input(p)
-    _add_params(p)
-
-    p = sub.add_parser("experiment", help="reproduce the bundled reference sweeps")
-    p.add_argument("name", choices=["clustering", "search"])
-    p.add_argument("--output", metavar="PATH", help="write the report to a file")
-
-    return parser
-
-
 def _parse_per_p(text: str) -> list[int]:
     try:
         values = [int(part) for part in text.split(",") if part.strip()]
@@ -258,7 +170,7 @@ def _render(result: measures.KappaProfile | list[measures.SweepPoint], fmt: str,
 
 
 def cmd_measure(args: argparse.Namespace) -> int:
-    if (args.topk_zeta is None) != (args.topk_beta is None):
+    if (args.zeta is None) != (args.beta is None):
         raise CommandError(
             EXIT_PARAMS, "top-k weighting requires both --topk-zeta and --topk-beta"
         )
@@ -387,17 +299,14 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
 
 def _experiment_report(name: str) -> str:
     if name == "clustering":
-        jobs = [("CE", io.Dataset.CLUSTERING_CE, "ce"), ("GA", io.Dataset.CLUSTERING_GA, "ga")]
+        jobs = [("CE", "clustering_ce", "ce"), ("GA", "clustering_ga", "ga")]
     else:
-        jobs = [
-            ("Google", io.Dataset.SEARCH_GOOGLE, "google"),
-            ("Bing", io.Dataset.SEARCH_BING, "bing"),
-        ]
+        jobs = [("Google", "search_google", "google"), ("Bing", "search_bing", "bing")]
     grid = parse_grid(EXPERIMENT_GRID)
     contract_variants = (Deviation.MAD, Deviation.SQRT_MAD)
     lines: list[str] = []
     for title, dataset, table in jobs:
-        sv = measures.survey(io.load_dataset(dataset).to_ranking_set())
+        sv = measures.survey(_load(dataset)[1])
         gammas, lams, reference = io.load_reference_sweep(table)
         if gammas != grid or lams != grid:
             raise CommandError(
@@ -442,20 +351,94 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "measure": cmd_measure,
-    "sweep": cmd_sweep,
-    "baseline": cmd_baseline,
-    "oracle-check": cmd_oracle_check,
-    "experiment": cmd_experiment,
+# Every option of the command line, defined once. A dest that names a
+# MeasureParams field is read by _params_from.
+_OPTIONS: dict[str, dict] = {
+    "input": {
+        "help": "ranking file (text or JSON) or bundled dataset name"
+        f" ({', '.join(d.value for d in io.Dataset)})",
+    },
+    "name": {"choices": ["clustering", "search"]},
+    "--gamma": {"type": float, "default": 1.0, "help": "item weight base in (0,1]"},
+    "--lambda": {
+        "dest": "lam", "type": float, "default": 1.0, "help": "pair weight base in (0,1]"
+    },
+    "--epsilon": {"type": float, "default": 1e-12, "help": "series termination threshold"},
+    "--deviation": {
+        "choices": [d.value for d in Deviation],
+        "default": Deviation.MAD.value,
+        "help": "position deviation statistic (std reproduces the bundled reference tables)",
+    },
+    "--dedup": {"action": "store_true", "help": "add the duplicate-adjusted total"},
+    "--topk-zeta": {"dest": "zeta", "type": float, "help": "top-k position cutoff"},
+    "--topk-beta": {"dest": "beta", "type": float, "help": "top-k weight base in (0,1)"},
+    "--gamma-grid": {"default": EXPERIMENT_GRID, "help": "start:stop:step"},
+    "--lambda-grid": {"default": EXPERIMENT_GRID, "help": "start:stop:step"},
+    "--per-p": {"metavar": "P1,P2,...", "help": "also emit kappa_p columns (csv format only)"},
+    "--index": {
+        "required": True,
+        "choices": [b.value for b in baselines.Baseline],
+        "help": "tau, dtau, rho or footrule",
+    },
+    "--mode": {
+        "choices": [m.value for m in baselines.Aggregate],
+        "default": baselines.Aggregate.MEAN.value,
+    },
+    "--format": {"choices": ("json", "csv", "table")},
+    "--output": {"metavar": "PATH", "help": "write results to a file"},
 }
+
+_PARAMS = ("--gamma", "--lambda", "--epsilon", "--deviation")
+_OUTPUT = ("--format", "--output")
+
+# Subcommand: handler, help line and options in help order. sweep takes
+# no --gamma or --lambda, since its grids set both at every point.
+_COMMANDS = {
+    "measure": (
+        cmd_measure,
+        "kappa series, ell and total for one set",
+        ("input", *_PARAMS, "--dedup", "--topk-zeta", "--topk-beta", *_OUTPUT),
+    ),
+    "sweep": (
+        cmd_sweep,
+        "evaluate a gamma/lambda grid",
+        ("input", "--epsilon", "--deviation", "--gamma-grid", "--lambda-grid", "--per-p",
+         *_OUTPUT),
+    ),
+    "baseline": (
+        cmd_baseline,
+        "pairwise correlation indices and aggregate",
+        ("input", "--index", "--mode", *_OUTPUT),
+    ),
+    "oracle-check": (
+        cmd_oracle_check, "compare matrix path against enumeration", ("input", *_PARAMS)
+    ),
+    "experiment": (
+        cmd_experiment, "reproduce the bundled reference sweeps", ("name", "--output")
+    ),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="rankconsensus",
+        description="Set-wise consensus measures of rankings.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (handler, summary, options) in _COMMANDS.items():
+        # Without abbreviations, sweep reads no --gamma as --gamma-grid.
+        p = sub.add_parser(command, help=summary, allow_abbrev=False)
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
+        p.set_defaults(handler=handler)
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

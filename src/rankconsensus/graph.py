@@ -211,9 +211,6 @@ def survey(rset: RankingSet, reference_index: int | None = None) -> Survey:
         reference_index = rset.reference_index()
     elif not 0 <= reference_index < len(rset):
         raise ValueError(f"reference index out of range: {reference_index}")
-    for ranking in rset:
-        if ranking.length == 0:
-            raise ValueError("empty ranking in set")
     items = tuple(rset.rankings[reference_index].items())
     n = len(items)
     N = len(rset)

@@ -234,7 +234,9 @@ def kappa_sweep(
 ) -> list[SweepPoint]:
     """Evaluate the measure over a (gamma, lambda) grid of one survey.
 
-    Call it as ``kappa_sweep(survey(rset), gammas, lams, params)``. Every
+    Call it as ``kappa_sweep(survey(rset), gammas, lams, params)``.
+    ``params`` gives epsilon and the deviation variant; its gamma and
+    lambda are replaced by the grid's at every point. Every
     gamma and lambda is checked before any weight is computed. kappa_1 is
     the trace, which depends on gamma alone, and every kappa_p with
     p >= 2 comes from the strict lower part, which depends on lambda

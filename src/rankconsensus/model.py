@@ -81,7 +81,8 @@ class Ranking:
 
     Groups are stored with their members sorted by id, which makes equality
     structural: two rankings are equal when they place the same items in the
-    same groups in the same order.
+    same groups in the same order. A ranking has at least one group, each
+    group at least one item, and no item appears twice.
     """
 
     groups: tuple[tuple[int, ...], ...]
@@ -90,6 +91,8 @@ class Ranking:
     )
 
     def __post_init__(self) -> None:
+        if not self.groups:
+            raise ValidationError("empty ranking")
         positions: dict[int, int] = {}
         canonical = []
         for index, group in enumerate(self.groups, start=1):
@@ -131,24 +134,20 @@ def build_ranking(table: ItemTable, groups: Iterable[str | Iterable[str]]) -> Ra
     """Intern tokens and assemble a validated Ranking.
 
     Each element of ``groups`` is either a single token (a singleton group)
-    or an iterable of tokens forming one tie group.
+    or an iterable of tokens forming one tie group. A repeated token is
+    refused here, by name; ``Ranking`` refuses the other shape faults.
     """
     id_groups: list[tuple[int, ...]] = []
-    seen: dict[int, str] = {}
+    seen: set[int] = set()
     for group in groups:
-        tokens = [group] if isinstance(group, str) else list(group)
-        if not tokens:
-            raise ValidationError("empty tie group")
         ids = []
-        for token in tokens:
+        for token in [group] if isinstance(group, str) else group:
             item = table.intern(token)
             if item in seen:
                 raise ValidationError(f"duplicate item {token}")
-            seen[item] = token
+            seen.add(item)
             ids.append(item)
         id_groups.append(tuple(ids))
-    if not id_groups:
-        raise ValidationError("empty ranking")
     return Ranking(tuple(id_groups))
 
 

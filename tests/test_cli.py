@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import argparse
 import csv
 import json
+from dataclasses import replace
 from io import StringIO
 
 import pytest
@@ -162,7 +164,10 @@ class TestMeasure:
     @pytest.mark.parametrize("value", [float("inf"), float("nan")])
     @pytest.mark.parametrize(
         "argv",
-        [["measure"], ["sweep", "--gamma-grid", "0.9:0.9:0", "--lambda-grid", "1:1:0"]],
+        [
+            ["measure", "--gamma", "0.9"],
+            ["sweep", "--gamma-grid", "0.9:0.9:0", "--lambda-grid", "1:1:0"],
+        ],
     )
     def test_weighted_term_past_the_float_range_as_json_exits_6(
         self, tmp_path, monkeypatch, capsys, argv, value
@@ -172,9 +177,7 @@ class TestMeasure:
         doc.write_text("a b c\n")
         series = measures.KappaProfile(series=((1, 3.0), (2, value)), exact=False)
         monkeypatch.setattr(measures, "kappa_series", lambda sv, params: series)
-        code, out, err = run(
-            capsys, argv[0], str(doc), *argv[1:], "--gamma", "0.9", "--format", "json"
-        )
+        code, out, err = run(capsys, argv[0], str(doc), *argv[1:], "--format", "json")
         assert (code, out) == (6, "")
         assert err == (
             "error: a result is inf or nan, which JSON cannot hold; csv and table write it\n"
@@ -234,6 +237,17 @@ class TestSweep:
         )
         assert code == 3
         assert "csv" in err
+
+    @pytest.mark.parametrize(
+        "per_p,message",
+        [
+            ("1,x", "per-p must be a comma list of integers, got '1,x'"),
+            ("0", "per-p values must be positive integers"),
+        ],
+    )
+    def test_bad_per_p_exits_3(self, capsys, per_p, message):
+        code, out, err = run(capsys, "sweep", "clustering", "--per-p", per_p, "--format", "csv")
+        assert (code, out, err) == (3, "", f"error: {message}\n")
 
     def test_per_p_columns(self, capsys):
         code, out, _ = run(
@@ -468,14 +482,21 @@ class TestOracleCheck:
         assert code == 6
         assert "enumeration guard" in err
 
-    def test_forced_mismatch_exits_5(self, monkeypatch, capsys):
-        other = make_set("a b", "b a")
-
-        def fake_profile(rset, params=None):
-            return measure(other, params or MeasureParams())
+    @pytest.mark.parametrize(
+        "weights", [(), ("--gamma", "0.9", "--lambda", "0.8")], ids=["exact", "weighted"]
+    )
+    def test_forced_mismatch_exits_5(self, monkeypatch, capsys, weights):
+        # The exact routes must agree on every count; the weighted routes
+        # within 1e-9 relative, so one term 1e-6 relative off fails.
+        def fake_profile(rset, params):
+            if params.exact:
+                return measure(make_set("a b", "b a"), params)
+            profile = measure(rset, params)
+            (p, first), *rest = profile.series
+            return replace(profile, series=((p, first * (1 + 1e-6)), *rest))
 
         monkeypatch.setattr(oracle, "oracle_profile", fake_profile)
-        code, _, err = run(capsys, "oracle-check", "clustering")
+        code, _, err = run(capsys, "oracle-check", "clustering", *weights)
         assert code == 5
         assert "oracle check FAILED" in err
 
@@ -559,3 +580,24 @@ def test_repeated_calls_in_one_process_give_the_same_results(tmp_path, capsys):
     assert exc.value.code == 2
     assert "invalid choice: 'yaml'" in capsys.readouterr().err
     assert run(capsys, *measure_argv) == first
+
+
+def test_each_subcommand_takes_the_listed_options():
+    # A flag added or dropped shows here. sweep takes no --gamma or
+    # --lambda, since its grids set both at every point.
+    parser = cli.build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    found = {
+        name: [a.option_strings[0] if a.option_strings else a.dest
+               for a in sub._actions if a.dest != "help"]
+        for name, sub in commands.choices.items()
+    }
+    assert found == {
+        "measure": ["input", "--gamma", "--lambda", "--epsilon", "--deviation", "--dedup",
+                    "--topk-zeta", "--topk-beta", "--format", "--output"],
+        "sweep": ["input", "--epsilon", "--deviation", "--gamma-grid", "--lambda-grid",
+                  "--per-p", "--format", "--output"],
+        "baseline": ["input", "--index", "--mode", "--format", "--output"],
+        "oracle-check": ["input", "--gamma", "--lambda", "--epsilon", "--deviation"],
+        "experiment": ["name", "--output"],
+    }

@@ -158,11 +158,25 @@ def test_baseline_evaluates_each_ordered_pair_once(tmp_path, monkeypatch, capsys
     assert len(out.splitlines()) == 1 + 3 * 2 + 1
 
 
+@pytest.mark.parametrize("flag", ["--gamma", "--lambda"])
+def test_sweep_refuses_gamma_and_lambda(capsys, flag):
+    # The grids set both at every point. The flag is not read as an
+    # abbreviation of --gamma-grid or --lambda-grid either.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "clustering_ce", flag, "0.5"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ")
+    assert captured.err.endswith(f"error: unrecognized arguments: {flag} 0.5\n")
+
+
 FLOATS = ["nan", "inf", "-inf", "0", "-1", "1e-30", "0.5", "0.9", "1", "2"]
 GRIDS = st.builds(
     lambda a, b, c: f"{a}:{b}:{c}", *(st.sampled_from(FLOATS) for _ in range(3))
 ) | st.sampled_from(["1:0.5", "a:b:c", "0.5:0.5:0"])
-PARAMS = {"--gamma": FLOATS, "--lambda": FLOATS, "--epsilon": FLOATS}
+PARAMS = {"--epsilon": FLOATS}
+WEIGHTS = {"--gamma": FLOATS, "--lambda": FLOATS}  # sweep's grids set both instead
 TEXT = st.text(alphabet="abc {}:#\n", max_size=30).map(lambda s: s.encode("utf-8"))
 INPUT = (
     TEXT
@@ -183,6 +197,8 @@ def invocations(draw):
     if command == "experiment":
         return [command, draw(st.sampled_from(["clustering", "search", "other"]))], None
     options = BASELINE_OPTIONS if command == "baseline" else dict(PARAMS)
+    if command in ("measure", "oracle-check"):
+        options.update(WEIGHTS)
     if command == "measure":
         options.update({"--topk-zeta": FLOATS, "--topk-beta": FLOATS})
     argv = [command]

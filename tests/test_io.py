@@ -116,7 +116,9 @@ class TestParseJson:
             ('{"rankings": []}', "$.rankings: empty ranking set"),
             ('{"rankings": [5]}', "$.rankings[0]: expected an object"),
             ('{"rankings": [{}]}', "$.rankings[0]: missing key groups"),
+            ('{"rankings": [{"label": 7, "groups": [["a"]]}]}', "$.rankings[0].label: expected a string"),
             ('{"rankings": [{"groups": []}]}', "$.rankings[0].groups: expected a non-empty list"),
+            ('{"rankings": [{"groups": ["a"]}]}', "$.rankings[0].groups[0]: expected a list of tokens"),
             ('{"rankings": [{"groups": [[]]}]}', "$.rankings[0].groups[0]: empty tie group"),
             ('{"rankings": [{"groups": [["a"], [7]]}]}', "$.rankings[0].groups[1]: invalid token 7"),
             ('{"rankings": [{"groups": [["a b"]]}]}', "invalid token 'a b'"),

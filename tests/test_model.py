@@ -88,6 +88,20 @@ class TestRanking:
         with pytest.raises(ValidationError, match="duplicate item a"):
             build_ranking(table, [["a", "a"]])
 
+    @pytest.mark.parametrize(
+        "groups,message",
+        [
+            ((), "empty ranking"),
+            (((),), "empty tie group"),
+            (((0,), (0,)), "duplicate item id 0"),
+            (((1, 0, 1),), "duplicate item id 1"),
+        ],
+    )
+    def test_shape_errors(self, groups, message):
+        # Ranking is the one check on ids; build_ranking names tokens instead.
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            Ranking(groups)
+
     def test_contains(self):
         table = ItemTable()
         r = build_ranking(table, ["a", "b"])
