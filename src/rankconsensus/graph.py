@@ -41,9 +41,12 @@ item's position sum. The numerator is the same integer the per-ranking
 sum of absolute differences gives, and the division is the same int/int
 true division, so the gap is exact, not an approximation of the
 per-ranking mean. ``Survey.edges`` spells the masks out as (i, j, gap)
-triples on its first read and keeps them; the weighted matrix and the
-closed-form total read them, while the exact series reads the masks
-(see ``measures``).
+triples on its first read and keeps them; only ``Survey.matrix`` reads
+them, for the closed-form total. Both series read the masks instead
+(see ``measures``): the exact one directly, the weighted one through
+``Survey.levels``, the number of items in the longest common chain that
+ends at each item, and the predecessor rows built from the masks and
+levels on first read.
 """
 from __future__ import annotations
 
@@ -138,7 +141,8 @@ class Survey:
     ascending. It is built from the masks on its first read and kept.
     Because i follows j in every ranking, the mean gap is
     (S_i - S_j) / N for the position sums S, bit-for-bit the mean of the
-    per-ranking gaps.
+    per-ranking gaps. ``levels`` gives each item's longest common chain,
+    also on first read and kept.
     """
 
     items: tuple[int, ...]
@@ -153,15 +157,74 @@ class Survey:
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int, float], ...]:
-        """(i, j, mean gap) for each set bit j of each masks[i], listed on first read."""
+        """(i, j, mean gap) for each set bit j of each masks[i], listed on first read.
+
+        Only ``matrix`` reads them; the series read the masks.
+        """
         sums, N = self.sums, self.count
-        edges = []
+        return tuple(
+            (i, j, (sums[i] - sums[j]) / N)
+            for i, mask in enumerate(self.masks)
+            for j in _bits(mask)
+        )
+
+    @cached_property
+    def levels(self) -> tuple[int, ...]:
+        """The number of items in the longest common chain that ends at each item.
+
+        It is 0 off the common items. On a common item i it is
+        1 + max(levels[j] for j in masks[i]), and 1 for an empty mask. A
+        chain of p items can only end at an item whose level is p or
+        more, which is what lets the weighted series skip the rest. Built
+        on first read and kept, so every lambda of a sweep shares it.
+        """
+        levels = [0] * len(self.masks)
+        # reached[k]: the common items so far whose level is k + 1, as a mask.
+        reached: list[int] = []
         for i, mask in enumerate(self.masks):
-            # bin() reversed puts bit j at string index j, so j comes out ascending.
-            digits = bin(mask)[:1:-1]
-            for j in compress(range(len(digits)), map("1".__eq__, digits)):
-                edges.append((i, j, (sums[i] - sums[j]) / N))
-        return tuple(edges)
+            if self.common[i]:
+                below = len(reached)
+                while below and not mask & reached[below - 1]:
+                    below -= 1
+                if below == len(reached):
+                    reached.append(0)
+                reached[below] |= 1 << i
+                levels[i] = below + 1
+        return tuple(levels)
+
+    @cached_property
+    def _level_rows(
+        self,
+    ) -> tuple[tuple[int, int, tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]:
+        """(i, level, predecessors, differences, starts) for each item with a predecessor.
+
+        Rows come in reference order. predecessors lists the set bits j of
+        masks[i] ascending, differences the integers S_i - S_j beside
+        them, so each mean gap is difference / N, and starts[p - 1] is the
+        index in predecessors of the first one whose level is p or more,
+        for p = 1 .. level - 1. None of it reads gamma or lambda, so it is
+        built on first read and kept.
+        """
+        sums, levels = self.sums, self.levels
+        rows = []
+        for i, mask in enumerate(self.masks):
+            if not mask:
+                continue
+            predecessors = _bits(mask)
+            starts = []
+            for k, j in enumerate(predecessors):
+                while levels[j] > len(starts):
+                    starts.append(k)
+            rows.append(
+                (
+                    i,
+                    levels[i],
+                    tuple(predecessors),
+                    tuple(sums[i] - sums[j] for j in predecessors),
+                    tuple(starts),
+                )
+            )
+        return tuple(rows)
 
     def deviation_of(self, index: int, variant: Deviation | str) -> float:
         """The item's deviation; variant is a Deviation or its string value."""
@@ -195,6 +258,13 @@ class Survey:
         for i, j, gap in self.edges:
             rows[i].append((j, 1 if exact else params.lam ** gap))
         return ConsensusMatrix(diag=self._diagonal(params), rows=rows)
+
+
+def _bits(mask: int) -> list[int]:
+    """The set bits of mask, ascending."""
+    # bin() reversed puts bit j at string index j.
+    digits = bin(mask)[:1:-1]
+    return list(compress(range(len(digits)), map("1".__eq__, digits)))
 
 
 def survey(rset: RankingSet, reference_index: int | None = None) -> Survey:
@@ -267,6 +337,7 @@ class ConsensusMatrix:
     part as per-row adjacency lists of (column, weight), columns
     ascending, so entry (i, j) is ``diag[i]`` when i == j and the weight
     beside column j in ``rows[i]`` when j < i; every other entry is 0.
+    ``measures.kappa_total_closed`` reads it; neither series builds one.
     """
 
     diag: list[int | float]
@@ -278,13 +349,3 @@ class ConsensusMatrix:
 
     def trace(self) -> int | float:
         return sum(self.diag)
-
-    def multiply_lower(self, vector: list[int | float]) -> list[int | float]:
-        """L @ vector over the adjacency lists."""
-        result: list[int | float] = [0] * self.order
-        for i, row in enumerate(self.rows):
-            acc: int | float = 0
-            for j, w in row:
-                acc += w * vector[j]
-            result[i] = acc
-        return result

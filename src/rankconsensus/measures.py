@@ -6,10 +6,20 @@ chains of length p. The total over all p is also available in closed
 form through one forward substitution.
 
 ``kappa_series`` takes a ``Survey`` and one of two paths, chosen by
-``params.exact``:
+``params.exact``; neither builds a matrix:
 
-- weighted (gamma or lambda below 1): it builds the survey's matrix and
-  repeats float products y <- L y, one per term;
+- weighted (gamma or lambda below 1): each term is one float product
+  y <- L y, restricted to the chains that can exist. For p >= 2, entry
+  i of y = L^(p-1) 1 weighs the chains of p items that end at item i,
+  so it is exactly zero unless the item's level (``Survey.levels``, its
+  longest common chain) is p or more. The product for term p + 1
+  visits only the rows whose level is above p, and each row starts at
+  its first predecessor whose level is p or more, then adds in
+  ascending order as a full product would. Every entry it skips is
+  zero, and adding a zero to a sum changes no bit, so every term is
+  bit for bit the full product's. The weight of a pair is
+  lambda ** ((S_i - S_j) / N), the same float the matrix holds, made
+  once per distinct difference;
 - exact (gamma = lambda = 1): every weight is exactly 1 and all
   arithmetic is done in plain integers, which Python keeps exact at any
   magnitude. One forward pass over the common items builds, per item,
@@ -65,11 +75,34 @@ class KappaProfile:
         return 0
 
 
-def _product_terms(matrix: ConsensusMatrix) -> Iterator[int | float]:
-    """kappa_2, kappa_3, ... as sums of y <- L y, starting from y = 1."""
-    vector: list[int | float] = [1] * matrix.order
+def _level_terms(sv: Survey, lam: float) -> Iterator[int | float]:
+    """kappa_2, kappa_3, ... on the weighted path, over the chains that can exist.
+
+    y starts as all ones, and each term is the sum of y <- L y. Only the
+    rows of ``Survey._level_rows`` whose level is above p take part in the
+    product after term p, each from its first predecessor of level p or
+    more (see the module docstring); every other entry of y is 0.
+    """
+    N = sv.count
+    rows = sv._level_rows
+    weights = {d: lam ** (d / N) for d in set().union(*(row[3] for row in rows))}
+    active = [
+        (i, level, list(zip(predecessors, map(weights.__getitem__, differences))), starts)
+        for i, level, predecessors, differences, starts in rows
+    ]
+    vector: list[int | float] = [1] * len(sv.items)
+    p = 1
     while True:
-        vector = matrix.multiply_lower(vector)
+        result: list[int | float] = [0] * len(vector)
+        for i, _, row, starts in active:
+            acc: int | float = 0
+            k = starts[p - 1]
+            for j, w in row[k:] if k else row:
+                acc += w * vector[j]
+            result[i] = acc
+        vector = result
+        p += 1
+        active = [row for row in active if row[1] > p]
         yield sum(vector)
 
 
@@ -129,11 +162,15 @@ def kappa_series(sv: Survey, params: MeasureParams) -> KappaProfile:
     """kappa_1 is the trace; each later kappa_p weighs the chains of p items.
 
     Call it as ``kappa_series(survey(rset), params)``. Later terms never
-    read the diagonal, so they depend on lambda alone. On the weighted
-    path the series builds ``sv.matrix(params)`` and each term comes from
-    one float product y <- L y. On the exact path (``params.exact``)
-    every weight is 1, no matrix is built, and all the terms come from
-    one integer pass over the survey's masks (``_packed_terms``): each
+    read the diagonal, so they depend on lambda alone. Neither path
+    builds a matrix. On the weighted path each term comes from one float
+    product y <- L y over the rows that can end a chain of that length
+    (``_level_terms``): a row whose level (``Survey.levels``) is too low,
+    and the predecessors before a row's first one of high enough level,
+    only hold zeros, so skipping them leaves every term bit for bit the
+    full product's. On the exact path (``params.exact``) every weight is
+    1, and all the terms come from one integer pass over the survey's
+    masks (``_packed_terms``): each
     item's chain counts by length are packed into one int, in slots of n
     bits for n reference items, and each row adds the shorter of its
     predecessor list and the complement of it among the common items
@@ -144,13 +181,8 @@ def kappa_series(sv: Survey, params: MeasureParams) -> KappaProfile:
     is nilpotent. kappa_sweep makes one call per lambda plus one for the
     exact corner.
     """
-    if params.exact:
-        term = sum(sv._diagonal(params))
-        later = _packed_terms(sv)
-    else:
-        matrix = sv.matrix(params)
-        term = matrix.trace()
-        later = _product_terms(matrix)
+    term = sum(sv._diagonal(params))
+    later = _packed_terms(sv) if params.exact else _level_terms(sv, params.lam)
     series: list[tuple[int, int | float]] = []
     while params.keeps(term) and len(series) < len(sv.items):
         series.append((len(series) + 1, term))
@@ -252,29 +284,35 @@ def kappa_sweep(
     """
     if params is None:
         params = MeasureParams()
-    # MeasureParams refuses an invalid value before any work is done.
-    for gamma in gammas:
-        replace(params, gamma=gamma)
-    for lam in lams:
-        replace(params, lam=lam)
+    # One MeasureParams per gamma (at lambda 1) and one per lambda (at
+    # gamma 1), all made before any weight is computed, so an invalid
+    # value is refused first. A point takes its trace from the one of the
+    # two that has its gamma and its exactness, and its series from the
+    # one that has its lambda and its exactness; only the corner
+    # gamma = lambda = 1 is exact. A series run at gamma 1 keeps kappa_1
+    # whenever the point does: every gamma**d is at most 1.0, so the
+    # point's trace is at most the float count of the common items.
+    corner = replace(params, gamma=1.0, lam=1.0)
+    by_gamma = [replace(corner, gamma=gamma) for gamma in gammas]
+    by_lam = [replace(corner, lam=lam) for lam in lams]
     tails: dict[tuple[int, bool], tuple[tuple[int, int | float], ...]] = {}
     points = []
-    for gamma in gammas:
+    for gamma, at_gamma in zip(gammas, by_gamma):
         traces: dict[bool, int | float] = {}
-        for index, lam in enumerate(lams):
-            point_params = replace(params, gamma=gamma, lam=lam)
-            exact = point_params.exact
+        for index, (lam, at_lam) in enumerate(zip(lams, by_lam)):
+            exact = at_gamma.exact and at_lam.exact
+            trace_params = at_gamma if at_gamma.exact == exact else at_lam
             if exact not in traces:
-                traces[exact] = sum(sv._diagonal(point_params))
+                traces[exact] = sum(sv._diagonal(trace_params))
             trace = traces[exact]
             series = ()
-            if point_params.keeps(trace):
+            if trace_params.keeps(trace):
                 key = (index, exact)
                 if key not in tails:
-                    # The series' kappa_1 is the same sum as trace, which
-                    # exceeds the cutoff, so this series keeps kappa_1 and
-                    # its tail is the lambda's whole series.
-                    tails[key] = kappa_series(sv, point_params).series[1:]
+                    # That series keeps its kappa_1 (see above), so its
+                    # tail is the lambda's whole series.
+                    series_params = at_lam if at_lam.exact == exact else at_gamma
+                    tails[key] = kappa_series(sv, series_params).series[1:]
                 series = ((1, trace), *tails[key])
             points.append(SweepPoint(gamma, lam, KappaProfile(series=series, exact=exact)))
     return points

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from rankconsensus import RankingSet, parse_text
 
@@ -66,4 +67,27 @@ def near_consensus_set(rng: random.Random, n: int, count: int) -> RankingSet:
             k = rng.randrange(n - 1)
             order[k], order[k + 1] = order[k + 1], order[k]
         rankings.append(order)
+    return RankingSet.build(rankings)
+
+
+ALPHABET = [chr(ord("a") + i) for i in range(8)]
+
+
+@st.composite
+def ranking_sets(draw, min_rankings=1, max_rankings=4, universe=6, ties=True):
+    tokens = ALPHABET[:universe]
+    count = draw(st.integers(min_rankings, max_rankings))
+    rankings = []
+    for _ in range(count):
+        size = draw(st.integers(1, universe))
+        chosen = draw(st.permutations(tokens))[:size]
+        groups: list[list[str]] = []
+        index = 0
+        while index < len(chosen):
+            width = 1
+            if ties and index + 1 < len(chosen) and draw(st.booleans()):
+                width = draw(st.integers(2, min(3, len(chosen) - index)))
+            groups.append(list(chosen[index : index + width]))
+            index += width
+        rankings.append(groups)
     return RankingSet.build(rankings)

@@ -4,12 +4,13 @@
 masks: it fills an N x n position table and tests every pair of common
 items against every ranking. ``pairwise_edges`` lists the pairs that
 test finds, with their per-ranking mean gaps, and the reference survey
-sets its masks from them. ``product_series`` is the exact path of
-``measures.kappa_series`` as it was before packing: one product
-y <- L y per term. ``char_split_line`` is ``io._split_line`` as it was
-before it split on braces: a state machine over the characters. None
-of them is used outside the tests; ``to_dense`` only spells a matrix out
-for assertions.
+sets its masks from them. ``product_series`` is ``measures.kappa_series``
+as it was before the exact path packed its counts and the weighted path
+skipped the rows that can hold no chain: one full product y <- L y per
+term (``multiply_lower``), over the matrix's adjacency lists.
+``char_split_line`` is ``io._split_line`` as it was before it split on
+braces: a state machine over the characters. None of them is used
+outside the tests; ``to_dense`` only spells a matrix out for assertions.
 """
 from __future__ import annotations
 
@@ -78,13 +79,24 @@ def pairwise_survey(rset: RankingSet, reference_index: int | None = None) -> Sur
     )
 
 
+def multiply_lower(matrix: ConsensusMatrix, vector: list[int | float]) -> list[int | float]:
+    """L @ vector over the adjacency lists."""
+    result: list[int | float] = [0] * matrix.order
+    for i, row in enumerate(matrix.rows):
+        acc: int | float = 0
+        for j, w in row:
+            acc += w * vector[j]
+        result[i] = acc
+    return result
+
+
 def product_series(matrix: ConsensusMatrix, params: MeasureParams) -> KappaProfile:
     term = matrix.trace()
     series: list[tuple[int, int | float]] = []
     vector: list[int | float] = [1] * matrix.order
     while params.keeps(term) and len(series) < matrix.order:
         series.append((len(series) + 1, term))
-        vector = matrix.multiply_lower(vector)
+        vector = multiply_lower(matrix, vector)
         term = sum(vector)
     return KappaProfile(series=tuple(series), exact=params.exact)
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankconsensus import Dataset, cli, load_dataset, load_reference_sweep, measures
-from rankconsensus.graph import ConsensusMatrix, Deviation, MeasureParams, Survey, survey
+from rankconsensus.graph import Deviation, MeasureParams, Survey, survey
 from rankconsensus.measures import (
     _shorter_rows,
     kappa1_topk,
@@ -20,7 +20,7 @@ from rankconsensus.measures import (
     measure,
 )
 
-from conftest import EXAMPLE_LINES, make_set, near_consensus_set, random_set
+from conftest import EXAMPLE_LINES, make_set, near_consensus_set, random_set, ranking_sets
 from reference import pairwise_edges, pairwise_survey, product_series
 
 GRID = [x / 100 for x in range(100, 44, -5)]
@@ -176,6 +176,64 @@ class TestPackedSeries:
         assert json.loads(capsys.readouterr().out)["kappa_total"] == expected.total
 
 
+class TestLevelSeries:
+    """The weighted pass over the levels against the full products on the matrix.
+
+    The reference multiplies every row of the survey's matrix at every
+    term; the pass skips the rows and predecessors that can only hold
+    zeros, so every term must be equal, not merely close.
+    """
+
+    @given(
+        ranking_sets(),
+        st.sampled_from([(0.9, 1.0), (0.9, 0.9), (1.0, 0.45), (0.9, 0.1), (0.9, 1e-5)]),
+        st.sampled_from([1e-12, 0.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_sets_match_the_products(self, rset, weights, epsilon):
+        gamma, lam = weights
+        params = MeasureParams(gamma=gamma, lam=lam, epsilon=epsilon)
+        sv = survey(rset)
+        assert kappa_series(sv, params) == product_series(sv.matrix(params), params)
+
+    @pytest.mark.parametrize("n, count", [(40, 10), (128, 50)])
+    def test_near_consensus_sets_match_the_products(self, n, count):
+        sv = survey(near_consensus_set(random.Random(n), n, count))
+        points = kappa_sweep(sv, [0.9], GRID)
+        for point in points:
+            params = MeasureParams(gamma=0.9, lam=point.lam)
+            expected = product_series(sv.matrix(params), params)
+            assert kappa_series(sv, params) == expected
+            assert point.profile == expected
+
+    def test_sweep_points_match_the_products(self):
+        sv = survey(near_consensus_set(random.Random(5), 40, 10))
+        for point in kappa_sweep(sv, GRID, GRID):
+            params = MeasureParams(gamma=point.gamma, lam=point.lam)
+            assert point.profile == product_series(sv.matrix(params), params)
+
+    def test_weighted_path_builds_no_matrix(self, monkeypatch, tmp_path, capsys):
+        rset = near_consensus_set(random.Random(6), 40, 5)
+        sv = survey(rset)
+        params = MeasureParams(gamma=0.9, lam=0.8)
+        expected = product_series(sv.matrix(params), params)
+
+        def refuse(*args):
+            raise AssertionError("the weighted path built a matrix")
+
+        monkeypatch.setattr(Survey, "matrix", refuse)
+        assert kappa_series(sv, params) == expected
+        points = kappa_sweep(sv, GRID, GRID)
+        assert len(points) == len(GRID) ** 2
+        (point,) = [pt for pt in points if (pt.gamma, pt.lam) == (0.9, 0.8)]
+        assert point.profile == expected
+        doc = tmp_path / "set.txt"
+        token = rset.table.token_of
+        doc.write_text("".join(" ".join(map(token, r.items())) + "\n" for r in rset))
+        assert cli.main(["sweep", str(doc), "--format", "csv"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + len(GRID) ** 2
+
+
 class TestReferenceRoute:
     """kappa_total_closed, the benchmark's reference for totals, reads every edge."""
 
@@ -329,13 +387,13 @@ class TestSweep:
 
     def test_every_series_runs_through_kappa_series(self, monkeypatch):
         # One kappa_series call per lambda plus one for the exact corner,
-        # and no y <- L y product outside those calls.
+        # and no weighted term computed outside those calls.
         sv = survey(load_dataset(Dataset.CLUSTERING_CE).to_ranking_set())
         series_calls = 0
         open_calls = 0
-        products = []
+        terms = []
         real_series = measures.kappa_series
-        real_multiply = ConsensusMatrix.multiply_lower
+        real_terms = measures._level_terms
 
         def counting_series(sv, params):
             nonlocal series_calls, open_calls
@@ -346,16 +404,17 @@ class TestSweep:
             finally:
                 open_calls -= 1
 
-        def recording_multiply(self, vector):
-            products.append(open_calls)
-            return real_multiply(self, vector)
+        def recording_terms(sv, lam):
+            for term in real_terms(sv, lam):
+                terms.append(open_calls)
+                yield term
 
         monkeypatch.setattr(measures, "kappa_series", counting_series)
-        monkeypatch.setattr(ConsensusMatrix, "multiply_lower", recording_multiply)
+        monkeypatch.setattr(measures, "_level_terms", recording_terms)
         kappa_sweep(sv, GRID, GRID)
         assert series_calls == 13
-        assert products
-        assert all(depth == 1 for depth in products)
+        assert terms
+        assert all(depth == 1 for depth in terms)
 
     @pytest.mark.parametrize(
         "gammas,lams", [([0.9, 1.5], [0.9]), ([0.9], [0.5, 0.0]), ([0.9], [float("nan")])]

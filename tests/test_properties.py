@@ -25,30 +25,8 @@ from rankconsensus.io import (
     serialize_text,
 )
 
-from conftest import random_set
+from conftest import ALPHABET, random_set, ranking_sets
 from reference import char_split_line, to_dense
-
-ALPHABET = [chr(ord("a") + i) for i in range(8)]
-
-
-@st.composite
-def ranking_sets(draw, min_rankings=1, max_rankings=4, universe=6, ties=True):
-    tokens = ALPHABET[:universe]
-    count = draw(st.integers(min_rankings, max_rankings))
-    rankings = []
-    for _ in range(count):
-        size = draw(st.integers(1, universe))
-        chosen = draw(st.permutations(tokens))[:size]
-        groups: list[list[str]] = []
-        index = 0
-        while index < len(chosen):
-            width = 1
-            if ties and index + 1 < len(chosen) and draw(st.booleans()):
-                width = draw(st.integers(2, min(3, len(chosen) - index)))
-            groups.append(list(chosen[index : index + width]))
-            index += width
-        rankings.append(groups)
-    return RankingSet.build(rankings)
 
 
 @given(ranking_sets(ties=False))
@@ -229,6 +207,22 @@ def test_oracle_and_matrix_agree(rset):
     for sub in subs:
         by_length[len(sub.items)] = by_length.get(len(sub.items), 0) + 1
     assert dict(exact.series) == by_length
+
+
+@given(ranking_sets(max_rankings=3, universe=6))
+@settings(max_examples=80, deadline=None)
+def test_levels_are_the_longest_chain_ending_at_each_item(rset):
+    sv = survey(rset)
+    levels = sv.levels
+    assert len(levels) == len(sv.items)
+    for i, mask in enumerate(sv.masks):
+        if not sv.common[i]:
+            assert levels[i] == 0
+            continue
+        below = [levels[j] for j in range(i) if mask >> j & 1]
+        assert levels[i] == 1 + max(below, default=0)
+    longest = max((len(sub.items) for sub in enumerate_common(rset)), default=0)
+    assert max(levels, default=0) == measure(rset, MeasureParams()).ell == longest
 
 
 @given(ranking_sets(max_rankings=3, universe=5))
