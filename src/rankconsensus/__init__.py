@@ -6,10 +6,11 @@ count is organized by sequence length: kappa_p covers the sequences of
 length p, ell is the longest shared length, and kappa is the grand
 total. One walk over the rankings finds, for each item common to all of
 them, the common items that every ranking puts strictly before it, as a
-bit mask. The exact counts come from these masks in integer arithmetic;
-the weighted measures use a lower triangular matrix built from them. An
-independent enumeration oracle is included for cross-checking on small
-inputs.
+bit mask. The exact counts come from these masks in integer arithmetic.
+The weighted series reads the masks and each item's longest common
+chain (``Survey.levels``) in floats; only ``kappa_total_closed`` reads a
+lower triangular matrix built from them. An independent enumeration
+oracle is included for cross-checking on small inputs.
 """
 from .baselines import (
     Aggregate,

@@ -54,7 +54,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import compress
+from itertools import compress, repeat
 
 from .model import RankingSet
 
@@ -284,24 +284,25 @@ def survey(rset: RankingSet, reference_index: int | None = None) -> Survey:
     items = tuple(rset.rankings[reference_index].items())
     n = len(items)
     N = len(rset)
-    index = {item: i for i, item in enumerate(items)}
+    index_of = {item: i for i, item in enumerate(items)}.get
+    bit = [1 << i for i in range(n)]
     # columns[i] lists item i's group index in each ranking that holds it,
     # in set order; bit j of masks[i] stands for the pair (i, j).
     columns: list[list[int]] = [[] for _ in range(n)]
-    masks = [(1 << i) - 1 for i in range(n)]
+    masks = [b - 1 for b in bit]
     for ranking in rset:
         earlier = 0
         for position, group in enumerate(ranking.groups, start=1):
             bits = 0
             for item in group:
-                i = index.get(item)
+                i = index_of(item)
                 if i is not None:
                     masks[i] &= earlier
                     columns[i].append(position)
-                    bits |= 1 << i
+                    bits |= bit[i]
             earlier |= bits
     common = tuple(len(column) == N for column in columns)
-    sums = [sum(column) for column in columns]
+    sums = list(map(sum, columns))
     mu = [0.0] * n
     mad = [0.0] * n
     var = [0.0] * n
@@ -311,8 +312,11 @@ def survey(rset: RankingSet, reference_index: int | None = None) -> Survey:
             continue
         mean = sums[i] / N
         mu[i] = mean
-        mad[i] = sum(abs(x - mean) for x in column) / N
-        var[i] = sum((x - mean) ** 2 for x in column) / N
+        # x - mean for each x, then the same sums in the same order as a
+        # generator over the column would make.
+        deviations = list(map(mean.__rsub__, column))
+        mad[i] = sum(map(abs, deviations)) / N
+        var[i] = sum(map(pow, deviations, repeat(2))) / N
     return Survey(
         items=items,
         reference_index=reference_index,

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
 from enum import Enum
 from importlib import resources
+from itertools import chain
+from typing import NoReturn
 
 from .graph import MeasureParams
 from .measures import KappaProfile, SweepPoint
@@ -94,7 +96,7 @@ def _split_line(line: str, lineno: int) -> list[tuple[str, ...]]:
             groups.append(members)
         if "}" in piece:
             raise ParseError(f"unbalanced braces at line {lineno}")
-        groups.extend((token,) for token in piece.split())
+        groups.extend(zip(piece.split()))
         if k < last and piece and not piece[-1].isspace():
             raise ParseError(f"brace must start a token at line {lineno}")
     return groups
@@ -122,14 +124,21 @@ def parse_text(content: str) -> RankingDocument:
             labels_seen.add(label)
         if not groups:
             raise ParseError(f"empty ranking at line {lineno}")
-        seen_tokens: set[str] = set()
-        for group in groups:
-            for token in group:
-                if token in seen_tokens:
-                    raise ParseError(f"duplicate item {token} at line {lineno}")
-                seen_tokens.add(token)
+        tokens = list(chain.from_iterable(groups))
+        if len(set(tokens)) != len(tokens):
+            _name_duplicate(tokens, lineno)
         rankings.append(RawRanking(label=label, groups=tuple(groups)))
     return RankingDocument(rankings=tuple(rankings))
+
+
+def _name_duplicate(tokens: list[str], lineno: int) -> NoReturn:
+    """Raise for the first token of the line that repeats an earlier one."""
+    seen_tokens: set[str] = set()
+    for token in tokens:
+        if token in seen_tokens:
+            raise ParseError(f"duplicate item {token} at line {lineno}")
+        seen_tokens.add(token)
+    raise AssertionError("a line with a repeated token has none")
 
 
 def _json_fail(path: str, message: str) -> ParseError:

@@ -3,15 +3,24 @@
 Rankings are purely ordinal. Each ranking is a sequence of tie groups; a
 group holds one or more item ids that share the same preference level.
 Positions are 1-based group indices, so an item in the third group of a
-ranking has position 3 whether or not earlier groups are tied.
+ranking has position 3 whether or not earlier groups are tied. A ranking
+builds its position table and its length on first read. The survey
+reads no position table; the oracle and the baselines do, and
+``RankingSet.reference_index`` reads the length.
+
+Each check is a whole-ranking test made of C-level operations: a set
+over all tokens or ids, ``all`` over the groups, ``valid_token`` over the
+tokens the table has not seen. Only when one fails does a per-token loop
+run, and it only names the fault: the first one in ranking order, with
+the item table left as a token-by-token intern would leave it.
 """
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
-
-RESERVED_CHARS = "{}"
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, count, filterfalse, islice, repeat
+from typing import Iterable, Iterator, NoReturn
 
 
 class ValidationError(ValueError):
@@ -21,13 +30,17 @@ class ValidationError(ValueError):
 def valid_token(token: object) -> bool:
     """True for an item token: a non-empty string without braces or whitespace.
 
-    Whitespace is what ``str.isspace`` accepts, Unicode spaces included.
-    ``ItemTable.intern`` and ``io.parse_json`` both apply this rule.
+    Whitespace is what ``str.isspace`` accepts, Unicode spaces included:
+    ``str.split()`` splits at exactly those code points, so a token
+    splits into itself alone when it is non-empty and holds none.
+    ``ItemTable.intern``, ``build_ranking`` and ``io.parse_json`` all
+    apply this rule.
     """
     return (
         isinstance(token, str)
-        and bool(token)
-        and not any(c.isspace() or c in RESERVED_CHARS for c in token)
+        and token.split() == [token]
+        and "{" not in token
+        and "}" not in token
     )
 
 
@@ -83,36 +96,41 @@ class Ranking:
     structural: two rankings are equal when they place the same items in the
     same groups in the same order. A ranking has at least one group, each
     group at least one item, and no item appears twice.
+
+    Construction checks the whole ranking at once, with ``all`` over the
+    groups and one set over their items, and sorts only the tied groups;
+    the group-by-group loop runs only to name a fault. The position table
+    and the length are built on first read and kept. They are not fields,
+    so equality and hashing see the groups alone.
     """
 
     groups: tuple[tuple[int, ...], ...]
-    _positions: dict[int, int] = field(
-        init=False, repr=False, compare=False, hash=False, default=None  # type: ignore[assignment]
-    )
 
     def __post_init__(self) -> None:
-        if not self.groups:
-            raise ValidationError("empty ranking")
-        positions: dict[int, int] = {}
-        canonical = []
-        for index, group in enumerate(self.groups, start=1):
-            if not group:
-                raise ValidationError("empty tie group")
-            for item in group:
-                if item in positions:
-                    raise ValidationError(f"duplicate item id {item}")
-                positions[item] = index
-            canonical.append(tuple(sorted(group)))
-        object.__setattr__(self, "groups", tuple(canonical))
-        object.__setattr__(self, "_positions", positions)
+        try:
+            groups = tuple(map(tuple, self.groups))
+            members = set(chain.from_iterable(groups))
+        except TypeError:
+            _name_shape_fault(self.groups)
+        if not (groups and all(groups) and len(members) == sum(map(len, groups))):
+            _name_shape_fault(groups)
+        # Every group is non-empty and no item repeats, so there are more
+        # items than groups exactly when some group is tied.
+        if len(members) > len(groups):
+            groups = tuple(g if len(g) == 1 else tuple(sorted(g)) for g in groups)
+        object.__setattr__(self, "groups", groups)
 
-    @property
+    @cached_property
+    def _positions(self) -> dict[int, int]:
+        return {item: index for index, group in enumerate(self.groups, start=1) for item in group}
+
+    @cached_property
     def length(self) -> int:
-        return len(self._positions)
+        return sum(map(len, self.groups))
 
     @property
     def is_untied(self) -> bool:
-        return all(len(g) == 1 for g in self.groups)
+        return self.length == len(self.groups)
 
     def position_of(self, item: int) -> int:
         """1-based tie-group index of the item, or 0 when absent."""
@@ -120,14 +138,31 @@ class Ranking:
 
     def items(self) -> Iterator[int]:
         """Items in group order; members of one group come out in id order."""
-        for group in self.groups:
-            yield from group
+        return chain.from_iterable(self.groups)
 
     def item_set(self) -> frozenset[int]:
-        return frozenset(self._positions)
+        return frozenset(self.items())
 
     def __contains__(self, item: int) -> bool:
         return item in self._positions
+
+
+def _name_shape_fault(groups: tuple[tuple[int, ...], ...]) -> NoReturn:
+    """Raise the fault a group-by-group check of the groups meets first."""
+    if not groups:
+        raise ValidationError("empty ranking")
+    seen = set()
+    for group in groups:
+        if not group:
+            raise ValidationError("empty tie group")
+        for item in group:
+            if item in seen:
+                raise ValidationError(f"duplicate item id {item}")
+            seen.add(item)
+        # Unorderable ids in a tied group fail here, where sorting that
+        # group would, before any fault in a later group.
+        sorted(group)
+    raise AssertionError("a whole-ranking check failed on a ranking without a fault")
 
 
 def build_ranking(table: ItemTable, groups: Iterable[str | Iterable[str]]) -> Ranking:
@@ -136,19 +171,46 @@ def build_ranking(table: ItemTable, groups: Iterable[str | Iterable[str]]) -> Ra
     Each element of ``groups`` is either a single token (a singleton group)
     or an iterable of tokens forming one tie group. A repeated token is
     refused here, by name; ``Ranking`` refuses the other shape faults.
+
+    The checks are whole-ranking tests: every token a str, no token
+    twice, and ``valid_token`` on the tokens the table has not seen.
+    Those are then interned in order of first appearance, and the rest
+    are looked up. When a check fails, the tokens are interned one by
+    one until the first fault raises, so the error and the table left
+    behind are those of a token-by-token build.
     """
-    id_groups: list[tuple[int, ...]] = []
+    groups = list(groups)
+    try:
+        token_groups = [(group,) if isinstance(group, str) else tuple(group) for group in groups]
+    except TypeError:
+        _name_token_fault(table, groups)
+    tokens = list(chain.from_iterable(token_groups))
+    if not (all(map(isinstance, tokens, repeat(str))) and len(set(tokens)) == len(tokens)):
+        _name_token_fault(table, token_groups)
+    ids = table._ids
+    fresh = list(filterfalse(ids.__contains__, tokens))
+    if not all(map(valid_token, fresh)):
+        _name_token_fault(table, token_groups)
+    ids.update(zip(fresh, count(len(table._tokens))))
+    table._tokens += fresh
+    flat = map(ids.__getitem__, tokens)
+    if len(tokens) == len(token_groups) and all(token_groups):
+        return Ranking(tuple(zip(flat)))
+    # Some group is tied or empty: one shared iterator over the ids, cut to
+    # the token groups' sizes.
+    return Ranking(tuple(map(tuple, map(islice, repeat(flat), map(len, token_groups)))))
+
+
+def _name_token_fault(table: ItemTable, groups: list[str | Iterable[str]]) -> NoReturn:
+    """Intern token by token until the first fault raises."""
     seen: set[int] = set()
     for group in groups:
-        ids = []
         for token in [group] if isinstance(group, str) else group:
             item = table.intern(token)
             if item in seen:
                 raise ValidationError(f"duplicate item {token}")
             seen.add(item)
-            ids.append(item)
-        id_groups.append(tuple(ids))
-    return Ranking(tuple(id_groups))
+    raise AssertionError("a whole-ranking check failed on a ranking without a fault")
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,15 +9,23 @@ as it was before the exact path packed its counts and the weighted path
 skipped the rows that can hold no chain: one full product y <- L y per
 term (``multiply_lower``), over the matrix's adjacency lists.
 ``char_split_line`` is ``io._split_line`` as it was before it split on
-braces: a state machine over the characters. None of them is used
-outside the tests; ``to_dense`` only spells a matrix out for assertions.
+braces: a state machine over the characters. ``EagerRanking`` is
+``model.Ranking`` as it was before its checks took the whole ranking at
+once: one loop over the groups that checks, sorts each group and fills
+the position table up front. ``token_build_ranking`` is
+``model.build_ranking`` as it was then: it interns token by token and
+builds an ``EagerRanking``. None of them is used outside the tests;
+``to_dense`` only spells a matrix out for assertions.
 """
 from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 from rankconsensus.graph import ConsensusMatrix, MeasureParams, Survey
 from rankconsensus.io import ParseError
 from rankconsensus.measures import KappaProfile
-from rankconsensus.model import RankingSet
+from rankconsensus.model import ItemTable, RankingSet, ValidationError
 
 
 def _position_columns(
@@ -143,3 +151,63 @@ def to_dense(matrix: ConsensusMatrix) -> list[list[int | float]]:
         for j, w in row:
             entries[i][j] = w
     return entries
+
+
+@dataclass(frozen=True)
+class EagerRanking:
+    groups: tuple[tuple[int, ...], ...]
+    _positions: dict[int, int] = field(
+        init=False, repr=False, compare=False, hash=False, default=None  # type: ignore[assignment]
+    )
+
+    def __post_init__(self) -> None:
+        if not self.groups:
+            raise ValidationError("empty ranking")
+        positions: dict[int, int] = {}
+        canonical = []
+        for index, group in enumerate(self.groups, start=1):
+            if not group:
+                raise ValidationError("empty tie group")
+            for item in group:
+                if item in positions:
+                    raise ValidationError(f"duplicate item id {item}")
+                positions[item] = index
+            canonical.append(tuple(sorted(group)))
+        object.__setattr__(self, "groups", tuple(canonical))
+        object.__setattr__(self, "_positions", positions)
+
+    @property
+    def length(self) -> int:
+        return len(self._positions)
+
+    @property
+    def is_untied(self) -> bool:
+        return all(len(g) == 1 for g in self.groups)
+
+    def position_of(self, item: int) -> int:
+        return self._positions.get(item, 0)
+
+    def items(self) -> Iterator[int]:
+        for group in self.groups:
+            yield from group
+
+    def item_set(self) -> frozenset[int]:
+        return frozenset(self._positions)
+
+    def __contains__(self, item: int) -> bool:
+        return item in self._positions
+
+
+def token_build_ranking(table: ItemTable, groups: Iterable[str | Iterable[str]]) -> EagerRanking:
+    id_groups: list[tuple[int, ...]] = []
+    seen: set[int] = set()
+    for group in groups:
+        ids = []
+        for token in [group] if isinstance(group, str) else group:
+            item = table.intern(token)
+            if item in seen:
+                raise ValidationError(f"duplicate item {token}")
+            seen.add(item)
+            ids.append(item)
+        id_groups.append(tuple(ids))
+    return EagerRanking(tuple(id_groups))

@@ -72,6 +72,7 @@ class TestParseText:
             ("a {b {c} }", "nested braces at line 1"),
             ("ok\na{b c}", "brace must start a token at line 2"),
             ("a\x1cb\nc c", "duplicate item c at line 2"),
+            ("a b {c b} a", "duplicate item b at line 1"),
         ],
     )
     def test_errors(self, content, message):
