@@ -54,11 +54,9 @@ from .measures import (
     measure,
 )
 from .model import (
-    ItemTable,
     Ranking,
     RankingSet,
     ValidationError,
-    build_ranking,
 )
 from .oracle import (
     SIZE_GUARD,
@@ -78,7 +76,6 @@ __all__ = [
     "ConsensusMatrix",
     "Dataset",
     "Deviation",
-    "ItemTable",
     "KappaProfile",
     "MeasureParams",
     "ParseError",
@@ -92,7 +89,6 @@ __all__ = [
     "SweepPoint",
     "UnsupportedRankingError",
     "ValidationError",
-    "build_ranking",
     "enumerate_common",
     "format_subsequences",
     "kappa1_topk",

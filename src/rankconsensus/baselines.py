@@ -35,7 +35,7 @@ class Aggregate(str, Enum):
     MIN = "min"
 
 
-def _check_pair(r1: Ranking, r2: Ranking) -> list[int]:
+def _check_pair(r1: Ranking, r2: Ranking) -> list[str]:
     if not r1.is_untied or not r2.is_untied:
         raise UnsupportedRankingError("tied rankings are not supported")
     if r1.item_set() != r2.item_set():
@@ -45,7 +45,7 @@ def _check_pair(r1: Ranking, r2: Ranking) -> list[int]:
     return list(r1.items())
 
 
-def _pair_counts(r1: Ranking, r2: Ranking, items: list[int]) -> tuple[int, int]:
+def _pair_counts(r1: Ranking, r2: Ranking, items: list[str]) -> tuple[int, int]:
     """(concordant, discordant) over all unordered item pairs."""
     concordant = discordant = 0
     n = len(items)

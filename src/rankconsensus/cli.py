@@ -170,10 +170,6 @@ def _render(result: measures.KappaProfile | list[measures.SweepPoint], fmt: str,
 
 
 def cmd_measure(args: argparse.Namespace) -> int:
-    if (args.zeta is None) != (args.beta is None):
-        raise CommandError(
-            EXIT_PARAMS, "top-k weighting requires both --topk-zeta and --topk-beta"
-        )
     params = _params_from(args)
     _, rset = _load(args.input)
     sv = measures.survey(rset)
@@ -411,7 +407,7 @@ _COMMANDS = {
         ("input", "--index", "--mode", *_OUTPUT),
     ),
     "oracle-check": (
-        cmd_oracle_check, "compare matrix path against enumeration", ("input", *_PARAMS)
+        cmd_oracle_check, "compare the series against enumeration", ("input", *_PARAMS)
     ),
     "experiment": (
         cmd_experiment, "reproduce the bundled reference sweeps", ("name", "--output")

@@ -79,7 +79,8 @@ class MeasureParams:
 
     gamma and lambda (``lam``) are the per-item and per-pair weight bases,
     epsilon the series termination threshold, zeta and beta the cutoff and
-    weight base for the top-k variant.
+    weight base for the top-k variant, which is on when both are given
+    and off when neither is.
     """
 
     gamma: float = 1.0
@@ -103,6 +104,8 @@ class MeasureParams:
             raise ValueError("zeta must be positive")
         if self.beta is not None and not 0.0 < self.beta < 1.0:
             raise ValueError("beta must be in (0,1)")
+        if (self.zeta is None) != (self.beta is None):
+            raise ValueError("top-k weighting requires both zeta and beta")
 
     @property
     def exact(self) -> bool:
@@ -145,7 +148,7 @@ class Survey:
     also on first read and kept.
     """
 
-    items: tuple[int, ...]
+    items: tuple[str, ...]
     reference_index: int
     common: tuple[bool, ...]
     mu: tuple[float, ...]

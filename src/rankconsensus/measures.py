@@ -239,7 +239,7 @@ def kappa1_topk(sv: Survey, params: MeasureParams) -> float:
     Each common item of ``sv = survey(rset)`` adds beta**mu * gamma**d,
     but only while mu + d stays strictly below the cutoff zeta.
     """
-    if params.zeta is None or params.beta is None:
+    if params.zeta is None:
         raise ValueError("top-k weighting requires both zeta and beta")
     total = 0.0
     for i, mu in enumerate(sv.mu):

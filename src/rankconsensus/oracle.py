@@ -1,17 +1,17 @@
 """Brute-force enumeration of common subsequences, as ground truth.
 
 This module deliberately recomputes everything from raw positions and
-never touches the matrix code, so it can stand as an independent check
-of the algebraic path. It first tables, for each item shared by all
-rankings, the later items that every ranking puts strictly after it,
-with the pair's weight. One depth-first pass then extends each chain
+never touches the survey or the series, so it can stand as an
+independent check of ``kappa_series``. It first tables, for each item
+shared by all rankings, the later items that every ranking puts
+strictly after it, with the pair's weight. One depth-first pass then extends each chain
 once along that table; a chain's weight is its prefix's weight times the
 new pair's. Consecutive pairs suffice: positions within one ranking are
 transitive, so a chain whose consecutive pairs are all strictly ordered
 is strictly ordered as a whole.
 
 Cost grows with 2**(shortest ranking length); the guard refuses inputs
-past SIZE_GUARD items and points callers at the matrix path instead.
+past SIZE_GUARD items and points callers at ``kappa_series`` instead.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ class SizeLimitError(ValueError):
 
 @dataclass(frozen=True)
 class CommonSubsequence:
-    items: tuple[int, ...]
+    items: tuple[str, ...]
     weight: int | float
 
 
@@ -131,10 +131,10 @@ def oracle_profile(rset: RankingSet, params: MeasureParams | None = None) -> Kap
     return KappaProfile(series=series, exact=params.exact)
 
 
-def format_subsequences(rset: RankingSet, subsequences: list[CommonSubsequence]) -> str:
+def format_subsequences(subsequences: list[CommonSubsequence]) -> str:
     """One subsequence per line: tokens space-separated, weight appended."""
     lines = []
     for sub in subsequences:
-        tokens = " ".join(rset.table.token_of(item) for item in sub.items)
+        tokens = " ".join(sub.items)
         lines.append(f"{tokens} {sub.weight!r}")
     return "\n".join(lines) + ("\n" if lines else "")

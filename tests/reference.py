@@ -10,22 +10,21 @@ skipped the rows that can hold no chain: one full product y <- L y per
 term (``multiply_lower``), over the matrix's adjacency lists.
 ``char_split_line`` is ``io._split_line`` as it was before it split on
 braces: a state machine over the characters. ``EagerRanking`` is
-``model.Ranking`` as it was before its checks took the whole ranking at
-once: one loop over the groups that checks, sorts each group and fills
-the position table up front. ``token_build_ranking`` is
-``model.build_ranking`` as it was then: it interns token by token and
-builds an ``EagerRanking``. None of them is used outside the tests;
-``to_dense`` only spells a matrix out for assertions.
+``model.Ranking`` checked token by token: one loop over the groups that
+checks each token, sorts each group and fills the position table up
+front, so the first fault in ranking order is the one it raises. None
+of them is used outside the tests; ``to_dense`` only spells a matrix
+out for assertions.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from rankconsensus.graph import ConsensusMatrix, MeasureParams, Survey
 from rankconsensus.io import ParseError
 from rankconsensus.measures import KappaProfile
-from rankconsensus.model import ItemTable, RankingSet, ValidationError
+from rankconsensus.model import RankingSet, ValidationError, valid_token
 
 
 def _position_columns(
@@ -155,24 +154,32 @@ def to_dense(matrix: ConsensusMatrix) -> list[list[int | float]]:
 
 @dataclass(frozen=True)
 class EagerRanking:
-    groups: tuple[tuple[int, ...], ...]
-    _positions: dict[int, int] = field(
+    groups: tuple[tuple[str, ...], ...]
+    _positions: dict[str, int] = field(
         init=False, repr=False, compare=False, hash=False, default=None  # type: ignore[assignment]
     )
 
     def __post_init__(self) -> None:
-        if not self.groups:
+        groups = list(self.groups)
+        if not groups:
             raise ValidationError("empty ranking")
-        positions: dict[int, int] = {}
+        positions: dict[str, int] = {}
         canonical = []
-        for index, group in enumerate(self.groups, start=1):
-            if not group:
+        for index, group in enumerate(groups, start=1):
+            members = []
+            for token in [group] if isinstance(group, str) else group:
+                if not valid_token(token):
+                    raise ValidationError(
+                        f"invalid item token {token!r}: tokens are non-empty strings"
+                        " without whitespace or braces"
+                    )
+                if token in positions:
+                    raise ValidationError(f"duplicate item {token}")
+                positions[token] = index
+                members.append(token)
+            if not members:
                 raise ValidationError("empty tie group")
-            for item in group:
-                if item in positions:
-                    raise ValidationError(f"duplicate item id {item}")
-                positions[item] = index
-            canonical.append(tuple(sorted(group)))
+            canonical.append(tuple(sorted(members)))
         object.__setattr__(self, "groups", tuple(canonical))
         object.__setattr__(self, "_positions", positions)
 
@@ -184,30 +191,15 @@ class EagerRanking:
     def is_untied(self) -> bool:
         return all(len(g) == 1 for g in self.groups)
 
-    def position_of(self, item: int) -> int:
+    def position_of(self, item: str) -> int:
         return self._positions.get(item, 0)
 
-    def items(self) -> Iterator[int]:
+    def items(self) -> Iterator[str]:
         for group in self.groups:
             yield from group
 
-    def item_set(self) -> frozenset[int]:
+    def item_set(self) -> frozenset[str]:
         return frozenset(self._positions)
 
-    def __contains__(self, item: int) -> bool:
+    def __contains__(self, item: str) -> bool:
         return item in self._positions
-
-
-def token_build_ranking(table: ItemTable, groups: Iterable[str | Iterable[str]]) -> EagerRanking:
-    id_groups: list[tuple[int, ...]] = []
-    seen: set[int] = set()
-    for group in groups:
-        ids = []
-        for token in [group] if isinstance(group, str) else group:
-            item = table.intern(token)
-            if item in seen:
-                raise ValidationError(f"duplicate item {token}")
-            seen.add(item)
-            ids.append(item)
-        id_groups.append(tuple(ids))
-    return EagerRanking(tuple(id_groups))

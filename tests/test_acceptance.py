@@ -31,7 +31,7 @@ from rankconsensus.measures import (
     kappa_total_closed,
     measure,
 )
-from rankconsensus.model import ItemTable, RankingSet, build_ranking
+from rankconsensus.model import Ranking, RankingSet
 from rankconsensus.oracle import enumerate_common, oracle_profile
 
 from conftest import EXAMPLE_LINES, make_set, random_set
@@ -68,14 +68,11 @@ def test_criterion_1_worked_example():
         assert profile.total == 17
         assert all(isinstance(v, int) for _, v in profile.series)
 
-        def tokens(sub):
-            return "".join(rset.table.token_of(i) for i in sub.items)
-
         subs = enumerate_common(rset)
-        assert [tokens(s) for s in subs if len(s.items) == 3] == [
+        assert ["".join(s.items) for s in subs if len(s.items) == 3] == [
             "bde", "bdf", "bef", "def",
         ]
-        assert [tokens(s) for s in subs if len(s.items) == 4] == ["bdef"]
+        assert ["".join(s.items) for s in subs if len(s.items) == 4] == ["bdef"]
 
         pattern = [
             [0, 0, 0, 0, 0, 0],
@@ -239,7 +236,7 @@ def test_criterion_6_structural_invariants():
 
         for rset in sets:
             lines = [
-                [[rset.table.token_of(i) for i in group] for group in ranking.groups]
+                [list(group) for group in ranking.groups]
                 for ranking in rset
             ]
             grown = RankingSet.build(lines + [lines[0]])
@@ -295,10 +292,9 @@ def test_criterion_7_pairwise_indices_against_pair_counts():
             rng.shuffle(first)
             rng.shuffle(second)
 
-            table = ItemTable()
-            r1 = build_ranking(table, first)
-            r1_rev = build_ranking(table, list(reversed(first)))
-            r2 = build_ranking(table, second)
+            r1 = Ranking(first)
+            r1_rev = Ranking(reversed(first))
+            r2 = Ranking(second)
 
             def count_pairs(lines):
                 rset = RankingSet.build(lines)

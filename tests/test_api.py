@@ -1,5 +1,7 @@
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,13 +10,31 @@ import pytest
 
 import rankconsensus
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 
 
 def test_every_exported_name_resolves():
     missing = [name for name in rankconsensus.__all__ if not hasattr(rankconsensus, name)]
     assert missing == []
     assert len(set(rankconsensus.__all__)) == len(rankconsensus.__all__)
+
+
+def test_readme_library_example_gives_its_comments():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace: dict[str, object] = {}
+    shown = []
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        if comment:
+            shown.append((code.strip(), ast.literal_eval(comment.strip())))
+        else:
+            exec(code, namespace)
+    assert [name for name, _ in shown] == ["profile.series", "profile.ell", "profile.total"]
+    for expression, expected in shown:
+        assert eval(expression, namespace) == expected
 
 
 @pytest.mark.skipif(not (BENCH / "tracing.py").is_file(), reason="bench/ is absent")

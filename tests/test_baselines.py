@@ -15,17 +15,13 @@ from rankconsensus.baselines import (
     spearman_footrule,
     spearman_rho,
 )
-from rankconsensus.model import ItemTable, build_ranking
+from rankconsensus.model import Ranking
 
 from conftest import make_set
 
 
 def pair(first: str, second: str):
-    table = ItemTable()
-    return (
-        build_ranking(table, list(first)),
-        build_ranking(table, list(second)),
-    )
+    return Ranking(first), Ranking(second)
 
 
 class TestKendall:
@@ -72,8 +68,7 @@ class TestIdentities:
             second = tokens[:]
             rng.shuffle(first)
             rng.shuffle(second)
-            table = ItemTable()
-            yield build_ranking(table, first), build_ranking(table, second)
+            yield Ranking(first), Ranking(second)
 
     def test_symmetry(self):
         for r1, r2 in self.shuffled_pairs():
@@ -89,10 +84,9 @@ class TestIdentities:
             second = tokens[:]
             rng.shuffle(first)
             rng.shuffle(second)
-            table = ItemTable()
-            r1 = build_ranking(table, first)
-            r1_rev = build_ranking(table, list(reversed(first)))
-            r2 = build_ranking(table, second)
+            r1 = Ranking(first)
+            r1_rev = Ranking(reversed(first))
+            r2 = Ranking(second)
             assert kendall_tau(r1_rev, r2) == pytest.approx(-kendall_tau(r1, r2))
 
     def test_tau_distance_relation(self):

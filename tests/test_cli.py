@@ -75,6 +75,11 @@ class TestMeasure:
         assert code == 3
         assert "topk" in err or "top-k" in err
 
+    @pytest.mark.parametrize("option", [("--topk-zeta", "5"), ("--topk-beta", "0.5")])
+    def test_half_specified_topk_names_the_rule(self, capsys, option):
+        code, out, err = run(capsys, "measure", "clustering", *option)
+        assert (code, out, err) == (3, "", "error: top-k weighting requires both zeta and beta\n")
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "measure", "/no/such/file.txt")
         assert code == 2

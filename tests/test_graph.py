@@ -35,6 +35,11 @@ class TestMeasureParams:
             (dict(zeta=0.0), "zeta must be positive"),
             (dict(beta=1.0), "beta must be in (0,1)"),
             (dict(beta=0.0), "beta must be in (0,1)"),
+            (dict(zeta=5.0), "top-k weighting requires both zeta and beta"),
+            (dict(beta=0.5), "top-k weighting requires both zeta and beta"),
+            # The range checks come first.
+            (dict(zeta=-1.0), "zeta must be positive"),
+            (dict(beta=2.0), "beta must be in (0,1)"),
         ],
     )
     def test_validation(self, kwargs, message):
@@ -98,7 +103,7 @@ class TestSurveyStatistics:
     def test_position_spread_of_item_f(self):
         rset = make_set(*EXAMPLE_LINES)
         sv = survey(rset)
-        f = rset.table.id_of("f")
+        f = "f"
         index = sv.items.index(f)
         assert [ranking.position_of(f) for ranking in rset] == [6, 5, 10, 5]
         assert sv.mu[index] == 6.5
@@ -132,13 +137,13 @@ class TestSurveyStatistics:
     def test_position_stats_covers_common_items_only(self):
         rset = make_set(*EXAMPLE_LINES)
         sv = survey(rset)
-        tokens = sorted(rset.table.token_of(item) for item, c in zip(sv.items, sv.common) if c)
+        tokens = sorted(item for item, c in zip(sv.items, sv.common) if c)
         assert tokens == ["b", "c", "d", "e", "f"]
 
     def test_gap_means(self):
         rset = make_set(*EXAMPLE_LINES)
         sv = survey(rset)
-        b, c, f = (sv.items.index(rset.table.id_of(t)) for t in "bcf")
+        b, c, f = (sv.items.index(t) for t in "bcf")
         gaps = {(i, j): gap for i, j, gap in sv.edges}
         assert gaps[(c, b)] == pytest.approx(2.25)
         assert gaps[(f, b)] == pytest.approx(5.25)
@@ -148,9 +153,9 @@ class TestSurveyStatistics:
         params = MeasureParams(lam=0.5)
         sv = survey(rset)
         matrix = sv.matrix(params)
-        b = sv.items.index(rset.table.id_of("b"))
-        c = sv.items.index(rset.table.id_of("c"))
-        f = sv.items.index(rset.table.id_of("f"))
+        b = sv.items.index("b")
+        c = sv.items.index("c")
+        f = sv.items.index("f")
         gaps = {(i, j): gap for i, j, gap in sv.edges}
         assert gaps[(c, b)] == 2.25
         assert gaps[(f, b)] == 5.25
@@ -161,7 +166,7 @@ class TestSurveyStatistics:
         rset = make_set(*EXAMPLE_LINES)
         sv = survey(rset)
         matrix = sv.matrix(MeasureParams(gamma=0.8, deviation=Deviation.MAD))
-        f = sv.items.index(rset.table.id_of("f"))
+        f = sv.items.index("f")
         assert to_dense(matrix)[f][f] == pytest.approx(0.8**1.75)
 
 
@@ -170,7 +175,7 @@ class TestTies:
         rset = make_set("a {b c} d", "a b c d")
         sv = survey(rset)
         tied, untied = rset
-        b, c = (rset.table.id_of(t) for t in "bc")
+        b, c = "bc"
         assert tied.position_of(b) == tied.position_of(c) == 2
         assert untied.position_of(c) == 3
         # The survey reads the same positions: b sits at 2 and 2, c at 2 and 3.
@@ -183,8 +188,8 @@ class TestTies:
         rset = make_set("a {b c} d", "a b c d")
         sv = survey(rset)
         matrix = sv.matrix(MeasureParams())
-        b = sv.items.index(rset.table.id_of("b"))
-        c = sv.items.index(rset.table.id_of("c"))
+        b = sv.items.index("b")
+        c = sv.items.index("c")
         lower = {j for j, _ in matrix.rows[c]}
         assert b not in lower
         assert to_dense(matrix)[b][b] == 1

@@ -170,8 +170,7 @@ class TestPackedSeries:
         (corner,) = kappa_sweep(sv, [1.0], [1.0])
         assert corner.profile == expected
         doc = tmp_path / "set.txt"
-        token = rset.table.token_of
-        doc.write_text("".join(" ".join(map(token, r.items())) + "\n" for r in rset))
+        doc.write_text("".join(" ".join(r.items()) + "\n" for r in rset))
         assert cli.main(["measure", str(doc), "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["kappa_total"] == expected.total
 
@@ -228,8 +227,7 @@ class TestLevelSeries:
         (point,) = [pt for pt in points if (pt.gamma, pt.lam) == (0.9, 0.8)]
         assert point.profile == expected
         doc = tmp_path / "set.txt"
-        token = rset.table.token_of
-        doc.write_text("".join(" ".join(map(token, r.items())) + "\n" for r in rset))
+        doc.write_text("".join(" ".join(r.items()) + "\n" for r in rset))
         assert cli.main(["sweep", str(doc), "--format", "csv"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + len(GRID) ** 2
 
@@ -335,6 +333,10 @@ class TestTopK:
     def test_requires_both_parameters(self, example_set):
         with pytest.raises(ValueError, match="requires both zeta and beta"):
             kappa1_topk(survey(example_set), MeasureParams(zeta=5.0))
+
+    def test_refuses_params_with_topk_off(self, example_set):
+        with pytest.raises(ValueError, match="requires both zeta and beta"):
+            kappa1_topk(survey(example_set), MeasureParams(gamma=0.9))
 
     def test_deviation_shifts_the_cutoff(self):
         # f sits at positions 6, 5, 10, 5: mu 6.5, spread 1.75. A window

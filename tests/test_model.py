@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import sys
 
 import pytest
@@ -11,116 +12,79 @@ from hypothesis import strategies as st
 from rankconsensus import cli
 from rankconsensus.graph import MeasureParams, survey
 from rankconsensus.measures import kappa_series
-from rankconsensus.model import (
-    ItemTable,
-    Ranking,
-    RankingSet,
-    ValidationError,
-    build_ranking,
-    valid_token,
-)
+from rankconsensus.model import Ranking, RankingSet, ValidationError, valid_token
 
 from conftest import make_set, near_consensus_set
-from reference import EagerRanking, pairwise_survey, token_build_ranking
-
-
-class TestItemTable:
-    def test_intern_assigns_dense_ids(self):
-        table = ItemTable()
-        assert table.intern("a") == 0
-        assert table.intern("b") == 1
-        assert table.intern("a") == 0
-        assert len(table) == 2
-        assert table.token_of(1) == "b"
-        assert table.id_of("a") == 0
-        assert "a" in table and "z" not in table
-
-    def test_rejects_bad_tokens(self):
-        table = ItemTable()
-        for bad in ("", "a b", "a\tb", "{x", "x}"):
-            with pytest.raises(ValidationError):
-                table.intern(bad)
-
-    def test_rejects_non_string_tokens_after_interning(self):
-        # Known tokens skip the check, so a non-string must not reach the lookup.
-        table = ItemTable()
-        table.intern("a")
-        for bad in (None, 5, ["a"], ("a",)):
-            with pytest.raises(ValidationError):
-                table.intern(bad)
-
-    def test_unknown_lookups_raise(self):
-        table = ItemTable()
-        with pytest.raises(ValueError, match="unknown item"):
-            table.id_of("missing")
-        with pytest.raises(ValueError, match="unknown item id"):
-            table.token_of(0)
+from reference import EagerRanking, pairwise_survey
 
 
 class TestRanking:
     def test_positions_are_group_indices_from_one(self):
-        table = ItemTable()
-        r = build_ranking(table, ["a", ["b", "c"], "d"])
+        r = Ranking(["a", ["b", "c"], "d"])
         assert r.length == 4
-        assert r.position_of(table.id_of("a")) == 1
-        assert r.position_of(table.id_of("b")) == 2
-        assert r.position_of(table.id_of("c")) == 2
-        assert r.position_of(table.id_of("d")) == 3
-        assert r.position_of(999) == 0
+        assert r.position_of("a") == 1
+        assert r.position_of("b") == 2
+        assert r.position_of("c") == 2
+        assert r.position_of("d") == 3
+        assert r.position_of("z") == 0
 
     def test_untied_flag(self):
-        table = ItemTable()
-        assert build_ranking(table, "a b c".split()).is_untied
-        assert not build_ranking(table, ["a", ["b", "c"]]).is_untied
+        assert Ranking("a b c".split()).is_untied
+        assert not Ranking(["a", ["b", "c"]]).is_untied
 
     def test_groups_are_canonical(self):
-        table = ItemTable()
-        table.intern("x")
-        table.intern("y")
-        left = build_ranking(table, [["y", "x"]])
-        right = build_ranking(table, [["x", "y"]])
+        left = Ranking([["y", "x"]])
+        right = Ranking([("x", "y")])
         assert left == right
-        assert left.groups == ((table.id_of("x"), table.id_of("y")),)
+        assert left.groups == (("x", "y"),)
 
-    def test_items_iterates_in_rank_order(self):
-        table = ItemTable()
-        r = build_ranking(table, ["c", ["a", "b"]])
-        tokens = [table.token_of(i) for i in r.items()]
-        assert tokens == ["c", "a", "b"]
-        assert r.item_set() == {table.id_of(t) for t in "abc"}
+    def test_tied_tokens_come_out_in_token_order(self):
+        r = Ranking(["c", ["b", "a"]])
+        assert list(r.items()) == ["c", "a", "b"]
+        assert r.item_set() == {"a", "b", "c"}
 
     def test_build_errors(self):
-        table = ItemTable()
-        with pytest.raises(ValidationError, match="empty ranking"):
-            build_ranking(table, [])
-        with pytest.raises(ValidationError, match="empty tie group"):
-            build_ranking(table, [[]])
-        with pytest.raises(ValidationError, match="duplicate item a"):
-            build_ranking(table, ["a", "b", "a"])
-        with pytest.raises(ValidationError, match="duplicate item a"):
-            build_ranking(table, [["a", "a"]])
+        with pytest.raises(ValidationError, match="^empty ranking$"):
+            Ranking([])
+        with pytest.raises(ValidationError, match="^empty tie group$"):
+            Ranking([[]])
+        with pytest.raises(ValidationError, match="^duplicate item a$"):
+            Ranking(["a", "b", "a"])
+        with pytest.raises(ValidationError, match="^duplicate item a$"):
+            Ranking([["a", "a"]])
+        with pytest.raises(ValidationError, match="^invalid item token 'a b'"):
+            Ranking(["a", "a b"])
 
     @pytest.mark.parametrize(
         "groups,message",
         [
-            ((), "empty ranking"),
-            (None, "empty ranking"),
-            (((),), "empty tie group"),
-            (((0, 1), (), (1,)), "empty tie group"),
-            (((0,), (0,)), "duplicate item id 0"),
-            (((1, 0, 1),), "duplicate item id 1"),
+            ((("a", "b"), (), ("c d",)), "empty tie group"),
+            ((("a",), ("b", "{c"), ("a",)), "invalid item token '{c'"),
+            ((("a", "b"), ("a",), ("", 1)), "duplicate item a"),
+            (("a", ["b", None], []), "invalid item token None"),
         ],
     )
-    def test_shape_errors(self, groups, message):
-        # Ranking is the one check on ids; build_ranking names tokens instead.
-        with pytest.raises(ValidationError, match=f"^{message}$"):
+    def test_first_fault_in_ranking_order(self, groups, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
             Ranking(groups)
 
+    def test_non_iterable_group_after_a_fault(self):
+        with pytest.raises(ValidationError, match="^duplicate item a$"):
+            Ranking([["a"], iter(["a"]), 5])
+        with pytest.raises(TypeError, match="not iterable"):
+            Ranking([["a"], iter(["b"]), 5])
+
     def test_contains(self):
-        table = ItemTable()
-        r = build_ranking(table, ["a", "b"])
-        assert table.id_of("a") in r
-        assert 42 not in r
+        r = Ranking(["a", "b"])
+        assert "a" in r
+        assert "z" not in r
+
+    def test_rankings_of_different_tokens_differ(self):
+        left = RankingSet.build([["a", "b"]]).rankings[0]
+        right = RankingSet.build([["x", "y"]]).rankings[0]
+        assert left != right
+        assert hash(left) != hash(right)
+        assert left == RankingSet.build([["b"], ["a", "b"]]).rankings[1]
 
 
 class TestRankingSet:
@@ -140,8 +104,7 @@ class TestRankingSet:
     def test_common_items(self):
         rset = RankingSet.build([["a", "b", "c"], ["b", "c", "d"]])
         sv = survey(rset)
-        tokens = {rset.table.token_of(item) for item, c in zip(sv.items, sv.common) if c}
-        assert tokens == {"b", "c"}
+        assert {item for item, c in zip(sv.items, sv.common) if c} == {"b", "c"}
 
     def test_distinct_counts_multiplicity(self):
         rset = RankingSet.build([["a", "b"], ["a", "b"], ["b", "a"], ["a", "b"]])
@@ -149,7 +112,20 @@ class TestRankingSet:
         assert len(distinct) == 2
         assert most == 3
         first = next(iter(distinct))
-        assert [distinct.table.token_of(i) for i in first.items()] == ["a", "b"]
+        assert list(first.items()) == ["a", "b"]
+
+    def test_distinct_merges_only_equal_token_groups(self):
+        rset = RankingSet.build(
+            [["a", "b"], ["x", "y"], [["a", "b"]], [["b", "a"]], ["a", "b"], ["b", "a"]]
+        )
+        distinct, most = rset.distinct()
+        assert [r.groups for r in distinct] == [
+            (("a",), ("b",)),
+            (("x",), ("y",)),
+            (("a", "b"),),
+            (("b",), ("a",)),
+        ]
+        assert most == 2
 
     def test_distinct_on_unique_set_is_identity(self):
         rset = RankingSet.build([["a", "b"], ["b", "a"]])
@@ -166,48 +142,25 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
-def _tokens(table: ItemTable) -> list[str]:
-    return [table.token_of(item) for item in range(len(table))]
-
-
 # Tokens with whitespace or braces, the empty token, non-str tokens and
-# an unhashable one, drawn one time in four, so that many rankings pass.
-BAD_TOKENS = ["a b", "{x", "y}", "", "a\u2028b", 1, None, ("a",), ["a"]]
+# unhashable ones, drawn one time in four, so that many rankings pass.
+BAD_TOKENS = ["a b", "{x", "y}", "", "a\u2028b", " ", 1, None, ("a",), ["a"], {"a": 1}]
 TOKEN = st.sampled_from(list("abcdefgh") * 3 + BAD_TOKENS)
-# A group is a bare token (a str is a singleton group), a list or a tuple.
+# A group is a bare token (a str is a singleton group, a non-str one is
+# not iterable or not a group of str), a list or a tuple.
 GROUP = TOKEN | st.lists(TOKEN, max_size=3) | st.lists(TOKEN, max_size=3).map(tuple)
 
 
 class TestWholeRankingChecks:
-    """build_ranking and Ranking against the token-by-token build they replace."""
+    """Ranking against the token-by-token reference ranking."""
 
-    @given(st.lists(st.lists(GROUP, max_size=6), min_size=1, max_size=4))
-    @settings(max_examples=600, deadline=None)
-    @example([["a", "b"], ["a", ["b", "c"], "c"], [["d", "e"], "a"]])
-    @example([["a", "b c", "a"], ["a", [], "b"], ["c", 1, "c"], ["d", None]])
-    def test_build_matches_the_token_by_token_build(self, rankings):
-        # One table across the rankings, so known tokens, fresh tokens and
-        # the table left behind by an error all meet later rankings.
-        table, reference_table = ItemTable(), ItemTable()
-        for groups in rankings:
-            built = _outcome(lambda: build_ranking(table, groups))
-            expected = _outcome(lambda: token_build_ranking(reference_table, groups))
-            if isinstance(expected, EagerRanking):
-                assert isinstance(built, Ranking)
-                assert built.groups == expected.groups
-            else:
-                assert built == expected
-            assert _tokens(table) == _tokens(reference_table)
-
-    @given(
-        st.lists(
-            st.lists(st.integers(0, 5) | st.sampled_from(["x", [0]]), max_size=3)
-            | st.tuples(st.integers(0, 5)),
-            max_size=5,
-        )
-    )
-    @settings(max_examples=600, deadline=None)
-    def test_ranking_matches_the_eager_ranking(self, groups):
+    @given(st.lists(GROUP, max_size=6) | st.lists(GROUP, max_size=6).map(tuple))
+    @settings(max_examples=1000, deadline=None)
+    @example(["a", ["b", "c"], "c"])
+    @example(["a", [], "b c", "a"])
+    @example(["c", 1, "c"])
+    @example([["b", "a"], "c", ("e", "d")])
+    def test_ranking_matches_the_token_by_token_ranking(self, groups):
         built = _outcome(lambda: Ranking(groups))
         expected = _outcome(lambda: EagerRanking(groups))
         if not isinstance(expected, EagerRanking):
@@ -218,13 +171,17 @@ class TestWholeRankingChecks:
         assert built.is_untied == expected.is_untied
         assert list(built.items()) == list(expected.items())
         assert built.item_set() == expected.item_set()
-        for item in [-1, *range(7), "x"]:
+        for item in ["z", *"abcdefgh"]:
             assert built.position_of(item) == expected.position_of(item)
             assert (item in built) == (item in expected)
         # The cached position table and length are not fields.
         fresh = Ranking(groups)
         assert built == fresh and hash(built) == hash(fresh)
         assert repr(built) == repr(fresh) == f"Ranking(groups={built.groups!r})"
+
+    @pytest.mark.parametrize("groups", [None, 5])
+    def test_non_iterable_ranking(self, groups):
+        assert _outcome(lambda: Ranking(groups)) == _outcome(lambda: EagerRanking(groups))
 
 
 class TestLazyPositions:

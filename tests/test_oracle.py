@@ -15,16 +15,12 @@ from rankconsensus.oracle import (
 from conftest import EXAMPLE_LINES, make_set
 
 
-def tokens_of(rset, sub):
-    return "".join(rset.table.token_of(i) for i in sub.items)
-
-
 class TestEnumeration:
     def test_example_sequences_by_length(self, example_set):
         subs = enumerate_common(example_set)
         by_len = {}
         for sub in subs:
-            by_len.setdefault(len(sub.items), []).append(tokens_of(example_set, sub))
+            by_len.setdefault(len(sub.items), []).append("".join(sub.items))
         assert sorted(by_len[1]) == ["b", "c", "d", "e", "f"]
         assert by_len[3] == ["bde", "bdf", "bef", "def"]
         assert by_len[4] == ["bdef"]
@@ -61,7 +57,7 @@ class TestEnumeration:
         rset = make_set(*EXAMPLE_LINES)
         params = MeasureParams(gamma=0.8, lam=0.5)
         subs = enumerate_common(rset, params=params)
-        weight = {tokens_of(rset, s): s.weight for s in subs}
+        weight = {"".join(s.items): s.weight for s in subs}
         assert weight["f"] == pytest.approx(0.8**1.75)
         assert weight["bc"] == pytest.approx(0.5**2.25)
         assert weight["bde"] == pytest.approx(weight["bd"] * weight["de"])
@@ -99,7 +95,7 @@ class TestOracleProfile:
 class TestFormatting:
     def test_lists_tokens_and_weight(self, example_set):
         subs = enumerate_common(example_set, max_len=1)
-        text = format_subsequences(example_set, subs)
+        text = format_subsequences(subs)
         lines = text.splitlines()
         assert lines[0] == "b 1"
         assert len(lines) == 5

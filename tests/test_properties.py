@@ -12,7 +12,7 @@ from dataclasses import replace
 from rankconsensus.cli import _profiles_match
 from rankconsensus.graph import Deviation, MeasureParams, survey
 from rankconsensus.measures import kappa_series, kappa_sweep, measure
-from rankconsensus.model import ItemTable, RankingSet, ValidationError, valid_token
+from rankconsensus.model import Ranking, RankingSet, ValidationError, valid_token
 from rankconsensus.oracle import enumerate_common, oracle_profile
 from rankconsensus.io import (
     ParseError,
@@ -72,7 +72,7 @@ def test_weights_never_change_the_matrix_pattern(rset, gamma, lam):
 @settings(max_examples=40, deadline=None)
 def test_reordering_the_set_changes_nothing(rset, rng):
     lines = [
-        [[rset.table.token_of(i) for i in group] for group in ranking.groups]
+        [list(group) for group in ranking.groups]
         for ranking in rset
     ]
     shuffled = lines[:]
@@ -180,7 +180,7 @@ def test_reference_choice_does_not_change_the_series(rset):
 @settings(max_examples=40, deadline=None)
 def test_adding_a_ranking_never_increases_counts(rset, extra, size):
     rankings = [
-        [[rset.table.token_of(i) for i in group] for group in ranking.groups]
+        [list(group) for group in ranking.groups]
         for ranking in rset
     ]
     grown = RankingSet.build(rankings + [list(extra[:size])])
@@ -316,7 +316,7 @@ def test_max_len_filters_the_full_enumeration(rng, params):
 @settings(max_examples=40, deadline=None)
 def test_single_ranking_total_is_power_of_two(rset):
     first = rset.rankings[0]
-    groups = [[rset.table.token_of(i) for i in group] for group in first.groups]
+    groups = [list(group) for group in first.groups]
     alone = RankingSet.build([groups])
     if first.is_untied:
         assert measure(alone, MeasureParams()).total == 2**first.length - 1
@@ -391,16 +391,16 @@ def test_one_token_rule_for_the_model_and_json(token):
     forbidden = set("{}" + ASCII_WHITESPACE + UNICODE_WHITESPACE)
     expected = bool(token) and not forbidden.intersection(token)
     try:
-        ItemTable().intern(token)
-        interned = True
+        Ranking([token])
+        built = True
     except ValidationError:
-        interned = False
+        built = False
     try:
         parse_json(json.dumps({"rankings": [{"groups": [[token]]}]}))
         parsed = True
     except ParseError:
         parsed = False
-    assert valid_token(token) == interned == parsed == expected
+    assert valid_token(token) == built == parsed == expected
 
 
 def _tokenized(split_line, line):
