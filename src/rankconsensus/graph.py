@@ -40,13 +40,13 @@ ranking and the mean gap telescopes to (S_i - S_j) / N, with S_i the
 item's position sum. The numerator is the same integer the per-ranking
 sum of absolute differences gives, and the division is the same int/int
 true division, so the gap is exact, not an approximation of the
-per-ranking mean. ``Survey.edges`` spells the masks out as (i, j, gap)
-triples on its first read and keeps them; only ``Survey.matrix`` reads
-them, for the closed-form total. Both series read the masks instead
-(see ``measures``): the exact one directly, the weighted one through
-``Survey.levels``, the number of items in the longest common chain that
-ends at each item, and the predecessor rows built from the masks and
-levels on first read.
+per-ranking mean. It also telescopes along a chain, so a chain's weight
+depends only on the position sums of its two ends. ``Survey.edges``
+spells the masks out as (i, j, gap) triples on its first read and keeps
+them; only ``Survey.matrix`` reads them, for the closed-form total. The
+series reads the masks, the position sums and ``Survey.levels``, the
+number of items in the longest common chain that ends at each item
+(see ``measures``); it lists no pairs.
 """
 from __future__ import annotations
 
@@ -178,8 +178,9 @@ class Survey:
         It is 0 off the common items. On a common item i it is
         1 + max(levels[j] for j in masks[i]), and 1 for an empty mask. A
         chain of p items can only end at an item whose level is p or
-        more, which is what lets the weighted series skip the rest. Built
-        on first read and kept, so every lambda of a sweep shares it.
+        more, which is what lets the series skip or cut the rest of a
+        row. Built on first read and kept, so every lambda of a sweep
+        shares it.
         """
         levels = [0] * len(self.masks)
         # reached[k]: the common items so far whose level is k + 1, as a mask.
@@ -195,40 +196,6 @@ class Survey:
                 levels[i] = below + 1
         return tuple(levels)
 
-    @cached_property
-    def _level_rows(
-        self,
-    ) -> tuple[tuple[int, int, tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]:
-        """(i, level, predecessors, differences, starts) for each item with a predecessor.
-
-        Rows come in reference order. predecessors lists the set bits j of
-        masks[i] ascending, differences the integers S_i - S_j beside
-        them, so each mean gap is difference / N, and starts[p - 1] is the
-        index in predecessors of the first one whose level is p or more,
-        for p = 1 .. level - 1. None of it reads gamma or lambda, so it is
-        built on first read and kept.
-        """
-        sums, levels = self.sums, self.levels
-        rows = []
-        for i, mask in enumerate(self.masks):
-            if not mask:
-                continue
-            predecessors = _bits(mask)
-            starts = []
-            for k, j in enumerate(predecessors):
-                while levels[j] > len(starts):
-                    starts.append(k)
-            rows.append(
-                (
-                    i,
-                    levels[i],
-                    tuple(predecessors),
-                    tuple(sums[i] - sums[j] for j in predecessors),
-                    tuple(starts),
-                )
-            )
-        return tuple(rows)
-
     def deviation_of(self, index: int, variant: Deviation | str) -> float:
         """The item's deviation; variant is a Deviation or its string value."""
         if variant is Deviation.MAD:
@@ -239,12 +206,33 @@ class Survey:
             return math.sqrt(self.var[index])
         return self.deviation_of(index, Deviation(variant))
 
-    def _diagonal(self, params: MeasureParams) -> list[int | float]:
-        """Per-item weights gamma**d, 1 on the exact path, 0 off the common items.
+    @cached_property
+    def _deviations(self) -> dict[Deviation, tuple[float, ...]]:
+        """Each variant's deviations of the common items, in reference order.
+
+        The same floats ``deviation_of`` gives, made once per survey.
+        """
+        mad = tuple(compress(self.mad, self.common))
+        var = compress(self.var, self.common)
+        return {
+            Deviation.MAD: mad,
+            Deviation.SQRT_MAD: tuple(map(math.sqrt, mad)),
+            Deviation.STD: tuple(map(math.sqrt, var)),
+        }
+
+    def _trace(self, params: MeasureParams) -> int | float:
+        """kappa_1: the sum of gamma**d over the common items, their count on the exact path.
 
         It reads only gamma, the deviation variant and the exact flag, so a
-        sweep can take one trace per gamma from it without building a matrix.
+        sweep takes one trace per gamma from it. The sum runs over the
+        common items in reference order, as one over ``_diagonal`` would.
         """
+        if params.exact:
+            return self.common.count(True)
+        return sum(map(pow, repeat(params.gamma), self._deviations[params.deviation]))
+
+    def _diagonal(self, params: MeasureParams) -> list[int | float]:
+        """Per-item weights gamma**d, 1 on the exact path, 0 off the common items."""
         diag: list[int | float] = [0] * len(self.items)
         for i, common in enumerate(self.common):
             if common:

@@ -8,6 +8,9 @@ sets its masks from them. ``product_series`` is ``measures.kappa_series``
 as it was before the exact path packed its counts and the weighted path
 skipped the rows that can hold no chain: one full product y <- L y per
 term (``multiply_lower``), over the matrix's adjacency lists.
+``level_series`` is ``measures.kappa_series`` as it was before chain
+weights telescoped: one float product per term over the rows that can
+end a chain of that length (``level_terms``, over ``level_rows``).
 ``char_split_line`` is ``io._split_line`` as it was before it split on
 braces: a state machine over the characters. ``EagerRanking`` is
 ``model.Ranking`` checked token by token: one loop over the groups that
@@ -105,6 +108,86 @@ def product_series(matrix: ConsensusMatrix, params: MeasureParams) -> KappaProfi
         series.append((len(series) + 1, term))
         vector = multiply_lower(matrix, vector)
         term = sum(vector)
+    return KappaProfile(series=tuple(series), exact=params.exact)
+
+
+def level_rows(
+    sv: Survey,
+) -> tuple[tuple[int, int, tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]:
+    """(i, level, predecessors, differences, starts) for each item with a predecessor.
+
+    Rows come in reference order. predecessors lists the set bits j of
+    masks[i] ascending, differences the integers S_i - S_j beside them,
+    so each mean gap is difference / N, and starts[p - 1] is the index
+    in predecessors of the first one whose level is p or more, for
+    p = 1 .. level - 1.
+    """
+    sums, levels = sv.sums, sv.levels
+    rows = []
+    for i, mask in enumerate(sv.masks):
+        if not mask:
+            continue
+        predecessors = [j for j in range(i) if mask >> j & 1]
+        starts: list[int] = []
+        for k, j in enumerate(predecessors):
+            while levels[j] > len(starts):
+                starts.append(k)
+        rows.append(
+            (
+                i,
+                levels[i],
+                tuple(predecessors),
+                tuple(sums[i] - sums[j] for j in predecessors),
+                tuple(starts),
+            )
+        )
+    return tuple(rows)
+
+
+def level_terms(sv: Survey, lam: float) -> Iterator[int | float]:
+    """kappa_2, kappa_3, ... on the weighted path, over the chains that can exist.
+
+    y starts as all ones, and each term is the sum of y <- L y. Only the
+    rows of ``level_rows`` whose level is above p take part in the
+    product after term p, each from its first predecessor of level p or
+    more; every other entry of y is 0, so every term is bit for bit
+    ``product_series``'s.
+    """
+    N = sv.count
+    rows = level_rows(sv)
+    weights = {d: lam ** (d / N) for d in set().union(*(row[3] for row in rows))}
+    active = [
+        (i, level, list(zip(predecessors, map(weights.__getitem__, differences))), starts)
+        for i, level, predecessors, differences, starts in rows
+    ]
+    vector: list[int | float] = [1] * len(sv.items)
+    p = 1
+    while True:
+        result: list[int | float] = [0] * len(vector)
+        for i, _, row, starts in active:
+            acc: int | float = 0
+            k = starts[p - 1]
+            for j, w in row[k:] if k else row:
+                acc += w * vector[j]
+            result[i] = acc
+        vector = result
+        p += 1
+        active = [row for row in active if row[1] > p]
+        yield sum(vector)
+
+
+def level_series(sv: Survey, params: MeasureParams) -> KappaProfile:
+    """``measures.kappa_series`` as it was before chain weights telescoped.
+
+    The trace, then one float product per term over the levels
+    (``level_terms``), stopping at the first term params.keeps refuses.
+    """
+    term = sum(sv._diagonal(params))
+    later = level_terms(sv, params.lam)
+    series: list[tuple[int, int | float]] = []
+    while params.keeps(term) and len(series) < len(sv.items):
+        series.append((len(series) + 1, term))
+        term = next(later)
     return KappaProfile(series=tuple(series), exact=params.exact)
 
 

@@ -3,8 +3,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 from dataclasses import replace
 from io import StringIO
+from math import comb
 
 import pytest
 
@@ -177,16 +179,41 @@ class TestMeasure:
     def test_weighted_term_past_the_float_range_as_json_exits_6(
         self, tmp_path, monkeypatch, capsys, argv, value
     ):
-        # JSON has no word for inf or nan; csv and table write them.
+        # JSON has no word for inf or nan; csv and table write them. The
+        # stub gives the terms after the trace, kappa_1 = 3.0, on both
+        # commands.
         doc = tmp_path / "set.txt"
         doc.write_text("a b c\n")
-        series = measures.KappaProfile(series=((1, 3.0), (2, value)), exact=False)
-        monkeypatch.setattr(measures, "kappa_series", lambda sv, params: series)
+        monkeypatch.setattr(measures, "_tail", lambda sv, params: ((2, value),))
         code, out, err = run(capsys, argv[0], str(doc), *argv[1:], "--format", "json")
         assert (code, out) == (6, "")
         assert err == (
             "error: a result is inf or nan, which JSON cannot hold; csv and table write it\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["measure", "--gamma", "0.9"],
+            ["sweep", "--gamma-grid", "0.9:0.9:0", "--lambda-grid", "1:1:0"],
+        ],
+    )
+    def test_counts_past_the_float_range_are_inf(self, tmp_path, capsys, argv):
+        # One ranking of 1100 tokens at lambda = 1: kappa_p = C(1100, p),
+        # which passes the float range from p = 388 to 712 (and so does the total).
+        tokens = " ".join(f"t{k}" for k in range(1100))
+        doc = tmp_path / "long.txt"
+        doc.write_text(tokens + "\n")
+        code, out, err = run(capsys, argv[0], str(doc), *argv[1:], "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1].endswith(",inf")
+        code, out, err = run(capsys, argv[0], str(doc), *argv[1:], "--format", "json")
+        assert (code, out) == (6, "")
+        profile = measure(make_set(tokens), MeasureParams(gamma=0.9))
+        inf = [p for p, value in profile.series if value == math.inf]
+        assert (inf[0], inf[-1], len(inf)) == (388, 712, 325)
+        assert profile.value_at(387) == float(comb(1100, 387))
+        assert profile.ell == 1100
 
     def test_weighted_table_total_past_1e25(self, tmp_path, capsys):
         # Two identical rankings of 100 tokens: every item deviates by 0, so

@@ -169,6 +169,17 @@ class TestSurveyStatistics:
         f = sv.items.index("f")
         assert to_dense(matrix)[f][f] == pytest.approx(0.8**1.75)
 
+    @pytest.mark.parametrize("gamma, lam", [(1.0, 1.0), (1, 0.5), (0.8, 1.0), (0.8, 0.5)])
+    @pytest.mark.parametrize("variant", list(Deviation))
+    def test_trace_is_the_sum_of_the_diagonal(self, gamma, lam, variant):
+        # Bit for bit and of the same type: the int count on the exact
+        # path, a float otherwise, also for an int gamma of 1.
+        sv = survey(make_set(*EXAMPLE_LINES))
+        params = MeasureParams(gamma=gamma, lam=lam, deviation=variant)
+        trace = sv._trace(params)
+        expected = sum(sv._diagonal(params))
+        assert (trace, type(trace)) == (expected, type(expected))
+
 
 class TestTies:
     def test_tied_items_share_a_position(self):

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -19,9 +21,10 @@ from rankconsensus.measures import (
     kappa_total_closed,
     measure,
 )
+from rankconsensus.oracle import oracle_profile
 
 from conftest import EXAMPLE_LINES, make_set, near_consensus_set, random_set, ranking_sets
-from reference import pairwise_edges, pairwise_survey, product_series
+from reference import level_series, pairwise_edges, pairwise_survey, product_series
 
 GRID = [x / 100 for x in range(100, 44, -5)]
 
@@ -175,17 +178,47 @@ class TestPackedSeries:
         assert json.loads(capsys.readouterr().out)["kappa_total"] == expected.total
 
 
-class TestLevelSeries:
-    """The weighted pass over the levels against the full products on the matrix.
+def assert_close(profile, expected):
+    """Weighted profiles agree term by term within 1e-9 relative.
 
-    The reference multiplies every row of the survey's matrix at every
-    term; the pass skips the rows and predecessors that can only hold
-    zeros, so every term must be equal, not merely close.
+    Where the expected term is subnormal, the float products that made it
+    have lost their relative precision, so there the terms may differ by
+    up to the smallest normal float; that also lets a term that
+    underflowed to 0 on one route be kept on the other.
+    """
+    assert profile.exact == expected.exact
+    assert all(isinstance(value, float) for _, value in profile.series)
+    for p in range(1, max(profile.ell, expected.ell) + 1):
+        a, b = profile.value_at(p), expected.value_at(p)
+        if b < sys.float_info.min:
+            assert abs(a - b) <= sys.float_info.min, (p, a, b)
+        else:
+            assert abs(a - b) <= 1e-9 * b, (p, a, b)
+
+
+class TestLevelSeries:
+    """The weighted pass against the float products on the matrix and the levels.
+
+    The pass sums exact ints made from rounded start and end weights; the
+    references multiply rounded pair weights term by term. So the terms
+    agree to rounding, not bit for bit, and the pass itself gives the same
+    bits whatever its block sizes.
     """
 
     @given(
         ranking_sets(),
-        st.sampled_from([(0.9, 1.0), (0.9, 0.9), (1.0, 0.45), (0.9, 0.1), (0.9, 1e-5)]),
+        st.sampled_from(
+            [
+                (0.9, 1.0),
+                (0.9, 0.9),
+                (1.0, 0.45),
+                (0.9, 0.1),
+                (0.9, 1e-5),
+                (0.9, 1e-300),
+                (1.0, 5e-324),
+                (0.9, 1 - 2**-53),
+            ]
+        ),
         st.sampled_from([1e-12, 0.0]),
     )
     @settings(max_examples=300, deadline=None)
@@ -193,7 +226,9 @@ class TestLevelSeries:
         gamma, lam = weights
         params = MeasureParams(gamma=gamma, lam=lam, epsilon=epsilon)
         sv = survey(rset)
-        assert kappa_series(sv, params) == product_series(sv.matrix(params), params)
+        profile = kappa_series(sv, params)
+        assert_close(profile, product_series(sv.matrix(params), params))
+        assert_close(profile, oracle_profile(rset, params))
 
     @pytest.mark.parametrize("n, count", [(40, 10), (128, 50)])
     def test_near_consensus_sets_match_the_products(self, n, count):
@@ -201,15 +236,103 @@ class TestLevelSeries:
         points = kappa_sweep(sv, [0.9], GRID)
         for point in points:
             params = MeasureParams(gamma=0.9, lam=point.lam)
-            expected = product_series(sv.matrix(params), params)
-            assert kappa_series(sv, params) == expected
-            assert point.profile == expected
+            expected = level_series(sv, params)
+            assert expected == product_series(sv.matrix(params), params)
+            profile = kappa_series(sv, params)
+            assert_close(profile, expected)
+            assert point.profile == profile
 
     def test_sweep_points_match_the_products(self):
         sv = survey(near_consensus_set(random.Random(5), 40, 10))
         for point in kappa_sweep(sv, GRID, GRID):
             params = MeasureParams(gamma=point.gamma, lam=point.lam)
-            assert point.profile == product_series(sv.matrix(params), params)
+            if params.exact:
+                assert point.profile == product_series(sv.matrix(params), params)
+            else:
+                assert_close(point.profile, product_series(sv.matrix(params), params))
+
+    @pytest.mark.parametrize("n, count", [(40, 10), (128, 50)])
+    @pytest.mark.parametrize("lam", [0.9, 0.45, 1e-5])
+    @pytest.mark.parametrize("epsilon", [1e-12, 0.0])
+    def test_terms_do_not_depend_on_the_block_sizes(self, n, count, lam, epsilon):
+        # 1 bit makes blocks of 2, 2, 4, 8, ... slots; 10**9 one block.
+        sv = survey(near_consensus_set(random.Random(n), n, count))
+        params = MeasureParams(gamma=0.9, lam=lam, epsilon=epsilon)
+        expected = kappa_series(sv, params)
+        for bits in (1, 10**9):
+            with mock.patch.object(measures, "BLOCK_BITS", bits):
+                assert kappa_series(sv, params) == expected
+
+    @pytest.mark.parametrize(
+        "lam, epsilon, bits, blocks",
+        [
+            (0.9, 0.0, 1, [(0, 2), (2, 2), (4, 4), (8, 8), (16, 9)]),
+            (0.9, 0.0, 4096, [(0, 16), (16, 9)]),
+            (0.1, 1e-12, 4096, [(0, 6)]),
+            (1.0, 1e-12, 4096, [(0, 25)]),
+        ],
+    )
+    def test_each_block_is_as_large_as_all_before_it(self, monkeypatch, lam, epsilon, bits, blocks):
+        # (first slot, slots) of each block on a set whose longest chain
+        # has 25 items. The first block takes what fits in BLOCK_BITS (at
+        # least 2 slots, all of them at lambda = 1), and a block runs only
+        # once the series keeps the last term before it: at lambda 0.1
+        # the first block's kappa_5 is cut.
+        sv = survey(near_consensus_set(random.Random(128), 128, 50))
+        seen = []
+        real = measures._packed_block
+
+        def recording(*args):
+            seen.append(args[-2:])
+            return real(*args)
+
+        monkeypatch.setattr(measures, "_packed_block", recording)
+        monkeypatch.setattr(measures, "BLOCK_BITS", bits)
+        profile = kappa_series(sv, MeasureParams(gamma=0.9, lam=lam, epsilon=epsilon))
+        assert max(sv.levels) == 25
+        assert seen == blocks
+        assert profile.ell == (4 if lam == 0.1 else 25)
+
+    @given(ranking_sets(universe=8), st.sampled_from([0.9, 0.45, 1e-5, 1e-300]))
+    @settings(max_examples=100, deadline=None)
+    def test_random_terms_do_not_depend_on_the_block_sizes(self, rset, lam):
+        sv = survey(rset)
+        params = MeasureParams(gamma=0.9, lam=lam, epsilon=0.0)
+        expected = kappa_series(sv, params)
+        with mock.patch.object(measures, "BLOCK_BITS", 1):
+            assert kappa_series(sv, params) == expected
+
+    def test_a_kappa_2_bound_below_epsilon_runs_no_pass(self, monkeypatch):
+        # Each of the edges weighs at most lambda, so at lambda = 1e-300
+        # kappa_2 cannot pass epsilon and the series ends at the trace.
+        sv = survey(near_consensus_set(random.Random(7), 128, 10))
+        params = MeasureParams(gamma=0.9, lam=1e-300)
+        expected = level_series(sv, params)
+
+        def refuse(*args):
+            raise AssertionError("the series ran a pass")
+
+        monkeypatch.setattr(measures, "_packed_block", refuse)
+        assert kappa_series(sv, params) == expected
+        assert expected.ell == 1
+
+    @pytest.mark.parametrize("lam", [1e-300, 1e-5, 0.5])
+    def test_the_kappa_2_bound_keeps_a_term_just_above_epsilon(self, lam):
+        # One edge of gap 1: kappa_2 is lambda, kept at epsilon lambda / 2.
+        rset = make_set("a b")
+        profile = measure(rset, MeasureParams(gamma=0.9, lam=lam, epsilon=lam / 2))
+        assert profile.ell == 2
+        assert abs(profile.value_at(2) - lam) <= 1e-12 * lam
+
+    def test_lambda_one_with_weights_gives_floats(self, example_set):
+        # Every chain weighs 1, so the terms are the counts, but as floats.
+        profile = measure(example_set, MeasureParams(gamma=0.9))
+        assert not profile.exact
+        assert [type(value) for _, value in profile.series] == [float] * 4
+        assert [value for _, value in profile.series[1:]] == [7.0, 4.0, 1.0]
+        (point,) = kappa_sweep(survey(example_set), [0.9], [1.0])
+        assert point.profile == profile
+        assert repr(point.profile) == repr(profile)
 
     def test_weighted_path_builds_no_matrix(self, monkeypatch, tmp_path, capsys):
         rset = near_consensus_set(random.Random(6), 40, 5)
@@ -221,11 +344,12 @@ class TestLevelSeries:
             raise AssertionError("the weighted path built a matrix")
 
         monkeypatch.setattr(Survey, "matrix", refuse)
-        assert kappa_series(sv, params) == expected
+        profile = kappa_series(sv, params)
+        assert_close(profile, expected)
         points = kappa_sweep(sv, GRID, GRID)
         assert len(points) == len(GRID) ** 2
         (point,) = [pt for pt in points if (pt.gamma, pt.lam) == (0.9, 0.8)]
-        assert point.profile == expected
+        assert point.profile == profile
         doc = tmp_path / "set.txt"
         doc.write_text("".join(" ".join(r.items()) + "\n" for r in rset))
         assert cli.main(["sweep", str(doc), "--format", "csv"]) == 0
@@ -387,36 +511,28 @@ class TestSweep:
             assert point.profile.ell == 0
             assert point.profile.total == 0
 
-    def test_every_series_runs_through_kappa_series(self, monkeypatch):
-        # One kappa_series call per lambda plus one for the exact corner,
-        # and no weighted term computed outside those calls.
+    def test_every_series_runs_once_per_lambda(self, monkeypatch):
+        # One series of later terms per lambda plus one for the exact
+        # corner, each shared by every gamma, and no trace computed twice.
         sv = survey(load_dataset(Dataset.CLUSTERING_CE).to_ranking_set())
-        series_calls = 0
-        open_calls = 0
-        terms = []
-        real_series = measures.kappa_series
-        real_terms = measures._level_terms
+        series = []
+        traces = []
+        real_terms = measures._packed_terms
+        real_trace = Survey._trace
 
-        def counting_series(sv, params):
-            nonlocal series_calls, open_calls
-            series_calls += 1
-            open_calls += 1
-            try:
-                return real_series(sv, params)
-            finally:
-                open_calls -= 1
+        def recording_terms(sv, params):
+            series.append((params.lam, params.exact))
+            return real_terms(sv, params)
 
-        def recording_terms(sv, lam):
-            for term in real_terms(sv, lam):
-                terms.append(open_calls)
-                yield term
+        def recording_trace(self, params):
+            traces.append((params.gamma, params.exact))
+            return real_trace(self, params)
 
-        monkeypatch.setattr(measures, "kappa_series", counting_series)
-        monkeypatch.setattr(measures, "_level_terms", recording_terms)
+        monkeypatch.setattr(measures, "_packed_terms", recording_terms)
+        monkeypatch.setattr(Survey, "_trace", recording_trace)
         kappa_sweep(sv, GRID, GRID)
-        assert series_calls == 13
-        assert terms
-        assert all(depth == 1 for depth in terms)
+        assert sorted(series) == sorted([(lam, False) for lam in GRID] + [(1.0, True)])
+        assert sorted(traces) == sorted([(gamma, False) for gamma in GRID] + [(1.0, True)])
 
     @pytest.mark.parametrize(
         "gammas,lams", [([0.9, 1.5], [0.9]), ([0.9], [0.5, 0.0]), ([0.9], [float("nan")])]
@@ -426,7 +542,7 @@ class TestSweep:
     ):
         sv = survey(example_set)
         calls = []
-        for name in ("matrix", "_diagonal"):
+        for name in ("matrix", "_diagonal", "_trace"):
             real = getattr(Survey, name)
 
             def recording(self, params, name=name, real=real):
