@@ -19,8 +19,13 @@ series per lambda (see ``measures.kappa_sweep``).
 ``survey`` walks each ranking's tie groups once. For every reference
 item it meets, it appends the group index to that item's column and
 ANDs the item's predecessor mask; there is no per-ranking position
-table. An item is common when its column has N entries, and its
-position sum, mean and deviations come from the column.
+table. An item is common when its column has N entries. That walk, the
+common test and the zeroing of the other items' masks are all that
+``survey`` does: the exact series needs only the masks. The position
+sums, the mean positions and the deviations are made from the kept
+columns on their first read and then kept, like the edge list and the
+levels; only the weighted path, the top-k variant and the matrix read
+them.
 
 The masks are the bit-parallel order intersection of Allison & Dix
 (1986) and Hyyrö's bit-vector LCS applied to N weak orders. The mask of
@@ -33,20 +38,20 @@ it is common too; the masks of the other items are zeroed. That is
 O(N n) big-int operations instead of a test of every pair in every
 ranking.
 
-The survey keeps the masks and the integer position sums; it lists no
-pairs. A pair (i, j) is an edge only when every ranking k puts i
-strictly after j, so |p_k(i) - p_k(j)| = p_k(i) - p_k(j) in every
-ranking and the mean gap telescopes to (S_i - S_j) / N, with S_i the
-item's position sum. The numerator is the same integer the per-ranking
-sum of absolute differences gives, and the division is the same int/int
-true division, so the gap is exact, not an approximation of the
-per-ranking mean. It also telescopes along a chain, so a chain's weight
-depends only on the position sums of its two ends. ``Survey.edges``
-spells the masks out as (i, j, gap) triples on its first read and keeps
-them; only ``Survey.matrix`` reads them, for the closed-form total. The
-series reads the masks, the position sums and ``Survey.levels``, the
-number of items in the longest common chain that ends at each item
-(see ``measures``); it lists no pairs.
+The survey keeps the masks and the columns; it lists no pairs. A pair
+(i, j) is an edge only when every ranking k puts i strictly after j, so
+|p_k(i) - p_k(j)| = p_k(i) - p_k(j) in every ranking and the mean gap
+telescopes to (S_i - S_j) / N, with S_i the item's position sum. The
+numerator is the same integer the per-ranking sum of absolute
+differences gives, and the division is the same int/int true division,
+so the gap is exact, not an approximation of the per-ranking mean. It
+also telescopes along a chain, so a chain's weight depends only on the
+position sums of its two ends. ``Survey.edges`` spells the masks out as
+(i, j, gap) triples on its first read and keeps them; only
+``Survey.matrix`` reads them, for the closed-form total. The series
+reads the masks, ``Survey.levels``, the number of items in the longest
+common chain that ends at each item, and, with weights, the position
+sums (see ``measures``); it lists no pairs.
 """
 from __future__ import annotations
 
@@ -131,32 +136,67 @@ class Survey:
     """The parameter-independent part of the matrix for one ranking set.
 
     Every per-item field is indexed by the reference ranking's items.
-    common[i] says the item is in every ranking; mu, mad and var are its
-    mean position and deviations, read from its column of 1-based
-    tie-group indices, one per ranking (0.0 off the common items). The
-    columns themselves are not kept. sums[i] is the column's integer sum
-    and count the number N of rankings, so on the common items mu[i] is
-    sums[i] / N. Bit j of masks[i] is set when every ranking puts item j
-    strictly before item i (so j < i); the masks of the items outside
-    ``common`` are 0.
+    ``survey`` fills the fields and nothing else. columns[i] lists the
+    item's 1-based tie-group index in each ranking that holds it, in set
+    order, and common[i] says it is in every ranking, that is, its column
+    has count = N entries. Bit j of masks[i] is set when every ranking
+    puts item j strictly before item i (so j < i); the masks of the items
+    outside ``common`` are 0.
 
-    ``edges`` lists those pairs as (i, j, mean gap) triples, i then j
-    ascending. It is built from the masks on its first read and kept.
-    Because i follows j in every ranking, the mean gap is
-    (S_i - S_j) / N for the position sums S, bit-for-bit the mean of the
-    per-ranking gaps. ``levels`` gives each item's longest common chain,
-    also on first read and kept.
+    The rest is made on first read and kept, so it is not a field, and
+    equality and hashing see the fields alone. sums[i] is the integer sum
+    of the item's column. mu, mad and var are the mean position and
+    deviations of a common item (0.0 off the common items), made
+    together; on the common items mu[i] is sums[i] / N. Only the weighted
+    path, the top-k variant and ``matrix`` read them. ``edges`` lists the mask pairs
+    as (i, j, mean gap) triples, i then j ascending. Because i follows j
+    in every ranking, the mean gap is (S_i - S_j) / N for the position
+    sums S, bit-for-bit the mean of the per-ranking gaps. ``levels`` gives
+    each item's longest common chain and ``_shorter_rows`` the lists the
+    series sums for each common item.
     """
 
     items: tuple[str, ...]
     reference_index: int
     common: tuple[bool, ...]
-    mu: tuple[float, ...]
-    mad: tuple[float, ...]
-    var: tuple[float, ...]
     masks: tuple[int, ...]
-    sums: tuple[int, ...]
+    columns: tuple[tuple[int, ...], ...]
     count: int
+
+    @cached_property
+    def sums(self) -> tuple[int, ...]:
+        """Each item's position sum, the integer sum of its column."""
+        return tuple(map(sum, self.columns))
+
+    @cached_property
+    def _moments(self) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+        """(mu, mad, var): each common item's mean position and deviations, 0.0 elsewhere."""
+        N = self.count
+        sums = self.sums
+        mu = [0.0] * len(self.items)
+        mad = mu.copy()
+        var = mu.copy()
+        for i in compress(range(len(sums)), self.common):
+            mean = sums[i] / N
+            mu[i] = mean
+            # x - mean for each x, then the same sums in the same order as a
+            # generator over the column would make.
+            deviations = list(map(mean.__rsub__, self.columns[i]))
+            mad[i] = sum(map(abs, deviations)) / N
+            var[i] = sum(map(pow, deviations, repeat(2))) / N
+        return tuple(mu), tuple(mad), tuple(var)
+
+    @property
+    def mu(self) -> tuple[float, ...]:
+        return self._moments[0]
+
+    @property
+    def mad(self) -> tuple[float, ...]:
+        return self._moments[1]
+
+    @property
+    def var(self) -> tuple[float, ...]:
+        return self._moments[2]
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int, float], ...]:
@@ -195,6 +235,29 @@ class Survey:
                 reached[below] |= 1 << i
                 levels[i] = below + 1
         return tuple(levels)
+
+    @cached_property
+    def _shorter_rows(self) -> tuple[tuple[int, int, bool], ...]:
+        """(i, bits, complement) for each common item i, in reference order.
+
+        bits is the item's predecessor mask, or, when complement is true,
+        the common items before i that are missing from the mask,
+        whichever has fewer set bits. A tie goes to the mask, which needs
+        no subtraction. The mask of a common item holds only common items
+        before it, so the two lists partition those items. Built on first
+        read and kept, so every lambda of a sweep shares it.
+        """
+        rows = []
+        below = 0
+        for i in compress(range(len(self.masks)), self.common):
+            mask = self.masks[i]
+            missing = below & ~mask
+            if missing.bit_count() < mask.bit_count():
+                rows.append((i, missing, True))
+            else:
+                rows.append((i, mask, False))
+            below |= 1 << i
+        return tuple(rows)
 
     def deviation_of(self, index: int, variant: Deviation | str) -> float:
         """The item's deviation; variant is a Deviation or its string value."""
@@ -259,14 +322,14 @@ def _bits(mask: int) -> list[int]:
 
 
 def survey(rset: RankingSet, reference_index: int | None = None) -> Survey:
-    """Walk the set once: commonality, deviations, ordered pairs.
+    """Walk the set once: each item's column and predecessor mask, and commonality.
 
     reference_index overrides the default shortest-ranking choice; any
     member is admissible and yields the same measures. One walk over the
     tie groups fills each item's column and predecessor mask (see the
     module docstring). The survey keeps the masks as the walk leaves
-    them, with the masks of the items outside the common set zeroed; it
-    lists no pairs.
+    them, with the masks of the items outside the common set zeroed, and
+    the columns; it lists no pairs and makes no statistics.
     """
     if reference_index is None:
         reference_index = rset.reference_index()
@@ -293,30 +356,12 @@ def survey(rset: RankingSet, reference_index: int | None = None) -> Survey:
                     bits |= bit[i]
             earlier |= bits
     common = tuple(len(column) == N for column in columns)
-    sums = list(map(sum, columns))
-    mu = [0.0] * n
-    mad = [0.0] * n
-    var = [0.0] * n
-    for i, column in enumerate(columns):
-        if not common[i]:
-            masks[i] = 0
-            continue
-        mean = sums[i] / N
-        mu[i] = mean
-        # x - mean for each x, then the same sums in the same order as a
-        # generator over the column would make.
-        deviations = list(map(mean.__rsub__, column))
-        mad[i] = sum(map(abs, deviations)) / N
-        var[i] = sum(map(pow, deviations, repeat(2))) / N
     return Survey(
         items=items,
         reference_index=reference_index,
         common=common,
-        mu=tuple(mu),
-        mad=tuple(mad),
-        var=tuple(var),
-        masks=tuple(masks),
-        sums=tuple(sums),
+        masks=tuple(mask if kept else 0 for mask, kept in zip(masks, common)),
+        columns=tuple(map(tuple, columns)),
         count=N,
     )
 

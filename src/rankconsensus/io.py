@@ -27,12 +27,12 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
 from enum import Enum
 from importlib import resources
-from itertools import chain
+from itertools import chain, repeat
 from typing import NoReturn
 
 from .graph import MeasureParams
 from .measures import KappaProfile, SweepPoint
-from .model import RankingSet, valid_token
+from .model import RankingSet, valid_token, valid_tokens
 
 
 class ParseError(ValueError):
@@ -146,6 +146,13 @@ def _json_fail(path: str, message: str) -> ParseError:
 
 
 def parse_json(content: str) -> RankingDocument:
+    """Read the JSON format; a fault raises ParseError with its JSON path.
+
+    Each entry's groups are checked whole, as ``parse_text`` checks a
+    line: every group a non-empty list, and ``valid_tokens`` over all its
+    tokens. Only when that fails does a loop over the tokens run, to name
+    the first fault.
+    """
     # Besides JSONDecodeError, integers past the interpreter's digit limit
     # raise ValueError and very deep nesting raises RecursionError.
     try:
@@ -179,23 +186,32 @@ def parse_json(content: str) -> RankingDocument:
         raw_groups = entry["groups"]
         if not isinstance(raw_groups, list) or not raw_groups:
             raise _json_fail(f"{path}.groups", "expected a non-empty list")
-        groups: list[tuple[str, ...]] = []
-        seen_tokens: set[str] = set()
-        for g, raw_group in enumerate(raw_groups):
-            gpath = f"{path}.groups[{g}]"
-            if not isinstance(raw_group, list):
-                raise _json_fail(gpath, "expected a list of tokens")
-            if not raw_group:
-                raise _json_fail(gpath, "empty tie group")
-            for token in raw_group:
-                if not valid_token(token):
-                    raise _json_fail(gpath, f"invalid token {token!r}")
-                if token in seen_tokens:
-                    raise _json_fail(path, f"duplicate item {token}")
-                seen_tokens.add(token)
-            groups.append(tuple(raw_group))
-        rankings.append(RawRanking(label=label, groups=tuple(groups)))
+        if not (
+            all(map(isinstance, raw_groups, repeat(list)))
+            and all(raw_groups)
+            and valid_tokens(list(chain.from_iterable(raw_groups)))
+        ):
+            _name_json_fault(raw_groups, path)
+            raise AssertionError("a whole-entry check failed on an entry without a fault")
+        rankings.append(RawRanking(label=label, groups=tuple(map(tuple, raw_groups))))
     return RankingDocument(rankings=tuple(rankings))
+
+
+def _name_json_fault(raw_groups: list[object], path: str) -> None:
+    """Raise the entry's first fault in group and token order, if it holds one."""
+    seen_tokens: set[str] = set()
+    for g, raw_group in enumerate(raw_groups):
+        gpath = f"{path}.groups[{g}]"
+        if not isinstance(raw_group, list):
+            raise _json_fail(gpath, "expected a list of tokens")
+        if not raw_group:
+            raise _json_fail(gpath, "empty tie group")
+        for token in raw_group:
+            if not valid_token(token):
+                raise _json_fail(gpath, f"invalid token {token!r}")
+            if token in seen_tokens:
+                raise _json_fail(path, f"duplicate item {token}")
+            seen_tokens.add(token)
 
 
 def _text_hazard(text: str) -> bool:

@@ -111,26 +111,6 @@ class KappaProfile:
         return 0
 
 
-def _shorter_rows(sv: Survey) -> Iterator[tuple[int, int, bool]]:
-    """(i, bits, complement) for each common item i, in reference order.
-
-    bits is the item's predecessor mask, or, when complement is true, the
-    common items before i that are missing from the mask, whichever has
-    fewer set bits. A tie goes to the mask, which needs no subtraction.
-    The mask of a common item holds only common items before it, so the
-    two lists partition those items.
-    """
-    below = 0
-    for i, mask in enumerate(sv.masks):
-        if sv.common[i]:
-            missing = below & ~mask
-            if missing.bit_count() < mask.bit_count():
-                yield i, missing, True
-            else:
-                yield i, mask, False
-            below |= 1 << i
-
-
 # A block costs about the same for any number of slots while its ints stay
 # below a few thousand bits. At n=40 (Python 3.11, shared 2-vCPU VM), 2
 # slots of 151 bits took 57 us and 16 took 67 us; 4 slots of 772 bits
@@ -173,7 +153,7 @@ def _chain_weights(sv: Survey, lam: float) -> tuple[list[int], list[int], list[i
 
 def _packed_block(
     sv: Survey,
-    rows: list[tuple[int, int, bool]],
+    rows: tuple[tuple[int, int, bool], ...],
     first: list[int],
     mantissas: list[int],
     shifts: list[int],
@@ -185,12 +165,12 @@ def _packed_block(
 
     f_i's coefficient low is first[i]: A_i in the first block. The others
     are the predecessors' coefficients one below, summed over the shorter
-    row of ``_shorter_rows``: the prefix (the sum over the common items so
-    far) minus the listed items on a complement row. A row whose level
-    reaches past the block drops the coefficient that would leave it and
-    keeps it in first[i], where the next block starts; a row whose level
-    is low or less holds only zeros here and is skipped. Without mantissas
-    (lambda = 1) every B_i is 1 and the total is the prefix.
+    row of ``Survey._shorter_rows``: the prefix (the sum over the common
+    items so far) minus the listed items on a complement row. A row whose
+    level reaches past the block drops the coefficient that would leave
+    it and keeps it in first[i], where the next block starts; a row whose
+    level is low or less holds only zeros here and is skipped. Without
+    mantissas (lambda = 1) every B_i is 1 and the total is the prefix.
     """
     levels = sv.levels
     packed = [0] * len(levels)
@@ -249,7 +229,7 @@ def _packed_terms(sv: Survey, params: MeasureParams) -> Iterator[int | float]:
     width = sv.common.count(True) + scale + 1
     slot = (1 << width) - 1
     denominator = 1 << scale
-    rows = list(_shorter_rows(sv))
+    rows = sv._shorter_rows
     low = 0
     size = longest if params.lam == 1.0 else max(2, BLOCK_BITS // width)
     while low < longest:
@@ -301,7 +281,8 @@ def measure(rset: RankingSet, params: MeasureParams) -> KappaProfile:
 
     The reference ranking is the default one; to choose another, call
     ``kappa_series(survey(rset, k), params)``. On the exact path this
-    reads the survey's masks and lists no edges.
+    reads the survey's masks and common flags: it lists no edges and
+    makes no position sums or deviations.
     """
     return kappa_series(survey(rset), params)
 

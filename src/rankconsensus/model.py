@@ -11,11 +11,12 @@ read. The survey reads no position table; the oracle and the baselines
 do, and ``RankingSet.reference_index`` reads the length.
 
 ``Ranking`` is the one place that checks a ranking. Each check is a
-whole-ranking test made of C-level operations: ``all`` over the groups,
-the tokens joined by spaces and split back apart, two brace tests over
-that join, and one set over the tokens. Only when one fails does a
-per-token loop run, and it only names the fault: the first one in
-ranking order.
+whole-ranking test made of C-level operations: ``all`` over the groups
+and ``valid_tokens`` over the tokens, which joins them by spaces, splits
+them back apart, makes two brace tests over that join and one set. Only
+when one fails does a per-token loop run, and it only names the fault:
+the first one in ranking order. ``io.parse_json`` checks each entry of
+a JSON document the same way.
 """
 from __future__ import annotations
 
@@ -36,13 +37,33 @@ def valid_token(token: object) -> bool:
     Whitespace is what ``str.isspace`` accepts, Unicode spaces included:
     ``str.split()`` splits at exactly those code points, so a token
     splits into itself alone when it is non-empty and holds none.
-    ``Ranking`` and ``io.parse_json`` both apply this rule.
+    ``Ranking`` and ``io.parse_json`` both apply this rule, a whole list
+    at a time through ``valid_tokens``.
     """
     return (
         isinstance(token, str)
         and token.split() == [token]
         and "{" not in token
         and "}" not in token
+    )
+
+
+def valid_tokens(tokens: list[object]) -> bool:
+    """True when every token passes ``valid_token`` and none repeats.
+
+    One whole-list test at C speed: the tokens joined by spaces split
+    back into exactly the tokens when every one is a non-empty string
+    without whitespace, two brace tests over the join, and one set.
+    """
+    try:
+        joined = " ".join(tokens)  # type: ignore[arg-type]
+    except TypeError:
+        return False
+    return (
+        joined.split() == tokens
+        and "{" not in joined
+        and "}" not in joined
+        and len(set(tokens)) == len(tokens)
     )
 
 
@@ -77,20 +98,10 @@ class Ranking:
             else:
                 groups.extend(map(tuple, source))
             tokens = list(chain.from_iterable(groups))
-            joined = " ".join(tokens)
         except TypeError:
             _name_fault(groups)
             raise
-        # The join splits back into the tokens exactly when none is empty
-        # or holds whitespace.
-        if not (
-            groups
-            and all(groups)
-            and joined.split() == tokens
-            and "{" not in joined
-            and "}" not in joined
-            and len(set(tokens)) == len(tokens)
-        ):
+        if not (groups and all(groups) and valid_tokens(tokens)):
             if not groups:
                 raise ValidationError("empty ranking")
             _name_fault(groups)

@@ -1,10 +1,12 @@
 """Reference implementations that the fast paths are tested against.
 
 ``pairwise_survey`` is ``graph.survey`` as it was before predecessor
-masks: it fills an N x n position table and tests every pair of common
-items against every ranking. ``pairwise_edges`` lists the pairs that
-test finds, with their per-ranking mean gaps, and the reference survey
-sets its masks from them. ``product_series`` is ``measures.kappa_series``
+masks: it fills an N x n position table, tests every pair of common
+items against every ranking, and makes the position sums, means and
+deviations up front with generator sums over the table.
+``pairwise_edges`` lists the pairs that test finds, with their
+per-ranking mean gaps, and the reference survey sets its masks from
+them. ``product_series`` is ``measures.kappa_series``
 as it was before the exact path packed its counts and the weighted path
 skipped the rows that can hold no chain: one full product y <- L y per
 term (``multiply_lower``), over the matrix's adjacency lists.
@@ -12,7 +14,9 @@ term (``multiply_lower``), over the matrix's adjacency lists.
 weights telescoped: one float product per term over the rows that can
 end a chain of that length (``level_terms``, over ``level_rows``).
 ``char_split_line`` is ``io._split_line`` as it was before it split on
-braces: a state machine over the characters. ``EagerRanking`` is
+braces: a state machine over the characters. ``stepwise_parse_json`` is
+``io.parse_json`` as it was before it checked an entry whole: a
+``valid_token`` test and a set lookup per token. ``EagerRanking`` is
 ``model.Ranking`` checked token by token: one loop over the groups that
 checks each token, sorts each group and fills the position table up
 front, so the first fault in ranking order is the one it raises. None
@@ -21,11 +25,12 @@ out for assertions.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Iterator
 
 from rankconsensus.graph import ConsensusMatrix, MeasureParams, Survey
-from rankconsensus.io import ParseError
+from rankconsensus.io import ParseError, RankingDocument, RawRanking, _json_fail
 from rankconsensus.measures import KappaProfile
 from rankconsensus.model import RankingSet, ValidationError, valid_token
 
@@ -58,11 +63,18 @@ def pairwise_edges(
 
 
 def pairwise_survey(rset: RankingSet, reference_index: int | None = None) -> Survey:
-    reference_index, items, columns = _position_columns(rset, reference_index)
+    """The survey from the position table, its statistics already made.
+
+    The columns drop the zeros of absent items. The position sums, means
+    and deviations are generator sums over the table, put in the
+    survey's cache, so reading them gives these values and not the ones
+    ``Survey`` would make.
+    """
+    reference_index, items, table = _position_columns(rset, reference_index)
     n = len(items)
     N = len(rset)
-    common = tuple(all(x > 0 for x in column) for column in columns)
-    sums = [sum(column) for column in columns]
+    common = tuple(all(x > 0 for x in column) for column in table)
+    sums = [sum(column) for column in table]
     mu = [0.0] * n
     mad = [0.0] * n
     var = [0.0] * n
@@ -71,22 +83,21 @@ def pairwise_survey(rset: RankingSet, reference_index: int | None = None) -> Sur
             continue
         mean = sums[i] / N
         mu[i] = mean
-        mad[i] = sum(abs(x - mean) for x in columns[i]) / N
-        var[i] = sum((x - mean) ** 2 for x in columns[i]) / N
+        mad[i] = sum(abs(x - mean) for x in table[i]) / N
+        var[i] = sum((x - mean) ** 2 for x in table[i]) / N
     masks = [0] * n
     for i, j, _ in pairwise_edges(rset, reference_index):
         masks[i] |= 1 << j
-    return Survey(
+    sv = Survey(
         items=items,
         reference_index=reference_index,
         common=common,
-        mu=tuple(mu),
-        mad=tuple(mad),
-        var=tuple(var),
         masks=tuple(masks),
-        sums=tuple(sums),
+        columns=tuple(tuple(x for x in column if x) for column in table),
         count=N,
     )
+    vars(sv).update(sums=tuple(sums), _moments=(tuple(mu), tuple(mad), tuple(var)))
+    return sv
 
 
 def multiply_lower(matrix: ConsensusMatrix, vector: list[int | float]) -> list[int | float]:
@@ -223,6 +234,57 @@ def char_split_line(line: str, lineno: int) -> list[tuple[str, ...]]:
     if buf:
         groups.append(("".join(buf),))
     return groups
+
+
+def stepwise_parse_json(content: str) -> RankingDocument:
+    try:
+        payload = json.loads(content)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise _json_fail("$", "expected an object")
+    if "rankings" not in payload:
+        raise _json_fail("$", "missing key rankings")
+    entries = payload["rankings"]
+    if not isinstance(entries, list):
+        raise _json_fail("$.rankings", "expected a list")
+    if not entries:
+        raise _json_fail("$.rankings", "empty ranking set")
+    rankings: list[RawRanking] = []
+    labels_seen: set[str] = set()
+    for k, entry in enumerate(entries):
+        path = f"$.rankings[{k}]"
+        if not isinstance(entry, dict):
+            raise _json_fail(path, "expected an object")
+        label = entry.get("label")
+        if label is not None:
+            if not isinstance(label, str):
+                raise _json_fail(f"{path}.label", "expected a string")
+            if label in labels_seen:
+                raise _json_fail(f"{path}.label", f"duplicate label {label}")
+            labels_seen.add(label)
+        if "groups" not in entry:
+            raise _json_fail(path, "missing key groups")
+        raw_groups = entry["groups"]
+        if not isinstance(raw_groups, list) or not raw_groups:
+            raise _json_fail(f"{path}.groups", "expected a non-empty list")
+        groups: list[tuple[str, ...]] = []
+        seen_tokens: set[str] = set()
+        for g, raw_group in enumerate(raw_groups):
+            gpath = f"{path}.groups[{g}]"
+            if not isinstance(raw_group, list):
+                raise _json_fail(gpath, "expected a list of tokens")
+            if not raw_group:
+                raise _json_fail(gpath, "empty tie group")
+            for token in raw_group:
+                if not valid_token(token):
+                    raise _json_fail(gpath, f"invalid token {token!r}")
+                if token in seen_tokens:
+                    raise _json_fail(path, f"duplicate item {token}")
+                seen_tokens.add(token)
+            groups.append(tuple(raw_group))
+        rankings.append(RawRanking(label=label, groups=tuple(groups)))
+    return RankingDocument(rankings=tuple(rankings))
 
 
 def to_dense(matrix: ConsensusMatrix) -> list[list[int | float]]:

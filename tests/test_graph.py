@@ -227,25 +227,49 @@ class TestReferenceChoice:
 class TestPredecessorMasks:
     """survey against the pairwise test of every pair in every ranking."""
 
+    @staticmethod
+    def assert_matches(sv, ref):
+        # The statistics are not fields, so equality does not see them;
+        # the reference's are its own generator sums over the table.
+        assert sv == ref
+        assert (sv.sums, sv.mu, sv.mad, sv.var) == (ref.sums, ref.mu, ref.mad, ref.var)
+
     @given(st.randoms(use_true_random=False), st.booleans())
     @settings(max_examples=300, deadline=None)
     def test_random_sets_match_the_pairwise_survey(self, rng, last_reference):
         rset = random_set(rng)
         reference = len(rset) - 1 if last_reference else None
         sv = survey(rset, reference)
-        assert sv == pairwise_survey(rset, reference)
+        self.assert_matches(sv, pairwise_survey(rset, reference))
         assert sv.edges == pairwise_edges(rset, reference)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_near_consensus_sets_match_the_pairwise_survey(self, seed):
         rset = near_consensus_set(random.Random(seed), 128, 50)
         sv = survey(rset)
-        assert sv == pairwise_survey(rset)
+        self.assert_matches(sv, pairwise_survey(rset))
         assert sv.edges == pairwise_edges(rset)
         assert len(sv.edges) > 128 * 127 // 4
 
 
 class TestEdgesOnFirstRead:
+    def test_statistics_are_made_once_on_first_read_and_kept(self):
+        sv = survey(make_set(*EXAMPLE_LINES))
+        assert not {"sums", "_moments"} & set(vars(sv))
+        mu = sv.mu
+        assert (sv.mu, sv.mad, sv.var) == vars(sv)["_moments"]
+        assert sv.mu is mu
+        assert vars(sv)["sums"] is sv.sums
+        assert sv.sums == tuple(map(sum, sv.columns))
+
+    def test_rows_are_listed_once_and_kept(self):
+        sv = survey(make_set(*EXAMPLE_LINES))
+        assert "_shorter_rows" not in vars(sv)
+        rows = sv._shorter_rows
+        assert vars(sv)["_shorter_rows"] is rows
+        assert sv._shorter_rows is rows
+        assert [i for i, _, _ in rows] == [i for i, c in enumerate(sv.common) if c]
+
     def test_edges_are_listed_once_and_kept(self):
         sv = survey(make_set(*EXAMPLE_LINES))
         assert "edges" not in vars(sv)
@@ -257,7 +281,7 @@ class TestEdgesOnFirstRead:
     def test_equality_ignores_whether_edges_were_read(self):
         rset = make_set(*EXAMPLE_LINES)
         read, unread = survey(rset), survey(rset)
-        read.edges
+        read.edges, read.mu, read.levels, read._shorter_rows
         assert read == unread
         assert hash(read) == hash(unread)
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import random
 import sys
+from functools import cached_property
 from math import comb
 from unittest import mock
 
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 from rankconsensus import Dataset, cli, load_dataset, load_reference_sweep, measures
 from rankconsensus.graph import Deviation, MeasureParams, Survey, survey
 from rankconsensus.measures import (
-    _shorter_rows,
     kappa1_topk,
     kappa_dup,
     kappa_series,
@@ -86,7 +86,7 @@ def _expected_rows(rset, reference=None) -> list[tuple[int, set[int], bool]]:
 
 
 def _rows(sv: Survey) -> list[tuple[int, set[int], bool]]:
-    return [(i, _bit_set(bits), complement) for i, bits, complement in _shorter_rows(sv)]
+    return [(i, _bit_set(bits), complement) for i, bits, complement in sv._shorter_rows]
 
 
 class TestPackedSeries:
@@ -133,9 +133,9 @@ class TestPackedSeries:
         # empty, and the tie goes to the mask.
         tokens = " ".join(f"t{k}" for k in range(200))
         sv = survey(make_set(tokens, tokens, tokens))
-        rows = list(_shorter_rows(sv))
+        rows = sv._shorter_rows
         assert rows[0] == (0, 0, False)
-        assert rows[1:] == [(i, 0, True) for i in range(1, 200)]
+        assert rows[1:] == tuple((i, 0, True) for i in range(1, 200))
         profile = kappa_series(sv, self.EXACT)
         assert profile.series == tuple((p, comb(200, p)) for p in range(1, 201))
         assert profile.total == 2**200 - 1
@@ -161,10 +161,13 @@ class TestPackedSeries:
         assert [bits for _, bits, complement in rows if complement] == [set()] * complements
 
     def test_exact_path_reads_neither_edges_nor_matrix(self, monkeypatch, tmp_path, capsys):
+        # Nor the position sums, the means or the deviations: the exact
+        # series needs only the masks.
         def refuse(*args):
-            raise AssertionError("the exact path read an edge list")
+            raise AssertionError("the exact path read an edge list or a statistic")
 
-        monkeypatch.setattr(Survey, "edges", property(refuse))
+        for name in ("edges", "sums", "_moments", "mu", "mad", "var"):
+            monkeypatch.setattr(Survey, name, property(refuse))
         monkeypatch.setattr(Survey, "matrix", refuse)
         rset = near_consensus_set(random.Random(4), 40, 5)
         sv = survey(rset)
@@ -356,6 +359,24 @@ class TestLevelSeries:
         assert len(capsys.readouterr().out.splitlines()) == 1 + len(GRID) ** 2
 
 
+class TestRowsOnFirstRead:
+    def test_a_sweep_lists_the_rows_once(self, monkeypatch):
+        real = Survey._shorter_rows.func
+        calls = []
+
+        def counting(sv):
+            calls.append(sv)
+            return real(sv)
+
+        kept = cached_property(counting)
+        kept.__set_name__(Survey, "_shorter_rows")
+        monkeypatch.setattr(Survey, "_shorter_rows", kept)
+        sv = survey(near_consensus_set(random.Random(5), 40, 10))
+        points = kappa_sweep(sv, GRID, GRID)
+        assert len(points) == len(GRID) ** 2
+        assert calls == [sv]
+
+
 class TestReferenceRoute:
     """kappa_total_closed, the benchmark's reference for totals, reads every edge."""
 
@@ -366,7 +387,7 @@ class TestReferenceRoute:
         matrix = sv.matrix(exact)
         listed = [(i, j) for i, row in enumerate(matrix.rows) for j, _ in row]
         assert listed == [(i, j) for i, j, _ in sv.edges]
-        assert any(complement for _, _, complement in _shorter_rows(sv))
+        assert any(complement for _, _, complement in sv._shorter_rows)
         closed = kappa_total_closed(matrix)
         assert kappa_series(sv, exact).total == closed
         (corner,) = kappa_sweep(sv, [1.0], [1.0])

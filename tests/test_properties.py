@@ -26,7 +26,7 @@ from rankconsensus.io import (
 )
 
 from conftest import ALPHABET, random_set, ranking_sets
-from reference import char_split_line, to_dense
+from reference import char_split_line, stepwise_parse_json, to_dense
 
 
 @given(ranking_sets(ties=False))
@@ -401,6 +401,60 @@ def test_one_token_rule_for_the_model_and_json(token):
     except ParseError:
         parsed = False
     assert valid_token(token) == built == parsed == expected
+
+
+def _parsed(parse, content):
+    try:
+        return parse(content)
+    except ParseError as exc:
+        return type(exc), str(exc)
+
+
+# Every kind of bad token: empty, with whitespace or braces, or not a
+# string at all.
+BAD_TOKENS = ["", "a b", "\u2003", "{", "x}", 3, None, ["a"], {"a": 1}, 1.5, True]
+
+
+@st.composite
+def json_entries(draw):
+    """A ranking entry: well formed, or with faults put in at drawn places.
+
+    The faults are a bad token, a repeated token, an empty group and a
+    group that is not a list; an entry may hold none, one or two of them.
+    Now and then the entry itself is malformed instead.
+    """
+    tokens = draw(st.permutations("abcdef"))[: draw(st.integers(1, 6))]
+    groups: list[object] = [[tokens[0]]]
+    for token in tokens[1:]:
+        if draw(st.booleans()):
+            groups.append([token])
+        else:
+            groups[-1].append(token)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        fault = draw(st.sampled_from(["token", "repeat", "empty", "non-list"]))
+        where = draw(st.integers(0, len(groups)))
+        if fault == "empty":
+            groups.insert(where, [])
+        elif fault == "non-list":
+            groups.insert(where, draw(st.sampled_from(["a", 7, None, {"a": "b"}])))
+        else:
+            token = draw(st.sampled_from(BAD_TOKENS if fault == "token" else tokens))
+            group = groups[min(where, len(groups) - 1)]
+            if isinstance(group, list):
+                group.insert(draw(st.integers(0, len(group))), token)
+    entry: dict[str, object] = {"groups": groups}
+    label = draw(st.none() | st.sampled_from(["x", "y", 1]))
+    if label is not None:
+        entry["label"] = label
+    odd = [{"label": "z"}, {"groups": []}, {"groups": "a"}, [], "entry"]
+    return draw(st.sampled_from([entry] * 10 + odd))
+
+
+@given(st.lists(json_entries(), max_size=4))
+@settings(max_examples=500, deadline=None)
+def test_parse_json_matches_the_token_loop(entries):
+    content = json.dumps({"rankings": entries})
+    assert _parsed(parse_json, content) == _parsed(stepwise_parse_json, content)
 
 
 def _tokenized(split_line, line):
