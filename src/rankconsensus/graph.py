@@ -16,12 +16,13 @@ depends only on gamma and the strict lower part only on lambda, so a
 (gamma, lambda) sweep costs one trace per gamma and one lower-part
 series per lambda (see ``measures.kappa_sweep``).
 
-``survey`` walks each ranking's tie groups once. For every reference
-item it meets, it appends the group index to that item's column and
-ANDs the item's predecessor mask; there is no per-ranking position
-table. An item is common when its column has N entries. That walk, the
-common test and the zeroing of the other items' masks are all that
-``survey`` does: the exact series needs only the masks. The position
+``survey`` walks each ranking's flat tokens once, beside their tie-group
+positions. For every reference item it meets, it appends the position
+to that item's column and ANDs the item's predecessor mask with the
+items of the earlier groups, a mask it moves forward only when the
+position changes; there is no per-ranking position table. An item is
+common when its column has N entries. That walk, the common test and
+the zeroing of the other items' masks are all that ``survey`` does: the exact series needs only the masks. The position
 sums, the mean positions and the deviations are made from the kept
 columns on their first read and then kept, like the edge list and the
 levels; only the weighted path, the top-k variant and the matrix read
@@ -148,10 +149,11 @@ class Survey:
     of the item's column. mu, mad and var are the mean position and
     deviations of a common item (0.0 off the common items), made
     together; on the common items mu[i] is sums[i] / N. Only the weighted
-    path, the top-k variant and ``matrix`` read them. ``edges`` lists the mask pairs
-    as (i, j, mean gap) triples, i then j ascending. Because i follows j
-    in every ranking, the mean gap is (S_i - S_j) / N for the position
-    sums S, bit-for-bit the mean of the per-ranking gaps. ``levels`` gives
+    path, the top-k variant and a weighted ``matrix`` read them.
+    ``edges`` lists the mask pairs as (i, j, mean gap) triples, i then j
+    ascending. Because i follows j in every ranking, the mean gap is
+    (S_i - S_j) / N for the position sums S, bit-for-bit the mean of the
+    per-ranking gaps. ``levels`` gives
     each item's longest common chain and ``_shorter_rows`` the lists the
     series sums for each common item.
     """
@@ -295,12 +297,14 @@ class Survey:
         return sum(map(pow, repeat(params.gamma), self._deviations[params.deviation]))
 
     def _diagonal(self, params: MeasureParams) -> list[int | float]:
-        """Per-item weights gamma**d, 1 on the exact path, 0 off the common items."""
-        diag: list[int | float] = [0] * len(self.items)
-        for i, common in enumerate(self.common):
-            if common:
-                diag[i] = params.weight(params.gamma, self.deviation_of(i, params.deviation))
-        return diag
+        """Per-item weights gamma**d, 1 on the exact path, 0 off the common items.
+
+        The exact path reads no deviations.
+        """
+        if params.exact:
+            return list(map(int, self.common))
+        deviations = iter(self._deviations[params.deviation])
+        return [params.gamma ** next(deviations) if common else 0 for common in self.common]
 
     def matrix(self, params: MeasureParams) -> "ConsensusMatrix":
         n = len(self.items)
@@ -325,17 +329,18 @@ def survey(rset: RankingSet, reference_index: int | None = None) -> Survey:
     """Walk the set once: each item's column and predecessor mask, and commonality.
 
     reference_index overrides the default shortest-ranking choice; any
-    member is admissible and yields the same measures. One walk over the
-    tie groups fills each item's column and predecessor mask (see the
-    module docstring). The survey keeps the masks as the walk leaves
-    them, with the masks of the items outside the common set zeroed, and
-    the columns; it lists no pairs and makes no statistics.
+    member is admissible and yields the same measures. One pass over
+    each ranking's tokens and positions fills each item's column and
+    predecessor mask (see the module docstring). The survey keeps the
+    masks as the walk leaves them, with the masks of the items outside
+    the common set zeroed, and the columns; it lists no pairs and makes
+    no statistics.
     """
     if reference_index is None:
         reference_index = rset.reference_index()
     elif not 0 <= reference_index < len(rset):
         raise ValueError(f"reference index out of range: {reference_index}")
-    items = tuple(rset.rankings[reference_index].items())
+    items = rset.rankings[reference_index].tokens
     n = len(items)
     N = len(rset)
     index_of = {item: i for i, item in enumerate(items)}.get
@@ -345,16 +350,18 @@ def survey(rset: RankingSet, reference_index: int | None = None) -> Survey:
     columns: list[list[int]] = [[] for _ in range(n)]
     masks = [b - 1 for b in bit]
     for ranking in rset:
-        earlier = 0
-        for position, group in enumerate(ranking.groups, start=1):
-            bits = 0
-            for item in group:
-                i = index_of(item)
-                if i is not None:
-                    masks[i] &= earlier
-                    columns[i].append(position)
-                    bits |= bit[i]
-            earlier |= bits
+        # seen: the items met so far. earlier: those of the groups before
+        # position last, the group of the item met last; positions never
+        # fall, so at a new position they are all of seen.
+        seen = earlier = last = 0
+        for i, position in zip(map(index_of, ranking.tokens), ranking.positions):
+            if i is not None:
+                if position != last:
+                    earlier = seen
+                    last = position
+                masks[i] &= earlier
+                columns[i].append(position)
+                seen |= bit[i]
     common = tuple(len(column) == N for column in columns)
     return Survey(
         items=items,

@@ -18,6 +18,12 @@ same model, and every text document round-trips through JSON. JSON can
 hold more: a token or label with "#", a label that is empty or holds
 whitespace or braces, and an unlabelled ranking that starts with a token
 ending in ":". serialize_text refuses those.
+
+Both parsers build each line's or entry's ``model.Ranking`` once, and
+that build is its one check: a ``RawRanking`` holds the label and the
+``Ranking``, and ``RankingDocument.to_ranking_set`` wraps those same
+objects. When ``Ranking`` refuses a line or entry, the parser names the
+fault with its line number or JSON path.
 """
 from __future__ import annotations
 
@@ -27,12 +33,12 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
 from enum import Enum
 from importlib import resources
-from itertools import chain, repeat
+from itertools import repeat
 from typing import NoReturn
 
 from .graph import MeasureParams
 from .measures import KappaProfile, SweepPoint
-from .model import RankingSet, valid_token, valid_tokens
+from .model import Ranking, RankingSet, ValidationError, valid_token
 
 
 class ParseError(ValueError):
@@ -41,8 +47,15 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class RawRanking:
+    """One line or entry of a document: its declared label, if any, and its ranking.
+
+    The parser builds the ``Ranking`` once, and that build is the
+    ranking's one check; ``RankingDocument.to_ranking_set`` hands the
+    same object on.
+    """
+
     label: str | None
-    groups: tuple[tuple[str, ...], ...]
+    ranking: Ranking
 
 
 @dataclass(frozen=True)
@@ -70,18 +83,21 @@ class RankingDocument:
         return labels
 
     def to_ranking_set(self) -> RankingSet:
-        return RankingSet.build([raw.groups for raw in self.rankings])
+        """The document's own ``Ranking`` objects as a set; none is built or checked again."""
+        return RankingSet(tuple(raw.ranking for raw in self.rankings))
 
 
-def _split_line(line: str, lineno: int) -> list[tuple[str, ...]]:
-    """Tokenize one line into tie groups, honoring braces.
+def _split_line(line: str, lineno: int) -> list[str | tuple[str, ...]]:
+    """Tokenize one line into groups, honoring braces: a bare token or a tuple per group.
 
-    Each piece after a "{" opens a tie group that its first "}" closes;
-    the text after that "}", like the text before the first "{", holds
-    singleton tokens. The checks run in line order, so the first fault in
-    the line is the one reported.
+    Each piece after a "{" opens a tie group that its first "}" closes,
+    a tuple even when it holds one token; the text after that "}", like
+    the text before the first "{", holds bare tokens, each a singleton
+    group. A line without braces is its ``split()``. The brace checks
+    run in line order, so the first fault in the line is the one
+    reported; ``Ranking`` checks the tokens.
     """
-    groups: list[tuple[str, ...]] = []
+    groups: list[str | tuple[str, ...]] = []
     pieces = line.split("{")
     last = len(pieces) - 1
     for k, piece in enumerate(pieces):
@@ -96,13 +112,20 @@ def _split_line(line: str, lineno: int) -> list[tuple[str, ...]]:
             groups.append(members)
         if "}" in piece:
             raise ParseError(f"unbalanced braces at line {lineno}")
-        groups.extend(zip(piece.split()))
+        groups.extend(piece.split())
         if k < last and piece and not piece[-1].isspace():
             raise ParseError(f"brace must start a token at line {lineno}")
     return groups
 
 
 def parse_text(content: str) -> RankingDocument:
+    """Read the text format; a fault raises ParseError with its line number.
+
+    Each line's groups go to ``Ranking`` as ``_split_line`` gives them,
+    so a line without braces is one list of bare tokens. A repeated
+    token is the only fault ``Ranking`` can find in them, and it is
+    named with the line number.
+    """
     rankings: list[RawRanking] = []
     labels_seen: set[str] = set()
     lines = content.replace("\r\n", "\n").replace("\r", "\n").split("\n")
@@ -113,8 +136,9 @@ def parse_text(content: str) -> RankingDocument:
         groups = _split_line(line, lineno)
         label = None
         first = groups[0]
-        if len(first) == 1 and first[0].endswith(":") and line.lstrip()[0] != "{":
-            label = first[0][:-1]
+        # A bare first token, not one in braces, may be the label.
+        if isinstance(first, str) and first.endswith(":"):
+            label = first[:-1]
             if not label:
                 raise ParseError(f"empty label at line {lineno}")
             groups = groups[1:]
@@ -124,21 +148,12 @@ def parse_text(content: str) -> RankingDocument:
             labels_seen.add(label)
         if not groups:
             raise ParseError(f"empty ranking at line {lineno}")
-        tokens = list(chain.from_iterable(groups))
-        if len(set(tokens)) != len(tokens):
-            _name_duplicate(tokens, lineno)
-        rankings.append(RawRanking(label=label, groups=tuple(groups)))
+        try:
+            ranking = Ranking(groups)
+        except ValidationError as exc:
+            raise ParseError(f"{exc} at line {lineno}") from None
+        rankings.append(RawRanking(label=label, ranking=ranking))
     return RankingDocument(rankings=tuple(rankings))
-
-
-def _name_duplicate(tokens: list[str], lineno: int) -> NoReturn:
-    """Raise for the first token of the line that repeats an earlier one."""
-    seen_tokens: set[str] = set()
-    for token in tokens:
-        if token in seen_tokens:
-            raise ParseError(f"duplicate item {token} at line {lineno}")
-        seen_tokens.add(token)
-    raise AssertionError("a line with a repeated token has none")
 
 
 def _json_fail(path: str, message: str) -> ParseError:
@@ -148,10 +163,10 @@ def _json_fail(path: str, message: str) -> ParseError:
 def parse_json(content: str) -> RankingDocument:
     """Read the JSON format; a fault raises ParseError with its JSON path.
 
-    Each entry's groups are checked whole, as ``parse_text`` checks a
-    line: every group a non-empty list, and ``valid_tokens`` over all its
-    tokens. Only when that fails does a loop over the tokens run, to name
-    the first fault.
+    Each entry's groups must all be lists, which one ``isinstance`` map
+    tests; then they go to ``Ranking`` as they are, as ``parse_text``
+    hands it a line. Only when either refuses them does a loop over the
+    tokens run, to name the first fault with its path.
     """
     # Besides JSONDecodeError, integers past the interpreter's digit limit
     # raise ValueError and very deep nesting raises RecursionError.
@@ -186,19 +201,18 @@ def parse_json(content: str) -> RankingDocument:
         raw_groups = entry["groups"]
         if not isinstance(raw_groups, list) or not raw_groups:
             raise _json_fail(f"{path}.groups", "expected a non-empty list")
-        if not (
-            all(map(isinstance, raw_groups, repeat(list)))
-            and all(raw_groups)
-            and valid_tokens(list(chain.from_iterable(raw_groups)))
-        ):
+        if not all(map(isinstance, raw_groups, repeat(list))):
             _name_json_fault(raw_groups, path)
-            raise AssertionError("a whole-entry check failed on an entry without a fault")
-        rankings.append(RawRanking(label=label, groups=tuple(map(tuple, raw_groups))))
+        try:
+            ranking = Ranking(raw_groups)
+        except ValidationError:
+            _name_json_fault(raw_groups, path)
+        rankings.append(RawRanking(label=label, ranking=ranking))
     return RankingDocument(rankings=tuple(rankings))
 
 
-def _name_json_fault(raw_groups: list[object], path: str) -> None:
-    """Raise the entry's first fault in group and token order, if it holds one."""
+def _name_json_fault(raw_groups: list[object], path: str) -> NoReturn:
+    """Raise the entry's first fault in group and token order."""
     seen_tokens: set[str] = set()
     for g, raw_group in enumerate(raw_groups):
         gpath = f"{path}.groups[{g}]"
@@ -212,6 +226,7 @@ def _name_json_fault(raw_groups: list[object], path: str) -> None:
             if token in seen_tokens:
                 raise _json_fail(path, f"duplicate item {token}")
             seen_tokens.add(token)
+    raise AssertionError("an entry that failed a check has no fault")
 
 
 def _text_hazard(text: str) -> bool:
@@ -231,14 +246,15 @@ def serialize_text(document: RankingDocument) -> str:
     for raw in document.rankings:
         if raw.label is not None and _text_hazard(raw.label):
             raise ValueError(f"label {raw.label!r} cannot be written as text")
-        first = raw.groups[0] if raw.groups else ()
+        groups = raw.ranking.groups
+        first = groups[0]
         if raw.label is None and len(first) == 1 and first[0].endswith(":"):
             raise ValueError(
                 f"token {first[0]!r} cannot start an unlabelled ranking in text; "
                 "it would be read as a label"
             )
         parts = []
-        for group in raw.groups:
+        for group in groups:
             for token in group:
                 if _text_hazard(token):
                     raise ValueError(f"token {token!r} cannot be written as text")
@@ -257,7 +273,7 @@ def serialize_json(document: RankingDocument) -> str:
         entry: dict[str, object] = {}
         if raw.label is not None:
             entry["label"] = raw.label
-        entry["groups"] = [list(group) for group in raw.groups]
+        entry["groups"] = [list(group) for group in raw.ranking.groups]
         entries.append(entry)
     return json.dumps({"rankings": entries}, indent=2) + "\n"
 

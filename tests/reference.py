@@ -14,9 +14,14 @@ term (``multiply_lower``), over the matrix's adjacency lists.
 weights telescoped: one float product per term over the rows that can
 end a chain of that length (``level_terms``, over ``level_rows``).
 ``char_split_line`` is ``io._split_line`` as it was before it split on
-braces: a state machine over the characters. ``stepwise_parse_json`` is
-``io.parse_json`` as it was before it checked an entry whole: a
-``valid_token`` test and a set lookup per token. ``EagerRanking`` is
+braces: a state machine over the characters. ``stepwise_parse_text`` is
+``io.parse_text`` as it was before ``Ranking`` checked its lines: it
+splits each line into tuples, one per group, finds the label by
+looking at the line's first character, and checks for a repeat with
+its own chain and set. ``stepwise_parse_json`` is ``io.parse_json`` as
+it was before it checked an entry whole: a ``valid_token`` test and a
+set lookup per token. Both hand ``Ranking`` groups they have already
+checked. ``EagerRanking`` is
 ``model.Ranking`` checked token by token: one loop over the groups that
 checks each token, sorts each group and fills the position table up
 front, so the first fault in ranking order is the one it raises. None
@@ -27,12 +32,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterator
 
 from rankconsensus.graph import ConsensusMatrix, MeasureParams, Survey
 from rankconsensus.io import ParseError, RankingDocument, RawRanking, _json_fail
 from rankconsensus.measures import KappaProfile
-from rankconsensus.model import RankingSet, ValidationError, valid_token
+from rankconsensus.model import Ranking, RankingSet, ValidationError, valid_token
 
 
 def _position_columns(
@@ -202,8 +208,9 @@ def level_series(sv: Survey, params: MeasureParams) -> KappaProfile:
     return KappaProfile(series=tuple(series), exact=params.exact)
 
 
-def char_split_line(line: str, lineno: int) -> list[tuple[str, ...]]:
-    groups: list[tuple[str, ...]] = []
+def char_split_line(line: str, lineno: int) -> list[str | tuple[str, ...]]:
+    """A bare token per token outside braces, a tuple per group in braces."""
+    groups: list[str | tuple[str, ...]] = []
     depth = 0
     buf: list[str] = []
     for ch in line:
@@ -225,15 +232,49 @@ def char_split_line(line: str, lineno: int) -> list[tuple[str, ...]]:
             buf = []
         elif ch.isspace() and not depth:
             if buf:
-                groups.append(("".join(buf),))
+                groups.append("".join(buf))
                 buf = []
         else:
             buf.append(ch)
     if depth:
         raise ParseError(f"unbalanced braces at line {lineno}")
     if buf:
-        groups.append(("".join(buf),))
+        groups.append("".join(buf))
     return groups
+
+
+def stepwise_parse_text(content: str) -> RankingDocument:
+    rankings: list[RawRanking] = []
+    labels_seen: set[str] = set()
+    lines = content.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw_line in enumerate(lines, start=1):
+        line = raw_line.split("#", 1)[0]
+        if not line.strip():
+            continue
+        groups = [
+            (group,) if isinstance(group, str) else group
+            for group in char_split_line(line, lineno)
+        ]
+        label = None
+        first = groups[0]
+        if len(first) == 1 and first[0].endswith(":") and line.lstrip()[0] != "{":
+            label = first[0][:-1]
+            if not label:
+                raise ParseError(f"empty label at line {lineno}")
+            groups = groups[1:]
+        if label is not None:
+            if label in labels_seen:
+                raise ParseError(f"duplicate label {label} at line {lineno}")
+            labels_seen.add(label)
+        if not groups:
+            raise ParseError(f"empty ranking at line {lineno}")
+        seen_tokens: set[str] = set()
+        for token in chain.from_iterable(groups):
+            if token in seen_tokens:
+                raise ParseError(f"duplicate item {token} at line {lineno}")
+            seen_tokens.add(token)
+        rankings.append(RawRanking(label=label, ranking=Ranking(groups)))
+    return RankingDocument(rankings=tuple(rankings))
 
 
 def stepwise_parse_json(content: str) -> RankingDocument:
@@ -283,7 +324,7 @@ def stepwise_parse_json(content: str) -> RankingDocument:
                     raise _json_fail(path, f"duplicate item {token}")
                 seen_tokens.add(token)
             groups.append(tuple(raw_group))
-        rankings.append(RawRanking(label=label, groups=tuple(groups)))
+        rankings.append(RawRanking(label=label, ranking=Ranking(groups)))
     return RankingDocument(rankings=tuple(rankings))
 
 

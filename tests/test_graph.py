@@ -262,6 +262,23 @@ class TestEdgesOnFirstRead:
         assert vars(sv)["sums"] is sv.sums
         assert sv.sums == tuple(map(sum, sv.columns))
 
+    def test_exact_matrix_reads_no_deviations(self):
+        sv = survey(make_set(*EXAMPLE_LINES))
+        matrix = sv.matrix(MeasureParams())
+        assert "_moments" not in vars(sv)
+        assert [(w, type(w)) for w in matrix.diag] == [(int(c), int) for c in sv.common]
+
+    @pytest.mark.parametrize("variant", list(Deviation))
+    def test_weighted_diagonal_is_gamma_to_each_deviation(self, variant):
+        sv = survey(make_set("a {b c} d e", "b a c e d", "{a b} c d f"))
+        params = MeasureParams(gamma=0.7, lam=0.9, deviation=variant)
+        expected = [
+            params.gamma ** sv.deviation_of(i, variant) if common else 0
+            for i, common in enumerate(sv.common)
+        ]
+        assert sv._diagonal(params) == expected
+        assert sum(sv.common) == 4
+
     def test_rows_are_listed_once_and_kept(self):
         sv = survey(make_set(*EXAMPLE_LINES))
         assert "_shorter_rows" not in vars(sv)

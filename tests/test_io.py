@@ -43,17 +43,17 @@ class TestParseText:
     def test_plain_lines(self):
         doc = parse_text("a b c\nb a c\n")
         assert len(doc.rankings) == 2
-        assert doc.rankings[0].groups == (("a",), ("b",), ("c",))
+        assert doc.rankings[0].ranking.groups == (("a",), ("b",), ("c",))
         assert doc.labels() == ["1", "2"]
 
     def test_labels_comments_and_blanks(self):
         doc = parse_text("# header\n\nfirst: a b  # trailing\nsecond: b a\n")
         assert doc.labels() == ["first", "second"]
-        assert doc.rankings[0].groups == (("a",), ("b",))
+        assert doc.rankings[0].ranking.groups == (("a",), ("b",))
 
     def test_tie_groups(self):
         doc = parse_text("a {c b} d")
-        assert doc.rankings[0].groups == (("a",), ("c", "b"), ("d",))
+        assert doc.rankings[0].ranking.groups == (("a",), ("b", "c"), ("d",))
 
     def test_brace_only_line_is_not_a_label(self):
         doc = parse_text("{a} b")
@@ -82,7 +82,7 @@ class TestParseText:
 
     def test_newline_and_carriage_return_end_a_line(self):
         doc = parse_text("a b\r\nb a\rc a\n")
-        assert [raw.groups for raw in doc.rankings] == [
+        assert [raw.ranking.groups for raw in doc.rankings] == [
             (("a",), ("b",)),
             (("b",), ("a",)),
             (("c",), ("a",)),
@@ -105,7 +105,7 @@ class TestParseText:
 class TestParseJson:
     def test_minimal_document(self):
         doc = parse_json('{"rankings": [{"groups": [["a"], ["b", "c"]]}]}')
-        assert doc.rankings[0].groups == (("a",), ("b", "c"))
+        assert doc.rankings[0].ranking.groups == (("a",), ("b", "c"))
         assert doc.labels() == ["1"]
 
     @pytest.mark.parametrize(
@@ -193,7 +193,7 @@ class TestDatasets:
         assert doc.labels() == [
             "APN", "AD", "ADM", "FOM", "Connectivity", "Dunn", "Silhouette",
         ]
-        assert all(len(raw.groups) == 10 for raw in doc.rankings)
+        assert all(len(raw.ranking.groups) == 10 for raw in doc.rankings)
 
     def test_clustering_variants_append_one_row(self):
         for name, label in ((Dataset.CLUSTERING_GA, "GA"), (Dataset.CLUSTERING_CE, "CE")):
@@ -203,7 +203,7 @@ class TestDatasets:
 
     def test_clustering_ga_row(self):
         doc = load_dataset("clustering_ga")
-        tokens = [group[0] for group in doc.rankings[-1].groups]
+        tokens = [group[0] for group in doc.rankings[-1].ranking.groups]
         assert tokens == "SM HR KM FN AG PM CL DI ST MO".split()
 
     def test_search_shape(self):
@@ -211,11 +211,11 @@ class TestDatasets:
             doc = load_dataset(name)
             assert len(doc.rankings) == 6
             assert doc.labels() == ["BF", "BM", "0M", "0F", "JF", "JM"]
-            assert all(len(raw.groups) == 25 for raw in doc.rankings)
+            assert all(len(raw.ranking.groups) == 25 for raw in doc.rankings)
 
     def test_google_first_row_prefix(self):
         doc = load_dataset(Dataset.SEARCH_GOOGLE)
-        tokens = [group[0] for group in doc.rankings[0].groups]
+        tokens = [group[0] for group in doc.rankings[0].ranking.groups]
         assert tokens[:4] == ["0", "68", "9", "59"]
 
     def test_unknown_dataset(self):

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rankconsensus import cli
+from rankconsensus import cli, model
 from rankconsensus.graph import MeasureParams, survey
+from rankconsensus.io import parse_text
 from rankconsensus.measures import kappa_series
-from rankconsensus.model import Ranking, RankingSet, ValidationError, valid_token
+from rankconsensus.model import Ranking, RankingSet, ValidationError, valid_token, valid_tokens
 
 from conftest import make_set, near_consensus_set
 from reference import EagerRanking, pairwise_survey
@@ -149,17 +150,32 @@ TOKEN = st.sampled_from(list("abcdefgh") * 3 + BAD_TOKENS)
 # A group is a bare token (a str is a singleton group, a non-str one is
 # not iterable or not a group of str), a list or a tuple.
 GROUP = TOKEN | st.lists(TOKEN, max_size=3) | st.lists(TOKEN, max_size=3).map(tuple)
+# Rankings of any groups; lists of bare tokens, which is what an untied
+# line of a document is, drawn among all tokens and among good ones
+# only, so that many pass; and good bare tokens mixed with tuple groups.
+GOOD = st.sampled_from(list("abcdefgh"))
+RANKINGS = (
+    st.lists(GROUP, max_size=6)
+    | st.lists(GROUP, max_size=6).map(tuple)
+    | st.lists(TOKEN, max_size=8)
+    | st.lists(GOOD, max_size=8, unique=True)
+    | st.lists(GOOD | st.lists(GOOD, min_size=1, max_size=3).map(tuple), max_size=6)
+)
 
 
 class TestWholeRankingChecks:
     """Ranking against the token-by-token reference ranking."""
 
-    @given(st.lists(GROUP, max_size=6) | st.lists(GROUP, max_size=6).map(tuple))
+    @given(RANKINGS)
     @settings(max_examples=1000, deadline=None)
     @example(["a", ["b", "c"], "c"])
     @example(["a", [], "b c", "a"])
     @example(["c", 1, "c"])
     @example([["b", "a"], "c", ("e", "d")])
+    @example(["b", "a", "c"])
+    @example(["b", "a", "b"])
+    @example(["b", ("a",), "c"])
+    @example([])
     def test_ranking_matches_the_token_by_token_ranking(self, groups):
         built = _outcome(lambda: Ranking(groups))
         expected = _outcome(lambda: EagerRanking(groups))
@@ -167,6 +183,9 @@ class TestWholeRankingChecks:
             assert built == expected
             return
         assert built.groups == expected.groups
+        assert built.tokens == tuple(expected.items())
+        assert built.sizes == tuple(map(len, expected.groups))
+        assert list(built.positions) == list(map(expected.position_of, built.tokens))
         assert built.length == expected.length
         assert built.is_untied == expected.is_untied
         assert list(built.items()) == list(expected.items())
@@ -174,10 +193,28 @@ class TestWholeRankingChecks:
         for item in ["z", *"abcdefgh"]:
             assert built.position_of(item) == expected.position_of(item)
             assert (item in built) == (item in expected)
-        # The cached position table and length are not fields.
+        assert repr(built) == "Ranking" + repr(expected).removeprefix("EagerRanking")
+        # The cached groups, positions and position table are not fields.
         fresh = Ranking(groups)
         assert built == fresh and hash(built) == hash(fresh)
         assert repr(built) == repr(fresh) == f"Ranking(groups={built.groups!r})"
+
+    @given(RANKINGS, RANKINGS)
+    @settings(max_examples=500, deadline=None)
+    @example(["a", "b"], [("a",), ("b",)])
+    @example(["a", ("b", "c")], ["a", ["c", "b"]])
+    @example([("a", "b")], ["a", "b"])
+    @example(["a", ("b", "c")], [("a", "b"), "c"])
+    def test_equality_and_hash_match_the_token_by_token_ranking(self, left, right):
+        try:
+            built = Ranking(left), Ranking(right)
+        except (ValueError, TypeError):
+            return
+        expected = EagerRanking(left), EagerRanking(right)
+        assert (built[0] == built[1]) == (expected[0] == expected[1])
+        if built[0] == built[1]:
+            assert hash(built[0]) == hash(built[1])
+            assert repr(built[0]) == repr(built[1])
 
     @pytest.mark.parametrize("groups", [None, 5])
     def test_non_iterable_ranking(self, groups):
@@ -209,6 +246,45 @@ class TestLazyPositions:
         doc.write_text("\n".join(self.LINES) + "\n")
         assert cli.main(["measure", str(doc), "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["kappa_total"] == expected[0][0].total
+
+    def test_exact_measure_reads_no_groups(self, monkeypatch, tmp_path, capsys):
+        doc = tmp_path / "set.txt"
+        doc.write_text("\n".join(self.LINES) + "\nb a e\n")
+        assert cli.main(["measure", str(doc), "--format", "json"]) == 0
+        expected = capsys.readouterr().out
+
+        def refuse(self):
+            raise AssertionError("a ranking's groups were read")
+
+        monkeypatch.setattr(Ranking, "groups", property(refuse))
+        assert cli.main(["measure", str(doc), "--format", "json"]) == 0
+        assert capsys.readouterr().out == expected
+        with pytest.raises(AssertionError, match="groups were read"):
+            make_set(*self.LINES).rankings[0].groups
+
+
+class TestOneCheckPerRanking:
+    def test_measure_checks_each_line_once(self, monkeypatch, tmp_path, capsys):
+        lines = [" ".join(random.Random(k).sample("abcdefgh", 6)) for k in range(7)]
+        doc = tmp_path / "set.txt"
+        doc.write_text("\n".join(lines) + "\n")
+        calls = []
+
+        def counted(tokens):
+            calls.append(tokens)
+            return valid_tokens(tokens)
+
+        monkeypatch.setattr(model, "valid_tokens", counted)
+        assert cli.main(["measure", str(doc), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["ell"] >= 1
+        assert calls == [line.split() for line in lines]
+
+    def test_the_set_holds_the_documents_rankings(self):
+        doc = parse_text("a {b c} d\nx: d b a c\n")
+        rset = doc.to_ranking_set()
+        assert len(rset.rankings) == len(doc.rankings) == 2
+        for ranking, raw in zip(rset.rankings, doc.rankings):
+            assert ranking is raw.ranking
 
 
 def test_valid_token_on_every_code_point():

@@ -26,7 +26,7 @@ from rankconsensus.io import (
 )
 
 from conftest import ALPHABET, random_set, ranking_sets
-from reference import char_split_line, stepwise_parse_json, to_dense
+from reference import char_split_line, stepwise_parse_json, stepwise_parse_text, to_dense
 
 
 @given(ranking_sets(ties=False))
@@ -457,6 +457,49 @@ def test_parse_json_matches_the_token_loop(entries):
     assert _parsed(parse_json, content) == _parsed(stepwise_parse_json, content)
 
 
+def _read(parse, content):
+    """Each ranking's label and groups, or the type and message of the parse error."""
+    try:
+        document = parse(content)
+    except ParseError as exc:
+        return type(exc), str(exc)
+    return [(raw.label, raw.ranking.groups) for raw in document.rankings]
+
+
+# Tokens, labels (an empty one among them), singleton and tied groups,
+# repeats, stray, nested and glued braces, and comments.
+TEXT_PIECES = st.sampled_from(
+    ["a", "b", "c", "a", "b", "x:", "y:", ":", "{a}", "{b}", "{a b}", "{c a}", "{b c}",
+     "{}", "{", "}", "{a {b}}", "a{b}", "a}", "# c {", "#"]
+)
+TEXT_SEPARATORS = st.sampled_from([" ", " ", "  ", "\t", "\u2028", "\x1c"])
+LINE_ENDS = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+
+
+@st.composite
+def text_documents(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 4))):
+        pieces = draw(st.lists(TEXT_PIECES, max_size=6))
+        separators = draw(st.lists(TEXT_SEPARATORS, min_size=len(pieces), max_size=len(pieces)))
+        lines.append("".join(sep + piece for sep, piece in zip(separators, pieces)))
+        lines.append(draw(LINE_ENDS))
+    return "".join(lines)
+
+
+@given(text_documents())
+@settings(max_examples=1000, deadline=None)
+def test_parse_text_matches_the_stepwise_parser(content):
+    assert _read(parse_text, content) == _read(stepwise_parse_text, content)
+
+
+def test_parse_text_matches_the_stepwise_parser_on_every_short_document():
+    for size in range(6):
+        for chars in itertools.product("a{} :\r", repeat=size):
+            content = "".join(chars)
+            assert _read(parse_text, content) == _read(stepwise_parse_text, content)
+
+
 def _tokenized(split_line, line):
     try:
         return split_line(line, 3)
@@ -492,7 +535,7 @@ DECLARED_LABELS = st.lists(
 @given(DECLARED_LABELS)
 @settings(max_examples=200, deadline=None)
 def test_display_labels_are_pairwise_distinct(declared):
-    document = RankingDocument(tuple(RawRanking(label, (("a",),)) for label in declared))
+    document = RankingDocument(tuple(RawRanking(label, Ranking(["a"])) for label in declared))
     labels = document.labels()
     assert len(set(labels)) == len(labels)
     assert all(shown == label for shown, label in zip(labels, declared) if label is not None)
