@@ -10,9 +10,10 @@ bit mask. The series comes from these masks in integer arithmetic: a
 chain's weight telescopes to a start weight of its first item times an
 end weight of its last, so the weighted terms are exact sums of rounded
 weights, and the exact counts are the same pass with every weight 1.
-Only ``kappa_total_closed`` reads a lower triangular matrix built from
-the masks. An independent enumeration oracle is included for
-cross-checking on small inputs.
+Only ``kappa_total_closed`` reads a lower triangular matrix, built from
+``Survey.edges``, the masks' pairs listed as (i, j, gap) triples. An
+independent enumeration oracle is included for cross-checking on small
+inputs.
 """
 from .baselines import (
     Aggregate,

@@ -287,7 +287,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         print(f"oracle check passed: ell={shown.ell} kappa={shown.total}")
         return EXIT_OK
     print("oracle check FAILED", file=sys.stderr)
-    print("p matrix oracle", file=sys.stderr)
+    print("p series oracle", file=sys.stderr)
     for p in range(1, max(computed.ell, reference.ell) + 1):
         print(f"{p} {computed.value_at(p)} {reference.value_at(p)}", file=sys.stderr)
     return EXIT_MISMATCH

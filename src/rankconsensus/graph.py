@@ -11,10 +11,11 @@ Its vertices and edges, the deviation statistics and the pair gaps do
 not depend on gamma or lambda. ``survey`` captures them once, and the
 ``Survey`` owns the reference index and the item order. A
 ``ConsensusMatrix`` holds only weights: a diagonal vector plus one
-adjacency list per row, indexed like the survey's items. The diagonal
-depends only on gamma and the strict lower part only on lambda, so a
-(gamma, lambda) sweep costs one trace per gamma and one lower-part
-series per lambda (see ``measures.kappa_sweep``).
+adjacency list per row, indexed like the survey's items; only the
+closed-form total reads one. The diagonal depends only on gamma and the
+strict lower part only on lambda, so a (gamma, lambda) sweep costs one
+trace per gamma and one series of later terms per lambda, each read
+from the survey, not from a matrix (see ``measures.kappa_sweep``).
 
 ``survey`` walks each ranking's flat tokens once, beside their tie-group
 positions. For every reference item it meets, it appends the position
@@ -22,11 +23,11 @@ to that item's column and ANDs the item's predecessor mask with the
 items of the earlier groups, a mask it moves forward only when the
 position changes; there is no per-ranking position table. An item is
 common when its column has N entries. That walk, the common test and
-the zeroing of the other items' masks are all that ``survey`` does: the exact series needs only the masks. The position
-sums, the mean positions and the deviations are made from the kept
-columns on their first read and then kept, like the edge list and the
-levels; only the weighted path, the top-k variant and the matrix read
-them.
+the zeroing of the other items' masks are all that ``survey`` does: the
+exact series needs only the masks. The position sums and the deviation
+table are made from the kept columns on their first read and then kept,
+like the edge list and the levels; only the weighted path, the top-k
+variant and the matrix read them.
 
 The masks are the bit-parallel order intersection of Allison & Dix
 (1986) and Hyyrö's bit-vector LCS applied to N weak orders. The mask of
@@ -108,6 +109,8 @@ class MeasureParams:
         object.__setattr__(self, "deviation", Deviation(self.deviation))
         if self.zeta is not None and not self.zeta > 0.0:
             raise ValueError("zeta must be positive")
+        if self.zeta is not None and math.isinf(self.zeta):
+            raise ValueError("zeta must be finite")
         if self.beta is not None and not 0.0 < self.beta < 1.0:
             raise ValueError("beta must be in (0,1)")
         if (self.zeta is None) != (self.beta is None):
@@ -134,7 +137,7 @@ class MeasureParams:
 
 @dataclass(frozen=True)
 class Survey:
-    """The parameter-independent part of the matrix for one ranking set.
+    """What one walk over a ranking set finds, before any gamma or lambda.
 
     Every per-item field is indexed by the reference ranking's items.
     ``survey`` fills the fields and nothing else. columns[i] lists the
@@ -146,16 +149,15 @@ class Survey:
 
     The rest is made on first read and kept, so it is not a field, and
     equality and hashing see the fields alone. sums[i] is the integer sum
-    of the item's column. mu, mad and var are the mean position and
-    deviations of a common item (0.0 off the common items), made
-    together; on the common items mu[i] is sums[i] / N. Only the weighted
-    path, the top-k variant and a weighted ``matrix`` read them.
-    ``edges`` lists the mask pairs as (i, j, mean gap) triples, i then j
-    ascending. Because i follows j in every ranking, the mean gap is
-    (S_i - S_j) / N for the position sums S, bit-for-bit the mean of the
-    per-ranking gaps. ``levels`` gives
-    each item's longest common chain and ``_shorter_rows`` the lists the
-    series sums for each common item.
+    of the item's column, so a common item's mean position is sums[i] / N.
+    ``_deviations`` holds each deviation variant's values for the common
+    items, in reference order; only the weighted path, the top-k variant
+    and a weighted ``matrix`` read it. ``edges`` lists the mask pairs as
+    (i, j, mean gap) triples, i then j ascending. Because i follows j in
+    every ranking, the mean gap is (S_i - S_j) / N for the position sums
+    S, bit-for-bit the mean of the per-ranking gaps. ``levels`` gives each
+    item's longest common chain and ``_shorter_rows`` the lists the series
+    sums for each common item.
     """
 
     items: tuple[str, ...]
@@ -169,36 +171,6 @@ class Survey:
     def sums(self) -> tuple[int, ...]:
         """Each item's position sum, the integer sum of its column."""
         return tuple(map(sum, self.columns))
-
-    @cached_property
-    def _moments(self) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
-        """(mu, mad, var): each common item's mean position and deviations, 0.0 elsewhere."""
-        N = self.count
-        sums = self.sums
-        mu = [0.0] * len(self.items)
-        mad = mu.copy()
-        var = mu.copy()
-        for i in compress(range(len(sums)), self.common):
-            mean = sums[i] / N
-            mu[i] = mean
-            # x - mean for each x, then the same sums in the same order as a
-            # generator over the column would make.
-            deviations = list(map(mean.__rsub__, self.columns[i]))
-            mad[i] = sum(map(abs, deviations)) / N
-            var[i] = sum(map(pow, deviations, repeat(2))) / N
-        return tuple(mu), tuple(mad), tuple(var)
-
-    @property
-    def mu(self) -> tuple[float, ...]:
-        return self._moments[0]
-
-    @property
-    def mad(self) -> tuple[float, ...]:
-        return self._moments[1]
-
-    @property
-    def var(self) -> tuple[float, ...]:
-        return self._moments[2]
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int, float], ...]:
@@ -261,26 +233,25 @@ class Survey:
             below |= 1 << i
         return tuple(rows)
 
-    def deviation_of(self, index: int, variant: Deviation | str) -> float:
-        """The item's deviation; variant is a Deviation or its string value."""
-        if variant is Deviation.MAD:
-            return self.mad[index]
-        if variant is Deviation.SQRT_MAD:
-            return math.sqrt(self.mad[index])
-        if variant is Deviation.STD:
-            return math.sqrt(self.var[index])
-        return self.deviation_of(index, Deviation(variant))
-
     @cached_property
     def _deviations(self) -> dict[Deviation, tuple[float, ...]]:
         """Each variant's deviations of the common items, in reference order.
 
-        The same floats ``deviation_of`` gives, made once per survey.
+        Made once per survey from the position sums and the columns: the
+        mean position of a common item is sums[i] / N.
         """
-        mad = tuple(compress(self.mad, self.common))
-        var = compress(self.var, self.common)
+        N = self.count
+        mad: list[float] = []
+        var: list[float] = []
+        for total, column in compress(zip(self.sums, self.columns), self.common):
+            mean = total / N
+            # x - mean for each x, then the same sums in the same order as a
+            # generator over the column would make.
+            deviations = list(map(mean.__rsub__, column))
+            mad.append(sum(map(abs, deviations)) / N)
+            var.append(sum(map(pow, deviations, repeat(2))) / N)
         return {
-            Deviation.MAD: mad,
+            Deviation.MAD: tuple(mad),
             Deviation.SQRT_MAD: tuple(map(math.sqrt, mad)),
             Deviation.STD: tuple(map(math.sqrt, var)),
         }

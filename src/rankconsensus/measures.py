@@ -43,8 +43,8 @@ few units of 2**-52 relative, and every chain weight is positive. Over
 4,000 random tied and partial sets at nine lambdas from 5e-324 to 1, and
 near-consensus sets of up to 300 items, every weighted term stayed
 within 6e-13 relative of per-term float products (the worst at
-lambda = 1e-300), and within 5e-14 for lambda >= 1e-5. At lambda = 1, a = b = 1, scale = 0 and every slot holds
-an exact count.
+lambda = 1e-300), and within 5e-14 for lambda >= 1e-5. At lambda = 1,
+a = b = 1, scale = 0 and every slot holds an exact count.
 
 No slot carries. A chain is a set of common items, so fewer than 2**c
 chains exist for c common items. A slot of any f_i, of the prefix or of
@@ -324,15 +324,16 @@ def kappa1_topk(sv: Survey, params: MeasureParams) -> float:
     """Cutoff-weighted variant of kappa_1 for top-k style rankings.
 
     Each common item of ``sv = survey(rset)`` adds beta**mu * gamma**d,
-    but only while mu + d stays strictly below the cutoff zeta.
+    but only while mu + d stays strictly below the cutoff zeta. mu is
+    the item's mean position, its position sum over N, and d its
+    deviation, read from the table the weighted series reads.
     """
     if params.zeta is None:
         raise ValueError("top-k weighting requires both zeta and beta")
     total = 0.0
-    for i, mu in enumerate(sv.mu):
-        if not sv.common[i]:
-            continue
-        d = sv.deviation_of(i, params.deviation)
+    deviations = sv._deviations[params.deviation]
+    for position_sum, d in zip(compress(sv.sums, sv.common), deviations):
+        mu = position_sum / sv.count
         if params.zeta - mu - d > 0:
             total += (params.beta ** mu) * (params.gamma ** d)
     return total

@@ -160,7 +160,9 @@ def _checked_groups(source: list[object]) -> tuple[tuple[str, ...], tuple[int, .
         # stops the extend with the groups before it kept, so a fault among
         # them is named first.
         if any(map(isinstance, source, repeat(str))):
-            groups.extend((g,) if isinstance(g, str) else tuple(g) for g in source)  # type: ignore[arg-type]
+            groups.extend(
+                (g,) if isinstance(g, str) else tuple(g) for g in source  # type: ignore[arg-type]
+            )
         else:
             groups.extend(map(tuple, source))  # type: ignore[arg-type]
         tokens = list(chain.from_iterable(groups))

@@ -63,7 +63,7 @@ def enumerate_common(
     if shortest > SIZE_GUARD:
         raise SizeLimitError(
             f"shortest ranking has {shortest} items, more than the enumeration "
-            f"guard of {SIZE_GUARD}; use the matrix path (kappa_series) instead"
+            f"guard of {SIZE_GUARD}; use the series instead (the measure command or kappa_series)"
         )
     reference = rset.rankings[rset.reference_index()]
     candidates = [

@@ -2,8 +2,8 @@
 
 ``pairwise_survey`` is ``graph.survey`` as it was before predecessor
 masks: it fills an N x n position table, tests every pair of common
-items against every ranking, and makes the position sums, means and
-deviations up front with generator sums over the table.
+items against every ranking, and makes the position sums and the
+deviation table up front with generator sums over the table.
 ``pairwise_edges`` lists the pairs that test finds, with their
 per-ranking mean gaps, and the reference survey sets its masks from
 them. ``product_series`` is ``measures.kappa_series``
@@ -31,11 +31,12 @@ out for assertions.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterator
 
-from rankconsensus.graph import ConsensusMatrix, MeasureParams, Survey
+from rankconsensus.graph import ConsensusMatrix, Deviation, MeasureParams, Survey
 from rankconsensus.io import ParseError, RankingDocument, RawRanking, _json_fail
 from rankconsensus.measures import KappaProfile
 from rankconsensus.model import Ranking, RankingSet, ValidationError, valid_token
@@ -71,26 +72,25 @@ def pairwise_edges(
 def pairwise_survey(rset: RankingSet, reference_index: int | None = None) -> Survey:
     """The survey from the position table, its statistics already made.
 
-    The columns drop the zeros of absent items. The position sums, means
-    and deviations are generator sums over the table, put in the
-    survey's cache, so reading them gives these values and not the ones
-    ``Survey`` would make.
+    The columns drop the zeros of absent items. The position sums and
+    each common item's deviations from its mean position, sums[i] / N,
+    are generator sums over the table, put in the survey's cache, so
+    reading them gives these values and not the ones ``Survey`` would
+    make.
     """
     reference_index, items, table = _position_columns(rset, reference_index)
     n = len(items)
     N = len(rset)
     common = tuple(all(x > 0 for x in column) for column in table)
     sums = [sum(column) for column in table]
-    mu = [0.0] * n
-    mad = [0.0] * n
-    var = [0.0] * n
+    mad = []
+    var = []
     for i in range(n):
         if not common[i]:
             continue
         mean = sums[i] / N
-        mu[i] = mean
-        mad[i] = sum(abs(x - mean) for x in table[i]) / N
-        var[i] = sum((x - mean) ** 2 for x in table[i]) / N
+        mad.append(sum(abs(x - mean) for x in table[i]) / N)
+        var.append(sum((x - mean) ** 2 for x in table[i]) / N)
     masks = [0] * n
     for i, j, _ in pairwise_edges(rset, reference_index):
         masks[i] |= 1 << j
@@ -102,7 +102,12 @@ def pairwise_survey(rset: RankingSet, reference_index: int | None = None) -> Sur
         columns=tuple(tuple(x for x in column if x) for column in table),
         count=N,
     )
-    vars(sv).update(sums=tuple(sums), _moments=(tuple(mu), tuple(mad), tuple(var)))
+    deviations = {
+        Deviation.MAD: tuple(mad),
+        Deviation.SQRT_MAD: tuple(math.sqrt(x) for x in mad),
+        Deviation.STD: tuple(math.sqrt(x) for x in var),
+    }
+    vars(sv).update(sums=tuple(sums), _deviations=deviations)
     return sv
 
 

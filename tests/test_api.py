@@ -39,13 +39,21 @@ def test_readme_library_example_gives_its_comments():
 
 @pytest.mark.skipif(not (BENCH / "tracing.py").is_file(), reason="bench/ is absent")
 def test_benchmark_tracer_finds_every_name_it_wraps():
-    # A renamed or deleted name would otherwise show only in a traced bench run.
+    # A renamed or deleted name would otherwise show only in a benchmark
+    # run: the workloads import names at load time, the tracer wraps them,
+    # and the reference totals and the survey hook read Survey.matrix and
+    # Survey.edges on a call.
     paths = [str(BENCH.parent / "src"), str(BENCH)]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths), PYTHONDONTWRITEBYTECODE="1")
     script = (
-        "import json, tracing\n"
+        "import json, tracing, workloads\n"
+        "from rankconsensus import RankingSet, graph\n"
         "recorder = tracing.Recorder()\n"
         "recorder.install()\n"
+        "rset = RankingSet.build([['a', 'b', 'c'], ['a', 'c', 'b']])\n"
+        "params = graph.MeasureParams(gamma=0.9, lam=0.9)\n"
+        "assert workloads.closed_total(graph.survey(rset), params) > 0\n"
+        "assert recorder.counts['graph.edges'] == 2\n"
         "print(json.dumps(recorder.missing))\n"
     )
     done = subprocess.run(

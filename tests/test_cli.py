@@ -530,7 +530,7 @@ class TestOracleCheck:
         monkeypatch.setattr(oracle, "oracle_profile", fake_profile)
         code, _, err = run(capsys, "oracle-check", "clustering", *weights)
         assert code == 5
-        assert "oracle check FAILED" in err
+        assert err.startswith("oracle check FAILED\np series oracle\n")
 
 
 class TestExperiment:

@@ -84,6 +84,15 @@ def test_infinite_epsilon_exits_3(example_file, capsys):
     assert err == "error: epsilon must be finite\n"
 
 
+def test_infinite_topk_zeta_exits_3(example_file, capsys):
+    # Refused as a parameter, before --format json could blame the result.
+    argv = ["measure", example_file, "--topk-zeta", "inf", "--topk-beta", "0.5", "--format", "json"]
+    code, out, err = run(capsys, *argv)
+    assert code == cli.EXIT_PARAMS
+    assert out == ""
+    assert err == "error: zeta must be finite\n"
+
+
 @pytest.mark.parametrize(
     "argv", [["measure", "clustering"], ["experiment", "clustering"]], ids=["measure", "experiment"]
 )

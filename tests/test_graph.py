@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankconsensus.graph import Deviation, MeasureParams, survey
-from rankconsensus.io import Dataset, load_dataset
 
 from conftest import EXAMPLE_LINES, make_set, near_consensus_set, random_set
 from reference import pairwise_edges, pairwise_survey, to_dense
@@ -33,6 +32,8 @@ class TestMeasureParams:
             (dict(lam=-0.2), "lambda must be in (0,1]"),
             (dict(epsilon=-1e-9), "epsilon must be non-negative"),
             (dict(zeta=0.0), "zeta must be positive"),
+            (dict(zeta=math.inf, beta=0.5), "zeta must be finite"),
+            (dict(zeta=-math.inf, beta=0.5), "zeta must be positive"),
             (dict(beta=1.0), "beta must be in (0,1)"),
             (dict(beta=0.0), "beta must be in (0,1)"),
             (dict(zeta=5.0), "top-k weighting requires both zeta and beta"),
@@ -106,33 +107,12 @@ class TestSurveyStatistics:
         f = "f"
         index = sv.items.index(f)
         assert [ranking.position_of(f) for ranking in rset] == [6, 5, 10, 5]
-        assert sv.mu[index] == 6.5
-        assert sv.mad[index] == 1.75
-        assert sv.var[index] == 4.25
-        assert sv.deviation_of(index, Deviation.MAD) == pytest.approx(1.75)
-        assert sv.deviation_of(index, Deviation.SQRT_MAD) == pytest.approx(
-            math.sqrt(1.75)
-        )
-        assert sv.deviation_of(index, Deviation.STD) == pytest.approx(
-            math.sqrt(4.25)
-        )
-
-    @pytest.mark.parametrize("variant", list(Deviation))
-    def test_deviation_of_takes_a_member_or_its_string_value(self, variant):
-        sv = survey(load_dataset(Dataset.CLUSTERING).to_ranking_set())
-        index = sv.common.index(True)
-        expected = {
-            Deviation.MAD: sv.mad[index],
-            Deviation.SQRT_MAD: math.sqrt(sv.mad[index]),
-            Deviation.STD: math.sqrt(sv.var[index]),
-        }[variant]
-        assert sv.deviation_of(index, variant) == expected
-        assert sv.deviation_of(index, variant.value) == expected
-
-    def test_deviation_of_refuses_an_unknown_variant(self):
-        sv = survey(make_set(*EXAMPLE_LINES))
-        with pytest.raises(ValueError, match="bogus"):
-            sv.deviation_of(sv.common.index(True), "bogus")
+        assert sv.sums[index] / sv.count == 6.5
+        # The table holds the common items only, in reference order.
+        row = sum(sv.common[:index])
+        assert sv._deviations[Deviation.MAD][row] == 1.75
+        assert sv._deviations[Deviation.SQRT_MAD][row] == math.sqrt(1.75)
+        assert sv._deviations[Deviation.STD][row] == math.sqrt(4.25)
 
     def test_position_stats_covers_common_items_only(self):
         rset = make_set(*EXAMPLE_LINES)
@@ -190,8 +170,8 @@ class TestTies:
         assert tied.position_of(b) == tied.position_of(c) == 2
         assert untied.position_of(c) == 3
         # The survey reads the same positions: b sits at 2 and 2, c at 2 and 3.
-        assert sv.mu[sv.items.index(b)] == 2.0
-        assert sv.mu[sv.items.index(c)] == 2.5
+        assert sv.sums[sv.items.index(b)] / sv.count == 2.0
+        assert sv.sums[sv.items.index(c)] / sv.count == 2.5
 
     def test_tie_breaks_strict_order(self):
         # b and c tie in the first ranking, so neither is strictly
@@ -232,7 +212,7 @@ class TestPredecessorMasks:
         # The statistics are not fields, so equality does not see them;
         # the reference's are its own generator sums over the table.
         assert sv == ref
-        assert (sv.sums, sv.mu, sv.mad, sv.var) == (ref.sums, ref.mu, ref.mad, ref.var)
+        assert (sv.sums, sv._deviations) == (ref.sums, ref._deviations)
 
     @given(st.randoms(use_true_random=False), st.booleans())
     @settings(max_examples=300, deadline=None)
@@ -255,27 +235,27 @@ class TestPredecessorMasks:
 class TestEdgesOnFirstRead:
     def test_statistics_are_made_once_on_first_read_and_kept(self):
         sv = survey(make_set(*EXAMPLE_LINES))
-        assert not {"sums", "_moments"} & set(vars(sv))
-        mu = sv.mu
-        assert (sv.mu, sv.mad, sv.var) == vars(sv)["_moments"]
-        assert sv.mu is mu
+        assert not {"sums", "_deviations"} & set(vars(sv))
+        deviations = sv._deviations
+        assert vars(sv)["_deviations"] is deviations
+        assert sv._deviations is deviations
         assert vars(sv)["sums"] is sv.sums
         assert sv.sums == tuple(map(sum, sv.columns))
 
     def test_exact_matrix_reads_no_deviations(self):
         sv = survey(make_set(*EXAMPLE_LINES))
         matrix = sv.matrix(MeasureParams())
-        assert "_moments" not in vars(sv)
+        assert "_deviations" not in vars(sv)
         assert [(w, type(w)) for w in matrix.diag] == [(int(c), int) for c in sv.common]
 
     @pytest.mark.parametrize("variant", list(Deviation))
     def test_weighted_diagonal_is_gamma_to_each_deviation(self, variant):
-        sv = survey(make_set("a {b c} d e", "b a c e d", "{a b} c d f"))
+        rset = make_set("a {b c} d e", "b a c e d", "{a b} c d f")
+        sv = survey(rset)
         params = MeasureParams(gamma=0.7, lam=0.9, deviation=variant)
-        expected = [
-            params.gamma ** sv.deviation_of(i, variant) if common else 0
-            for i, common in enumerate(sv.common)
-        ]
+        # The reference makes its deviations by its own sums over the table.
+        deviations = iter(pairwise_survey(rset)._deviations[variant])
+        expected = [params.gamma ** next(deviations) if common else 0 for common in sv.common]
         assert sv._diagonal(params) == expected
         assert sum(sv.common) == 4
 
@@ -298,7 +278,7 @@ class TestEdgesOnFirstRead:
     def test_equality_ignores_whether_edges_were_read(self):
         rset = make_set(*EXAMPLE_LINES)
         read, unread = survey(rset), survey(rset)
-        read.edges, read.mu, read.levels, read._shorter_rows
+        read.edges, read._deviations, read.levels, read._shorter_rows
         assert read == unread
         assert hash(read) == hash(unread)
 

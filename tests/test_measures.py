@@ -161,12 +161,12 @@ class TestPackedSeries:
         assert [bits for _, bits, complement in rows if complement] == [set()] * complements
 
     def test_exact_path_reads_neither_edges_nor_matrix(self, monkeypatch, tmp_path, capsys):
-        # Nor the position sums, the means or the deviations: the exact
-        # series needs only the masks.
+        # Nor the position sums or the deviation table: the exact series
+        # needs only the masks.
         def refuse(*args):
             raise AssertionError("the exact path read an edge list or a statistic")
 
-        for name in ("edges", "sums", "_moments", "mu", "mad", "var"):
+        for name in ("edges", "sums", "_deviations"):
             monkeypatch.setattr(Survey, name, property(refuse))
         monkeypatch.setattr(Survey, "matrix", refuse)
         rset = near_consensus_set(random.Random(4), 40, 5)
@@ -492,6 +492,35 @@ class TestTopK:
             survey(rset), MeasureParams(zeta=8.3, beta=0.5, deviation=Deviation.STD)
         )
         assert near > far
+
+    @given(ranking_sets(max_rankings=5), st.sampled_from(list(Deviation)), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_a_sum_over_the_reference_table(self, rset, variant, data):
+        # The reference survey makes its sums, common flags and deviations
+        # from the position table. zeta is either random or an item's own
+        # mu + d, the edge that the strict cutoff leaves out.
+        ref = pairwise_survey(rset)
+        deviations = iter(ref._deviations[variant])
+        items = [
+            (ref.sums[i] / ref.count, next(deviations))
+            for i in range(len(ref.items))
+            if ref.common[i]
+        ]
+        edges = [mu + d for mu, d in items]
+        zeta = data.draw(
+            st.floats(0.5, 12.0) | (st.sampled_from(edges) if edges else st.nothing())
+        )
+        params = MeasureParams(
+            gamma=data.draw(st.floats(0.05, 1.0)),
+            deviation=variant,
+            zeta=zeta,
+            beta=data.draw(st.floats(0.05, 0.95)),
+        )
+        expected = 0.0
+        for mu, d in items:
+            if zeta - mu - d > 0:
+                expected += params.beta**mu * params.gamma**d
+        assert kappa1_topk(survey(rset), params) == expected
 
 
 class TestSweep:
