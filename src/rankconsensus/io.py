@@ -38,7 +38,7 @@ from typing import NoReturn
 
 from .graph import MeasureParams
 from .measures import KappaProfile, SweepPoint
-from .model import Ranking, RankingSet, ValidationError, valid_token
+from .model import Ranking, RankingSet, ValidationError, valid_tokens
 
 
 class ParseError(ValueError):
@@ -221,17 +221,12 @@ def _name_json_fault(raw_groups: list[object], path: str) -> NoReturn:
         if not raw_group:
             raise _json_fail(gpath, "empty tie group")
         for token in raw_group:
-            if not valid_token(token):
+            if not valid_tokens([token]):
                 raise _json_fail(gpath, f"invalid token {token!r}")
             if token in seen_tokens:
                 raise _json_fail(path, f"duplicate item {token}")
             seen_tokens.add(token)
     raise AssertionError("an entry that failed a check has no fault")
-
-
-def _text_hazard(text: str) -> bool:
-    """True when parse_text would split, refuse or cut at a comment this token or label."""
-    return not valid_token(text) or "#" in text
 
 
 def serialize_text(document: RankingDocument) -> str:
@@ -241,10 +236,12 @@ def serialize_text(document: RankingDocument) -> str:
     hold: one with "#", which starts a comment; a label that is empty or
     holds whitespace or braces; or a single token ending in ":" at the
     start of an unlabelled ranking, which would be read as its label.
+    Every token has passed the token rule when its ``Ranking`` was
+    built, so a token is tested for "#" alone.
     """
     lines = []
     for raw in document.rankings:
-        if raw.label is not None and _text_hazard(raw.label):
+        if raw.label is not None and (not valid_tokens([raw.label]) or "#" in raw.label):
             raise ValueError(f"label {raw.label!r} cannot be written as text")
         groups = raw.ranking.groups
         first = groups[0]
@@ -256,7 +253,7 @@ def serialize_text(document: RankingDocument) -> str:
         parts = []
         for group in groups:
             for token in group:
-                if _text_hazard(token):
+                if "#" in token:
                     raise ValueError(f"token {token!r} cannot be written as text")
             if len(group) == 1:
                 parts.append(group[0])
@@ -334,12 +331,6 @@ def round3(value: int | float) -> str:
     )
 
 
-def _fmt_number(value: int | float) -> str:
-    if isinstance(value, int):
-        return str(value)
-    return repr(value)
-
-
 def _params_payload(params: MeasureParams) -> dict[str, object]:
     return {
         "gamma": params.gamma,
@@ -370,8 +361,8 @@ def profile_csv(
 ) -> str:
     extras = extras or {}
     header = ["gamma", "lambda", "kappa"] + list(extras)
-    row = [_fmt_number(params.gamma), _fmt_number(params.lam), _fmt_number(profile.total)]
-    row += [_fmt_number(v) for v in extras.values()]
+    row = [repr(params.gamma), repr(params.lam), repr(profile.total)]
+    row += [repr(v) for v in extras.values()]
     return ",".join(header) + "\n" + ",".join(row) + "\n"
 
 
@@ -397,13 +388,9 @@ def sweep_csv(points: list[SweepPoint], per_p: list[int] | None = None) -> str:
         header += [f"kappa_{p}" for p in per_p]
     lines = [",".join(header)]
     for point in points:
-        row = [
-            _fmt_number(point.gamma),
-            _fmt_number(point.lam),
-            _fmt_number(point.profile.total),
-        ]
+        row = [repr(point.gamma), repr(point.lam), repr(point.profile.total)]
         if per_p:
-            row += [_fmt_number(point.profile.value_at(p)) for p in per_p]
+            row += [repr(point.profile.value_at(p)) for p in per_p]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
@@ -413,12 +400,10 @@ def sweep_table(points: list[SweepPoint]) -> str:
     gammas = list(dict.fromkeys(point.gamma for point in points))
     lams = list(dict.fromkeys(point.lam for point in points))
     values = {(point.gamma, point.lam): point.profile.total for point in points}
-    head = ["gamma\\lambda"] + [_fmt_number(lam) for lam in lams]
+    head = ["gamma\\lambda"] + [repr(lam) for lam in lams]
     body = []
     for gamma in gammas:
-        body.append(
-            [_fmt_number(gamma)] + [round3(values[(gamma, lam)]) for lam in lams]
-        )
+        body.append([repr(gamma)] + [round3(values[(gamma, lam)]) for lam in lams])
     widths = [max(len(row[c]) for row in [head] + body) for c in range(len(head))]
     lines = []
     for row in [head] + body:

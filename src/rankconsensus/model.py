@@ -1,7 +1,7 @@
 """Core data model: rankings with tie groups, ranking sets.
 
 Items are their tokens: non-empty strings without braces or whitespace
-(``valid_token``). Two rankings hold the same item when they hold the
+(``valid_tokens``). Two rankings hold the same item when they hold the
 same token. Rankings are purely ordinal. Each ranking is a sequence of
 tie groups; a group holds one or more tokens that share the same
 preference level. Positions are 1-based group indices, so an item in the
@@ -40,29 +40,16 @@ class ValidationError(ValueError):
     """Raised when tokens or ranking structure violate the model rules."""
 
 
-def valid_token(token: object) -> bool:
-    """True for an item token: a non-empty string without braces or whitespace.
+def valid_tokens(tokens: list[object]) -> bool:
+    """True when each token is a non-empty str without braces or whitespace, none repeated.
 
     Whitespace is what ``str.isspace`` accepts, Unicode spaces included:
-    ``str.split()`` splits at exactly those code points, so a token
-    splits into itself alone when it is non-empty and holds none.
-    ``Ranking`` and ``io.parse_json`` both apply this rule, a whole list
-    at a time through ``valid_tokens``.
-    """
-    return (
-        isinstance(token, str)
-        and token.split() == [token]
-        and "{" not in token
-        and "}" not in token
-    )
-
-
-def valid_tokens(tokens: list[object]) -> bool:
-    """True when every token passes ``valid_token`` and none repeats.
-
-    One whole-list test at C speed: the tokens joined by spaces split
-    back into exactly the tokens when every one is a non-empty string
-    without whitespace, two brace tests over the join, and one set.
+    ``str.split()`` splits at exactly those code points. So the tokens
+    joined by spaces split back into exactly the tokens when every one
+    is a non-empty string without whitespace; with two brace tests over
+    the join and one set, that is one whole-list test at C speed.
+    ``Ranking`` and ``io.parse_json`` both apply this rule, and a single
+    token is tested as ``valid_tokens([token])``.
     """
     try:
         joined = " ".join(tokens)  # type: ignore[arg-type]
@@ -155,16 +142,11 @@ def _checked_groups(source: list[object]) -> tuple[tuple[str, ...], tuple[int, .
     """(tokens, sizes) of groups that are not all bare tokens, or the first fault raised."""
     groups: list[tuple[str, ...]] = []
     try:
-        # Documents give no bare str in a list of groups, so their groups
-        # take the map with no Python step per group. A non-iterable group
-        # stops the extend with the groups before it kept, so a fault among
-        # them is named first.
-        if any(map(isinstance, source, repeat(str))):
-            groups.extend(
-                (g,) if isinstance(g, str) else tuple(g) for g in source  # type: ignore[arg-type]
-            )
-        else:
-            groups.extend(map(tuple, source))  # type: ignore[arg-type]
+        # A non-iterable group stops the extend with the groups before it
+        # kept, so a fault among them is named first.
+        groups.extend(
+            (g,) if isinstance(g, str) else tuple(g) for g in source  # type: ignore[arg-type]
+        )
         tokens = list(chain.from_iterable(groups))
     except TypeError:
         _name_fault(groups)
@@ -189,7 +171,7 @@ def _name_fault(groups: list[tuple[object, ...]]) -> None:
         if not group:
             raise ValidationError("empty tie group")
         for token in group:
-            if not valid_token(token):
+            if not valid_tokens([token]):
                 raise ValidationError(
                     f"invalid item token {token!r}: tokens are non-empty strings"
                     " without whitespace or braces"
@@ -221,11 +203,7 @@ class RankingSet:
 
     def reference_index(self) -> int:
         """Index of the ranking with the fewest items; earlier wins a tie."""
-        best = 0
-        for k, ranking in enumerate(self.rankings):
-            if ranking.length < self.rankings[best].length:
-                best = k
-        return best
+        return min(range(len(self.rankings)), key=lambda k: self.rankings[k].length)
 
     def distinct(self) -> tuple["RankingSet", int]:
         """Deduplicated copy plus the largest multiplicity s."""

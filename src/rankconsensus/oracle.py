@@ -116,8 +116,8 @@ def oracle_profile(rset: RankingSet, params: MeasureParams | None = None) -> Kap
 
     It keeps kappa_1, kappa_2, ... by the rule of kappa_series,
     ``params.keeps``. It enumerates once per (gamma, lambda), where
-    kappa_sweep costs one kappa_series call per lambda plus one for the
-    exact corner.
+    kappa_sweep runs one series of later terms (``measures._tail``) per
+    lambda plus one for the exact corner.
     """
     if params is None:
         params = MeasureParams()

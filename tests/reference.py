@@ -19,14 +19,15 @@ braces: a state machine over the characters. ``stepwise_parse_text`` is
 splits each line into tuples, one per group, finds the label by
 looking at the line's first character, and checks for a repeat with
 its own chain and set. ``stepwise_parse_json`` is ``io.parse_json`` as
-it was before it checked an entry whole: a ``valid_token`` test and a
-set lookup per token. Both hand ``Ranking`` groups they have already
-checked. ``EagerRanking`` is
-``model.Ranking`` checked token by token: one loop over the groups that
-checks each token, sorts each group and fills the position table up
-front, so the first fault in ranking order is the one it raises. None
-of them is used outside the tests; ``to_dense`` only spells a matrix
-out for assertions.
+it was before it checked an entry whole: a token test and a set lookup
+per token. Both hand ``Ranking`` groups they have already checked.
+``EagerRanking`` is ``model.Ranking`` checked token by token: one loop
+over the groups that checks each token, sorts each group and fills the
+position table up front, so the first fault in ranking order is the one
+it raises. ``stepwise_parse_json`` and ``EagerRanking`` test a token
+with ``is_token``, the token rule written one character at a time, so
+they do not share the library's rule. None of them is used outside the
+tests; ``to_dense`` only spells a matrix out for assertions.
 """
 from __future__ import annotations
 
@@ -39,7 +40,16 @@ from typing import Iterator
 from rankconsensus.graph import ConsensusMatrix, Deviation, MeasureParams, Survey
 from rankconsensus.io import ParseError, RankingDocument, RawRanking, _json_fail
 from rankconsensus.measures import KappaProfile
-from rankconsensus.model import Ranking, RankingSet, ValidationError, valid_token
+from rankconsensus.model import Ranking, RankingSet, ValidationError
+
+
+def is_token(token: object) -> bool:
+    """A non-empty str with no character that ``isspace`` accepts and no brace."""
+    return (
+        isinstance(token, str)
+        and token != ""
+        and not any(char.isspace() or char in "{}" for char in token)
+    )
 
 
 def _position_columns(
@@ -323,7 +333,7 @@ def stepwise_parse_json(content: str) -> RankingDocument:
             if not raw_group:
                 raise _json_fail(gpath, "empty tie group")
             for token in raw_group:
-                if not valid_token(token):
+                if not is_token(token):
                     raise _json_fail(gpath, f"invalid token {token!r}")
                 if token in seen_tokens:
                     raise _json_fail(path, f"duplicate item {token}")
@@ -359,7 +369,7 @@ class EagerRanking:
         for index, group in enumerate(groups, start=1):
             members = []
             for token in [group] if isinstance(group, str) else group:
-                if not valid_token(token):
+                if not is_token(token):
                     raise ValidationError(
                         f"invalid item token {token!r}: tokens are non-empty strings"
                         " without whitespace or braces"

@@ -20,6 +20,28 @@ def test_every_exported_name_resolves():
     assert len(set(rankconsensus.__all__)) == len(rankconsensus.__all__)
 
 
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py imports names to export them.
+    unused = []
+    for path in sorted((ROOT / "src" / "rankconsensus").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used
+        ]
+    assert unused == []
+
+
 def test_readme_library_example_gives_its_comments():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Library use", 1)[1]

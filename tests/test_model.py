@@ -13,7 +13,7 @@ from rankconsensus import cli, model
 from rankconsensus.graph import MeasureParams, survey
 from rankconsensus.io import parse_text
 from rankconsensus.measures import kappa_series
-from rankconsensus.model import Ranking, RankingSet, ValidationError, valid_token, valid_tokens
+from rankconsensus.model import Ranking, RankingSet, ValidationError, valid_tokens
 
 from conftest import make_set, near_consensus_set
 from reference import EagerRanking, pairwise_survey
@@ -291,10 +291,10 @@ def test_valid_token_on_every_code_point():
     wrong = [
         code
         for code in range(sys.maxunicode + 1)
-        if valid_token("a" + chr(code) + "b") == (chr(code).isspace() or chr(code) in "{}")
+        if valid_tokens(["a" + chr(code) + "b"]) == (chr(code).isspace() or chr(code) in "{}")
     ]
     assert wrong == []
     for token in ("", " a", "a ", "\u2028", "{", "a}"):
-        assert not valid_token(token)
+        assert not valid_tokens([token])
     for token in (None, 1, 1.5, b"a", ["a"], ("a",)):
-        assert not valid_token(token)
+        assert not valid_tokens([token])

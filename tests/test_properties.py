@@ -12,7 +12,7 @@ from dataclasses import replace
 from rankconsensus.cli import _profiles_match
 from rankconsensus.graph import Deviation, MeasureParams, survey
 from rankconsensus.measures import kappa_series, kappa_sweep, measure
-from rankconsensus.model import Ranking, RankingSet, ValidationError, valid_token
+from rankconsensus.model import Ranking, RankingSet, ValidationError, valid_tokens
 from rankconsensus.oracle import enumerate_common, oracle_profile
 from rankconsensus.io import (
     ParseError,
@@ -400,7 +400,7 @@ def test_one_token_rule_for_the_model_and_json(token):
         parsed = True
     except ParseError:
         parsed = False
-    assert valid_token(token) == built == parsed == expected
+    assert valid_tokens([token]) == built == parsed == expected
 
 
 def _parsed(parse, content):
