@@ -3,7 +3,7 @@
 The package measures how much a set of rankings agrees by counting, with
 optional weights, the ordered item sequences the rankings share. The
 count is organized by sequence length: kappa_p covers the sequences of
-length p, ell is the longest shared length, and kappa is the grand
+length p, ell is the last length the series kept, and kappa is the grand
 total. One walk over the rankings finds, for each item common to all of
 them, the common items that every ranking puts strictly before it, as a
 bit mask. The series comes from these masks in integer arithmetic: a

@@ -1,9 +1,12 @@
 """Classical pairwise rank-correlation indices and their set aggregation.
 
 These operate on pairs of full, untied rankings over the same items;
-anything else raises UnsupportedRankingError. Pair counting is a direct
-O(n^2) enumeration, which is plenty at the scale these indices are used
-here.
+anything else raises UnsupportedRankingError. Each index reads one
+vector, the second ranking's position of each item of the first. Such
+rankings order every item pair one way or the other, so Kendall counts
+only the discordant pairs, the vector's inversions, by a direct O(n^2)
+enumeration. Every index is symmetric, so the set aggregation evaluates
+each unordered ranking pair once.
 
 The footrule here divides by n(n^2 - 1), not the usual n^2 based
 normalizer. That matches the source material for this artifact verbatim
@@ -35,58 +38,47 @@ class Aggregate(str, Enum):
     MIN = "min"
 
 
-def _check_pair(r1: Ranking, r2: Ranking) -> list[str]:
+def _order(r1: Ranking, r2: Ranking) -> list[int]:
+    """r2's position of each item of r1, in r1's order; r1's own positions are 1..n."""
     if not r1.is_untied or not r2.is_untied:
         raise UnsupportedRankingError("tied rankings are not supported")
     if r1.item_set() != r2.item_set():
         raise UnsupportedRankingError("rankings do not cover the same items")
     if r1.length < 2:
         raise ValueError(f"need at least 2 items, got {r1.length}")
-    return list(r1.items())
+    return list(map(r2.position_of, r1.tokens))
 
 
-def _pair_counts(r1: Ranking, r2: Ranking, items: list[str]) -> tuple[int, int]:
-    """(concordant, discordant) over all unordered item pairs."""
-    concordant = discordant = 0
-    n = len(items)
-    for a in range(n):
-        for b in range(a + 1, n):
-            d1 = r1.position_of(items[a]) - r1.position_of(items[b])
-            d2 = r2.position_of(items[a]) - r2.position_of(items[b])
-            if d1 * d2 > 0:
-                concordant += 1
-            else:
-                discordant += 1
-    return concordant, discordant
+def _discordant(r1: Ranking, r2: Ranking) -> tuple[int, int]:
+    """(discordant, all) unordered item pairs: the inversions of the order, n(n-1)/2."""
+    order = _order(r1, r2)
+    pairs = len(order) * (len(order) - 1) // 2
+    return sum(x > y for a, x in enumerate(order) for y in order[a + 1 :]), pairs
 
 
 def kendall_tau(r1: Ranking, r2: Ranking) -> float:
     """Concordant-minus-discordant pair fraction, in [-1, 1]."""
-    items = _check_pair(r1, r2)
-    concordant, discordant = _pair_counts(r1, r2, items)
-    return (concordant - discordant) / (concordant + discordant)
+    discordant, pairs = _discordant(r1, r2)
+    return (pairs - 2 * discordant) / pairs
 
 
 def kendall_distance(r1: Ranking, r2: Ranking) -> float:
     """Discordant pair fraction, in [0, 1]."""
-    items = _check_pair(r1, r2)
-    concordant, discordant = _pair_counts(r1, r2, items)
-    return discordant / (concordant + discordant)
+    discordant, pairs = _discordant(r1, r2)
+    return discordant / pairs
 
 
 def spearman_rho(r1: Ranking, r2: Ranking) -> float:
-    items = _check_pair(r1, r2)
-    n = len(items)
-    squares = sum(
-        (r1.position_of(item) - r2.position_of(item)) ** 2 for item in items
-    )
+    order = _order(r1, r2)
+    n = len(order)
+    squares = sum((k - position) ** 2 for k, position in enumerate(order, 1))
     return 1.0 - 6.0 * squares / (n * (n * n - 1))
 
 
 def spearman_footrule(r1: Ranking, r2: Ranking) -> float:
-    items = _check_pair(r1, r2)
-    n = len(items)
-    moves = sum(abs(r1.position_of(item) - r2.position_of(item)) for item in items)
+    order = _order(r1, r2)
+    n = len(order)
+    moves = sum(abs(k - position) for k, position in enumerate(order, 1))
     return moves / (n * (n * n - 1))
 
 
@@ -105,23 +97,24 @@ def pairwise_index(r1: Ranking, r2: Ranking, kind: Baseline | str) -> float:
 def pairwise_values(rset: RankingSet, kind: Baseline | str) -> list[tuple[int, int, float]]:
     """(i, j, index) for every ordered ranking pair i != j, i outer, j inner.
 
-    i and j are 0-based positions in the set. Index errors are re-raised
-    with the offending pair named (1-based positions in the set).
+    i and j are 0-based positions in the set. Each unordered pair i < j
+    is evaluated once; its value, like its refusal, holds for (j, i) too.
+    Index errors are re-raised with the offending pair named (1-based
+    positions in the set).
     """
     kind = Baseline(kind)
     N = len(rset)
     if N < 2:
         raise ValueError("aggregation needs at least two rankings")
-    values = []
+    values = {}
     for i in range(N):
-        for j in range(N):
-            if i == j:
-                continue
+        for j in range(i + 1, N):
             try:
-                values.append((i, j, pairwise_index(rset.rankings[i], rset.rankings[j], kind)))
+                value = pairwise_index(rset.rankings[i], rset.rankings[j], kind)
             except ValueError as exc:
                 raise type(exc)(f"pair ({i + 1}, {j + 1}): {exc}") from exc
-    return values
+            values[i, j] = values[j, i] = value
+    return [(i, j, values[i, j]) for i in range(N) for j in range(N) if i != j]
 
 
 def aggregate_values(values: Sequence[float], mode: Aggregate | str = Aggregate.MEAN) -> float:

@@ -208,5 +208,4 @@ class RankingSet:
     def distinct(self) -> tuple["RankingSet", int]:
         """Deduplicated copy plus the largest multiplicity s."""
         counts = Counter(self.rankings)
-        unique = tuple(dict.fromkeys(self.rankings))
-        return RankingSet(unique), max(counts.values())
+        return RankingSet(tuple(counts)), max(counts.values())

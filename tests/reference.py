@@ -26,8 +26,12 @@ over the groups that checks each token, sorts each group and fills the
 position table up front, so the first fault in ranking order is the one
 it raises. ``stepwise_parse_json`` and ``EagerRanking`` test a token
 with ``is_token``, the token rule written one character at a time, so
-they do not share the library's rule. None of them is used outside the
-tests; ``to_dense`` only spells a matrix out for assertions.
+they do not share the library's rule. ``ordered_pairwise_values`` is
+``baselines.pairwise_values`` as it was before it evaluated each
+unordered ranking pair once: it evaluates every ordered pair, looks
+each item's positions up in both rankings, and counts the concordant
+and the discordant item pairs of a Kendall index. None of them is used
+outside the tests; ``to_dense`` only spells a matrix out for assertions.
 """
 from __future__ import annotations
 
@@ -37,6 +41,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterator
 
+from rankconsensus.baselines import Baseline, UnsupportedRankingError
 from rankconsensus.graph import ConsensusMatrix, Deviation, MeasureParams, Survey
 from rankconsensus.io import ParseError, RankingDocument, RawRanking, _json_fail
 from rankconsensus.measures import KappaProfile
@@ -341,6 +346,63 @@ def stepwise_parse_json(content: str) -> RankingDocument:
             groups.append(tuple(raw_group))
         rankings.append(RawRanking(label=label, ranking=Ranking(groups)))
     return RankingDocument(rankings=tuple(rankings))
+
+
+def _checked_items(r1: Ranking, r2: Ranking) -> list[str]:
+    if not r1.is_untied or not r2.is_untied:
+        raise UnsupportedRankingError("tied rankings are not supported")
+    if r1.item_set() != r2.item_set():
+        raise UnsupportedRankingError("rankings do not cover the same items")
+    if r1.length < 2:
+        raise ValueError(f"need at least 2 items, got {r1.length}")
+    return list(r1.items())
+
+
+def _pair_counts(r1: Ranking, r2: Ranking, items: list[str]) -> tuple[int, int]:
+    """(concordant, discordant) over all unordered item pairs."""
+    concordant = discordant = 0
+    n = len(items)
+    for a in range(n):
+        for b in range(a + 1, n):
+            d1 = r1.position_of(items[a]) - r1.position_of(items[b])
+            d2 = r2.position_of(items[a]) - r2.position_of(items[b])
+            if d1 * d2 > 0:
+                concordant += 1
+            else:
+                discordant += 1
+    return concordant, discordant
+
+
+def _ordered_index(r1: Ranking, r2: Ranking, kind: Baseline) -> float:
+    items = _checked_items(r1, r2)
+    n = len(items)
+    if kind in (Baseline.KENDALL_TAU, Baseline.KENDALL_DIST):
+        concordant, discordant = _pair_counts(r1, r2, items)
+        if kind is Baseline.KENDALL_TAU:
+            return (concordant - discordant) / (concordant + discordant)
+        return discordant / (concordant + discordant)
+    gaps = [r1.position_of(item) - r2.position_of(item) for item in items]
+    if kind is Baseline.SPEARMAN_RHO:
+        return 1.0 - 6.0 * sum(gap**2 for gap in gaps) / (n * (n * n - 1))
+    return sum(abs(gap) for gap in gaps) / (n * (n * n - 1))
+
+
+def ordered_pairwise_values(rset: RankingSet, kind: Baseline | str) -> list[tuple[int, int, float]]:
+    """(i, j, index) for every ordered ranking pair i != j, each evaluated on its own."""
+    kind = Baseline(kind)
+    N = len(rset)
+    if N < 2:
+        raise ValueError("aggregation needs at least two rankings")
+    values = []
+    for i in range(N):
+        for j in range(N):
+            if i == j:
+                continue
+            try:
+                values.append((i, j, _ordered_index(rset.rankings[i], rset.rankings[j], kind)))
+            except ValueError as exc:
+                raise type(exc)(f"pair ({i + 1}, {j + 1}): {exc}") from exc
+    return values
 
 
 def to_dense(matrix: ConsensusMatrix) -> list[list[int | float]]:

@@ -42,6 +42,16 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+def test_no_source_line_is_longer_than_100_characters():
+    long_lines = [
+        f"{path.name}:{number}"
+        for path in sorted((ROOT / "src" / "rankconsensus").glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if len(line) > 100
+    ]
+    assert long_lines == []
+
+
 def test_readme_library_example_gives_its_comments():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Library use", 1)[1]

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankconsensus.baselines import (
     Aggregate,
@@ -12,12 +14,14 @@ from rankconsensus.baselines import (
     kendall_tau,
     pairwise_aggregate,
     pairwise_index,
+    pairwise_values,
     spearman_footrule,
     spearman_rho,
 )
-from rankconsensus.model import Ranking
+from rankconsensus.model import Ranking, RankingSet
 
-from conftest import make_set
+from conftest import ALPHABET, make_set
+from reference import ordered_pairwise_values
 
 
 def pair(first: str, second: str):
@@ -72,8 +76,8 @@ class TestIdentities:
 
     def test_symmetry(self):
         for r1, r2 in self.shuffled_pairs():
-            assert kendall_tau(r1, r2) == pytest.approx(kendall_tau(r2, r1))
-            assert spearman_rho(r1, r2) == pytest.approx(spearman_rho(r2, r1))
+            for index in (kendall_tau, kendall_distance, spearman_rho, spearman_footrule):
+                assert index(r1, r2) == index(r2, r1)
 
     def test_reversal_negates_tau(self):
         rng = random.Random(11)
@@ -151,3 +155,34 @@ class TestAggregate:
         rset = make_set("a b c", "a c d")
         with pytest.raises(UnsupportedRankingError, match=r"pair \(1, 2\)"):
             pairwise_aggregate(rset, Baseline.KENDALL_TAU, Aggregate.SUM)
+
+
+@st.composite
+def baseline_sets(draw):
+    """1 to 8 rankings of one item set, each full and untied unless it draws a fault."""
+    tokens = ALPHABET[: draw(st.integers(1, 6))]
+    rankings = []
+    for _ in range(draw(st.integers(1, 8))):
+        order: list = list(draw(st.permutations(tokens)))
+        fault = draw(st.sampled_from(["none", "none", "none", "tied", "partial", "mismatched"]))
+        if fault == "tied" and len(order) > 1:
+            order = [order[:2]] + order[2:]
+        elif fault == "partial" and len(order) > 1:
+            order.pop()
+        elif fault == "mismatched":
+            order[-1] = "z"
+        rankings.append(order)
+    return RankingSet.build(rankings)
+
+
+def outcome(function, *args):
+    try:
+        return function(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@given(baseline_sets(), st.sampled_from(list(Baseline)))
+@settings(max_examples=300, deadline=None)
+def test_pairwise_values_match_the_ordered_pair_reference(rset, kind):
+    assert outcome(pairwise_values, rset, kind) == outcome(ordered_pairwise_values, rset, kind)

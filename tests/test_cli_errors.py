@@ -150,7 +150,7 @@ def test_experiment_rejects_a_reference_table_off_the_grid(monkeypatch, capsys):
     assert err == f"error: reference table ce is not on the grid {cli.EXPERIMENT_GRID}\n"
 
 
-def test_baseline_evaluates_each_ordered_pair_once(tmp_path, monkeypatch, capsys):
+def test_baseline_evaluates_each_unordered_pair_once(tmp_path, monkeypatch, capsys):
     path = tmp_path / "full.txt"
     path.write_text("a b c d\nb a c d\nd c b a\n", encoding="utf-8")
     calls = []
@@ -163,7 +163,7 @@ def test_baseline_evaluates_each_ordered_pair_once(tmp_path, monkeypatch, capsys
     monkeypatch.setitem(baselines._INDEX_FUNCS, baselines.Baseline.KENDALL_TAU, counted)
     code, out, _ = run(capsys, "baseline", str(path), "--index", "tau", "--format", "csv")
     assert code == 0
-    assert len(calls) == 3 * 2
+    assert len(calls) == 3
     assert len(out.splitlines()) == 1 + 3 * 2 + 1
 
 
