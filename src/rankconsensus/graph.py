@@ -18,16 +18,18 @@ trace per gamma and one series of later terms per lambda, each read
 from the survey, not from a matrix (see ``measures.kappa_sweep``).
 
 ``survey`` walks each ranking's flat tokens once, beside their tie-group
-positions. For every reference item it meets, it appends the position
-to that item's column and ANDs the item's predecessor mask with the
-items of the earlier groups, a mask it moves forward only when the
-position changes; there is no per-ranking position table. An item is
-common when its column has N entries. That walk, the common test and
-the zeroing of the other items' masks are all that ``survey`` does: the
-exact series needs only the masks. The position sums and the deviation
-table are made from the kept columns on their first read and then kept,
-like the edge list and the levels; only the weighted path, the top-k
-variant and the matrix read them.
+positions. For every reference item it meets, it ANDs the item's
+predecessor mask with the items of the earlier groups, a mask it moves
+forward only when the position changes, and adds the item to the
+ranking's seen mask; there is no per-ranking position table and no
+position is kept. A ranking holds a token at most once, so an item is
+common when it is in the AND of the N seen masks. That walk, the common
+test and the zeroing of the other items' masks are all that ``survey``
+does: the exact series needs only the masks. The survey keeps the set's
+rankings, and the position columns, their sums and the deviation table
+are made from them on their first read and then kept, like the edge
+list and the levels; only the weighted path, the top-k variant and the
+matrix read them.
 
 The masks are the bit-parallel order intersection of Allison & Dix
 (1986) and Hyyrö's bit-vector LCS applied to N weak orders. The mask of
@@ -40,7 +42,7 @@ it is common too; the masks of the other items are zeroed. That is
 O(N n) big-int operations instead of a test of every pair in every
 ranking.
 
-The survey keeps the masks and the columns; it lists no pairs. A pair
+The survey keeps the masks and the rankings; it lists no pairs. A pair
 (i, j) is an edge only when every ranking k puts i strictly after j, so
 |p_k(i) - p_k(j)| = p_k(i) - p_k(j) in every ranking and the mean gap
 telescopes to (S_i - S_j) / N, with S_i the item's position sum. The
@@ -63,7 +65,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import compress, repeat
 
-from .model import RankingSet
+from .model import Ranking, RankingSet
 
 
 class Deviation(str, Enum):
@@ -140,15 +142,16 @@ class Survey:
     """What one walk over a ranking set finds, before any gamma or lambda.
 
     Every per-item field is indexed by the reference ranking's items.
-    ``survey`` fills the fields and nothing else. columns[i] lists the
-    item's 1-based tie-group index in each ranking that holds it, in set
-    order, and common[i] says it is in every ranking, that is, its column
-    has count = N entries. Bit j of masks[i] is set when every ranking
-    puts item j strictly before item i (so j < i); the masks of the items
-    outside ``common`` are 0.
+    ``survey`` fills the fields and nothing else. common[i] says the item
+    is in every one of the count = N rankings, which ``rankings`` holds
+    in set order. Bit j of masks[i] is set when every ranking puts item j
+    strictly before item i (so j < i); the masks of the items outside
+    ``common`` are 0.
 
     The rest is made on first read and kept, so it is not a field, and
-    equality and hashing see the fields alone. sums[i] is the integer sum
+    equality and hashing see the fields alone. columns[i] lists the
+    item's 1-based tie-group index in each ranking that holds it, in set
+    order; an exact measure never reads it. sums[i] is the integer sum
     of the item's column, so a common item's mean position is sums[i] / N.
     ``_deviations`` holds each deviation variant's values for the common
     items, in reference order; only the weighted path, the top-k variant
@@ -164,8 +167,19 @@ class Survey:
     reference_index: int
     common: tuple[bool, ...]
     masks: tuple[int, ...]
-    columns: tuple[tuple[int, ...], ...]
+    rankings: tuple[Ranking, ...]
     count: int
+
+    @cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """Each item's 1-based tie-group index in each ranking that holds it, in set order."""
+        index_of = {item: i for i, item in enumerate(self.items)}.get
+        columns: list[list[int]] = [[] for _ in self.items]
+        for ranking in self.rankings:
+            for i, position in zip(map(index_of, ranking.tokens), ranking.positions):
+                if i is not None:
+                    columns[i].append(position)
+        return tuple(map(tuple, columns))
 
     @cached_property
     def sums(self) -> tuple[int, ...]:
@@ -297,15 +311,15 @@ def _bits(mask: int) -> list[int]:
 
 
 def survey(rset: RankingSet, reference_index: int | None = None) -> Survey:
-    """Walk the set once: each item's column and predecessor mask, and commonality.
+    """Walk the set once: each item's predecessor mask, and commonality.
 
     reference_index overrides the default shortest-ranking choice; any
     member is admissible and yields the same measures. One pass over
-    each ranking's tokens and positions fills each item's column and
-    predecessor mask (see the module docstring). The survey keeps the
-    masks as the walk leaves them, with the masks of the items outside
-    the common set zeroed, and the columns; it lists no pairs and makes
-    no statistics.
+    each ranking's tokens and positions fills each item's predecessor
+    mask and the items each ranking holds (see the module docstring).
+    The survey keeps the masks as the walk leaves them, with the masks of
+    the items outside the common set zeroed, and the set's rankings; it
+    keeps no positions, lists no pairs and makes no statistics.
     """
     if reference_index is None:
         reference_index = rset.reference_index()
@@ -316,10 +330,10 @@ def survey(rset: RankingSet, reference_index: int | None = None) -> Survey:
     N = len(rset)
     index_of = {item: i for i, item in enumerate(items)}.get
     bit = [1 << i for i in range(n)]
-    # columns[i] lists item i's group index in each ranking that holds it,
-    # in set order; bit j of masks[i] stands for the pair (i, j).
-    columns: list[list[int]] = [[] for _ in range(n)]
+    # Bit j of masks[i] stands for the pair (i, j); bit i of everywhere
+    # stays set while every ranking so far holds item i.
     masks = [b - 1 for b in bit]
+    everywhere = (1 << n) - 1
     for ranking in rset:
         # seen: the items met so far. earlier: those of the groups before
         # position last, the group of the item met last; positions never
@@ -331,15 +345,15 @@ def survey(rset: RankingSet, reference_index: int | None = None) -> Survey:
                     earlier = seen
                     last = position
                 masks[i] &= earlier
-                columns[i].append(position)
                 seen |= bit[i]
-    common = tuple(len(column) == N for column in columns)
+        everywhere &= seen
+    common = tuple(map(bool, map(everywhere.__and__, bit)))
     return Survey(
         items=items,
         reference_index=reference_index,
         common=common,
         masks=tuple(mask if kept else 0 for mask, kept in zip(masks, common)),
-        columns=tuple(map(tuple, columns)),
+        rankings=rset.rankings,
         count=N,
     )
 

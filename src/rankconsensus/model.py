@@ -11,21 +11,23 @@ are tied.
 A ranking stores two flat tuples: its tokens in group order and the
 size of each group. Everything else is derived from them: the groups,
 the per-token positions, the position table and the length. The groups,
-the positions and the position table are built on first read. The
-survey reads the tokens and the positions; the oracle and the baselines
-read the position table.
+a tied ranking's positions and the position table are built on first
+read and kept; an untied ranking's positions are ``range(1, m + 1)``,
+made on each read. The survey reads the tokens and the positions; the
+oracle and the baselines read the position table.
 
 ``Ranking`` is the one place that checks a ranking, and it checks each
 ranking once. Each check is a whole-ranking test made of C-level
 operations: ``valid_tokens`` over the tokens, which joins them by
-spaces, splits them back apart, makes two brace tests over that join
-and one set. A list of bare tokens, which is what an untied line of a
-document is, passes that test as it is: the join is already the test
-that every group is a str. Other input is first split into groups, each
-checked non-empty. Only when a check fails does a per-token loop run,
-and it only names the fault: the first one in ranking order. The
-parsers in ``io`` hand each line or entry to ``Ranking`` and name its
-fault with the line number or JSON path.
+spaces, tests that the join is printable with one space per gap (and
+splits it back apart only when it is not), makes two brace tests over
+that join and one set. A list of bare tokens, which is what an untied
+line of a document is, passes that test as it is: the join is already
+the test that every group is a str. Other input is first split into
+groups, each checked non-empty. Only when a check fails does a
+per-token loop run, and it only names the fault: the first one in
+ranking order. The parsers in ``io`` hand each line or entry to
+``Ranking`` and name its fault with the line number or JSON path.
 """
 from __future__ import annotations
 
@@ -46,8 +48,12 @@ def valid_tokens(tokens: list[object]) -> bool:
     Whitespace is what ``str.isspace`` accepts, Unicode spaces included:
     ``str.split()`` splits at exactly those code points. So the tokens
     joined by spaces split back into exactly the tokens when every one
-    is a non-empty string without whitespace; with two brace tests over
-    the join and one set, that is one whole-list test at C speed.
+    is a non-empty string without whitespace. U+0020 is the only code
+    point that is both whitespace and printable, so a printable join
+    with one space per gap needs no split: its non-empty tokens hold no
+    whitespace. Only a join that fails that test is split. With two
+    brace tests over the join and one set, that is one whole-list test
+    at C speed.
     ``Ranking`` and ``io.parse_json`` both apply this rule, and a single
     token is tested as ``valid_tokens([token])``.
     """
@@ -56,7 +62,10 @@ def valid_tokens(tokens: list[object]) -> bool:
     except TypeError:
         return False
     return (
-        joined.split() == tokens
+        (
+            joined.isprintable() and joined.count(" ") == len(tokens) - 1 and all(tokens)
+            or joined.split() == tokens
+        )
         and "{" not in joined
         and "}" not in joined
         and len(set(tokens)) == len(tokens)
@@ -76,9 +85,10 @@ class Ranking:
     a tied group sorted, and ``sizes``, the number of tokens in each
     group. Sorting makes equality structural: two rankings are equal,
     and hash alike, when they place the same tokens in the same groups
-    in the same order. The groups, the per-token positions and the
-    position table are built from the two on first read and kept; they
-    are not fields, so equality and hashing see the two tuples alone.
+    in the same order. The groups, a tied ranking's per-token positions
+    and the position table are built from the two on first read and
+    kept; they are not fields, so equality and hashing see the two
+    tuples alone.
     """
 
     tokens: tuple[str, ...]
@@ -104,11 +114,15 @@ class Ranking:
         tokens = iter(self.tokens)
         return tuple(tuple(islice(tokens, size)) for size in self.sizes)
 
-    @cached_property
+    @property
     def positions(self) -> Sequence[int]:
         """Each token's 1-based tie-group index, in token order."""
         if self.is_untied:
             return range(1, len(self.tokens) + 1)
+        return self._tied_positions
+
+    @cached_property
+    def _tied_positions(self) -> tuple[int, ...]:
         return tuple(chain.from_iterable(map(repeat, range(1, len(self.sizes) + 1), self.sizes)))
 
     @cached_property

@@ -85,13 +85,13 @@ def pairwise_edges(
 
 
 def pairwise_survey(rset: RankingSet, reference_index: int | None = None) -> Survey:
-    """The survey from the position table, its statistics already made.
+    """The survey from the position table, its columns and statistics already made.
 
-    The columns drop the zeros of absent items. The position sums and
-    each common item's deviations from its mean position, sums[i] / N,
-    are generator sums over the table, put in the survey's cache, so
-    reading them gives these values and not the ones ``Survey`` would
-    make.
+    The columns are the table's, with the zeros of absent items dropped.
+    They, the position sums and each common item's deviations from its
+    mean position, sums[i] / N, which are generator sums over the table,
+    are put in the survey's cache, so reading them gives these values
+    and not the ones ``Survey`` would make from its rankings.
     """
     reference_index, items, table = _position_columns(rset, reference_index)
     n = len(items)
@@ -114,7 +114,7 @@ def pairwise_survey(rset: RankingSet, reference_index: int | None = None) -> Sur
         reference_index=reference_index,
         common=common,
         masks=tuple(masks),
-        columns=tuple(tuple(x for x in column if x) for column in table),
+        rankings=rset.rankings,
         count=N,
     )
     deviations = {
@@ -122,7 +122,11 @@ def pairwise_survey(rset: RankingSet, reference_index: int | None = None) -> Sur
         Deviation.SQRT_MAD: tuple(math.sqrt(x) for x in mad),
         Deviation.STD: tuple(math.sqrt(x) for x in var),
     }
-    vars(sv).update(sums=tuple(sums), _deviations=deviations)
+    vars(sv).update(
+        columns=tuple(tuple(x for x in column if x) for column in table),
+        sums=tuple(sums),
+        _deviations=deviations,
+    )
     return sv
 
 

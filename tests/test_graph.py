@@ -212,6 +212,7 @@ class TestPredecessorMasks:
         # The statistics are not fields, so equality does not see them;
         # the reference's are its own generator sums over the table.
         assert sv == ref
+        assert sv.columns == ref.columns
         assert (sv.sums, sv._deviations) == (ref.sums, ref._deviations)
 
     @given(st.randoms(use_true_random=False), st.booleans())
@@ -235,7 +236,7 @@ class TestPredecessorMasks:
 class TestEdgesOnFirstRead:
     def test_statistics_are_made_once_on_first_read_and_kept(self):
         sv = survey(make_set(*EXAMPLE_LINES))
-        assert not {"sums", "_deviations"} & set(vars(sv))
+        assert not {"columns", "sums", "_deviations"} & set(vars(sv))
         deviations = sv._deviations
         assert vars(sv)["_deviations"] is deviations
         assert sv._deviations is deviations

@@ -10,13 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankconsensus import cli, model
-from rankconsensus.graph import MeasureParams, survey
+from rankconsensus.graph import MeasureParams, Survey, survey
 from rankconsensus.io import parse_text
 from rankconsensus.measures import kappa_series
 from rankconsensus.model import Ranking, RankingSet, ValidationError, valid_tokens
 
 from conftest import make_set, near_consensus_set
-from reference import EagerRanking, pairwise_survey
+from reference import EagerRanking, is_token, pairwise_survey
 
 
 class TestRanking:
@@ -228,24 +228,39 @@ class TestLazyPositions:
     LINES = ("a {b c} d e f", "{a b} c e", "b a {c d e} f g", "e {a b c}")
 
     def test_survey_series_and_measure_read_no_positions(self, monkeypatch, tmp_path, capsys):
-        sets = [make_set(*self.LINES), near_consensus_set(random.Random(4), 40, 5)]
+        # One tied and partial document, one untied one.
+        untied = near_consensus_set(random.Random(4), 40, 5)
+        texts = ["\n".join(self.LINES) + "\n", "".join(" ".join(r.tokens) + "\n" for r in untied)]
         expected = [
-            [kappa_series(pairwise_survey(rset), params) for params in (self.EXACT, self.WEIGHTED)]
-            for rset in sets
+            [
+                kappa_series(pairwise_survey(parse_text(text).to_ranking_set()), params)
+                for params in (self.EXACT, self.WEIGHTED)
+            ]
+            for text in texts
         ]
 
-        def refuse(self):
-            raise AssertionError("a position table was read")
+        def refuse(what):
+            def read(self):
+                raise AssertionError(f"{what} was read")
 
-        monkeypatch.setattr(Ranking, "_positions", property(refuse))
-        sets = [make_set(*self.LINES), near_consensus_set(random.Random(4), 40, 5)]
-        for rset, profiles in zip(sets, expected):
-            sv = survey(rset)
-            assert [kappa_series(sv, p) for p in (self.EXACT, self.WEIGHTED)] == profiles
-        doc = tmp_path / "set.txt"
-        doc.write_text("\n".join(self.LINES) + "\n")
-        assert cli.main(["measure", str(doc), "--format", "json"]) == 0
-        assert json.loads(capsys.readouterr().out)["kappa_total"] == expected[0][0].total
+            return property(read)
+
+        monkeypatch.setattr(Ranking, "_positions", refuse("a position table"))
+        surveys = []
+        with monkeypatch.context() as exact_only:
+            # The exact path reads the masks alone, not the survey's columns.
+            exact_only.setattr(Survey, "columns", refuse("a survey's columns"))
+            for k, (text, (exact, _)) in enumerate(zip(texts, expected)):
+                sv = survey(parse_text(text).to_ranking_set())
+                assert kappa_series(sv, self.EXACT) == exact
+                surveys.append(sv)
+                doc = tmp_path / f"set{k}.txt"
+                doc.write_text(text)
+                assert cli.main(["measure", str(doc), "--format", "json"]) == 0
+                assert json.loads(capsys.readouterr().out)["kappa_total"] == exact.total
+        for sv, (_, weighted) in zip(surveys, expected):
+            assert "columns" not in vars(sv)
+            assert kappa_series(sv, self.WEIGHTED) == weighted
 
     def test_exact_measure_reads_no_groups(self, monkeypatch, tmp_path, capsys):
         doc = tmp_path / "set.txt"
@@ -298,3 +313,33 @@ def test_valid_token_on_every_code_point():
         assert not valid_tokens([token])
     for token in (None, 1, 1.5, b"a", ["a"], ("a",)):
         assert not valid_tokens([token])
+
+
+def test_the_only_printable_whitespace_is_the_space():
+    # valid_tokens skips the split of a printable join with one space per
+    # gap; that is sound only while no other code point is both.
+    both = [
+        code
+        for code in range(sys.maxunicode + 1)
+        if chr(code).isspace() and chr(code).isprintable()
+    ]
+    assert both == [0x20]
+
+
+# Spaces, printable and not, and non-printable characters that are not
+# whitespace, so that both the printable test and the split decide.
+RULE_TOKEN = st.text(
+    alphabet=["a", "b", " ", "\u00a0", "\u2028", "\u3000", "\u200b", "\ufeff", "{", "}"],
+    max_size=3,
+) | st.sampled_from([None, 1, ("a",), ["a"]])
+
+
+@given(st.lists(RULE_TOKEN, max_size=6))
+@settings(max_examples=1000, deadline=None)
+@example(["", "a"])
+@example(["a b"])
+@example(["a\u200b", "b"])
+@example(["a\u00a0b"])
+def test_valid_tokens_is_the_per_character_rule(tokens):
+    expected = all(map(is_token, tokens)) and len(set(tokens)) == len(tokens)
+    assert valid_tokens(tokens) == expected
