@@ -6,10 +6,14 @@ count is organized by sequence length: kappa_p covers the sequences of
 length p, ell is the last length the series kept, and kappa is the grand
 total. One walk over the rankings finds, for each item common to all of
 them, the common items that every ranking puts strictly before it, as a
-bit mask. The series comes from these masks in integer arithmetic: a
-chain's weight telescopes to a start weight of its first item times an
-end weight of its last, so the weighted terms are exact sums of rounded
-weights, and the exact counts are the same pass with every weight 1.
+bit mask. That walk gives a ``Survey``: the rankings, the reference
+index, the masks and the common flags. Every measure of an input reads
+one survey of it, the duplicate-aware ``kappa_dup`` included, which
+reads the distinct set from the same masks. The series comes from these
+masks in integer arithmetic: a chain's weight telescopes to a start
+weight of its first item times an end weight of its last, so the
+weighted terms are exact sums of rounded weights, and the exact counts
+are the same pass with every weight 1.
 Only ``kappa_total_closed`` reads a lower triangular matrix, built from
 ``Survey.edges``, the masks' pairs listed as (i, j, gap) triples. An
 independent enumeration oracle is included for cross-checking on small
@@ -42,8 +46,6 @@ from .io import (
     load_reference_sweep,
     parse_json,
     parse_text,
-    serialize_json,
-    serialize_text,
     write_results,
 )
 from .measures import (
@@ -109,8 +111,6 @@ __all__ = [
     "pairwise_index",
     "parse_json",
     "parse_text",
-    "serialize_json",
-    "serialize_text",
     "spearman_footrule",
     "spearman_rho",
     "survey",

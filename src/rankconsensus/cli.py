@@ -8,9 +8,11 @@ written, 3 invalid parameters or grid (including NaN, an infinite
 epsilon and grids of more than MAX_GRID_POINTS points), 4 input
 outside a baseline's scope, 5 oracle mismatch, 6 enumeration size guard,
 an exact ``--dedup`` total that is not an integer and exceeds the
-float range, or an infinite or NaN result asked for as JSON.
+float range, an infinite or NaN result asked for as JSON, or a pass
+that runs out of memory (a ``MemoryError`` anywhere in a command).
 Every failure except an oracle mismatch is reported by ``main`` as one
-``error: <message>`` line on stderr.
+``error: <message>`` line on stderr. ``measure`` surveys its input once,
+and its series, ``--dedup`` total and top-k value all read that survey.
 """
 from __future__ import annotations
 
@@ -177,7 +179,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
     extras: dict[str, object] = {}
     if args.dedup:
         try:
-            extras["kappa_dup"] = measures.kappa_dup(rset, params)
+            extras["kappa_dup"] = measures.kappa_dup(sv, params)
         except OverflowError:
             raise CommandError(
                 EXIT_SIZE, "kappa_dup is not an integer and exceeds the float range"
@@ -438,6 +440,9 @@ def main(argv: list[str] | None = None) -> int:
     except CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except MemoryError:
+        print("error: out of memory; the input is too large for this machine", file=sys.stderr)
+        return EXIT_SIZE
 
 
 if __name__ == "__main__":

@@ -8,14 +8,15 @@ pairs ordered consistently by every ranking. Everything above the
 diagonal is zero, so the graph is acyclic by construction.
 
 Its vertices and edges, the deviation statistics and the pair gaps do
-not depend on gamma or lambda. ``survey`` captures them once, and the
-``Survey`` owns the reference index and the item order. A
-``ConsensusMatrix`` holds only weights: a diagonal vector plus one
-adjacency list per row, indexed like the survey's items; only the
-closed-form total reads one. The diagonal depends only on gamma and the
-strict lower part only on lambda, so a (gamma, lambda) sweep costs one
-trace per gamma and one series of later terms per lambda, each read
-from the survey, not from a matrix (see ``measures.kappa_sweep``).
+not depend on gamma or lambda. ``survey`` captures them once. The
+``Survey`` owns the rankings and the reference index, and reads the item
+order and N from them. A ``ConsensusMatrix`` holds only weights: a
+diagonal vector plus one adjacency list per row, indexed like the
+survey's items; only the closed-form total reads one. The diagonal
+depends only on gamma and the strict lower part only on lambda, so a
+(gamma, lambda) sweep costs one trace per gamma and one series of later
+terms per lambda, each read from the survey, not from a matrix (see
+``measures.kappa_sweep``).
 
 ``survey`` walks each ranking's flat tokens once, beside their tie-group
 positions. For every reference item it meets, it ANDs the item's
@@ -141,10 +142,13 @@ class MeasureParams:
 class Survey:
     """What one walk over a ranking set finds, before any gamma or lambda.
 
-    Every per-item field is indexed by the reference ranking's items.
-    ``survey`` fills the fields and nothing else. common[i] says the item
-    is in every one of the count = N rankings, which ``rankings`` holds
-    in set order. Bit j of masks[i] is set when every ranking puts item j
+    It has four fields, and each fact is stated once. ``rankings`` holds
+    the set's rankings in set order and ``reference_index`` picks one of
+    them. ``items``, that ranking's tokens, and ``count``, N, are read
+    from the two, so no copy of a field can disagree with it. Every
+    per-item field is indexed by ``items``. ``survey`` fills the fields
+    and nothing else. common[i] says the item is in every one of the N
+    rankings. Bit j of masks[i] is set when every ranking puts item j
     strictly before item i (so j < i); the masks of the items outside
     ``common`` are 0.
 
@@ -163,12 +167,20 @@ class Survey:
     sums for each common item.
     """
 
-    items: tuple[str, ...]
     reference_index: int
     common: tuple[bool, ...]
     masks: tuple[int, ...]
     rankings: tuple[Ranking, ...]
-    count: int
+
+    @property
+    def items(self) -> tuple[str, ...]:
+        """The reference ranking's tokens, the order of every per-item field."""
+        return self.rankings[self.reference_index].tokens
+
+    @property
+    def count(self) -> int:
+        """N, the number of rankings."""
+        return len(self.rankings)
 
     @cached_property
     def columns(self) -> tuple[tuple[int, ...], ...]:
@@ -327,7 +339,6 @@ def survey(rset: RankingSet, reference_index: int | None = None) -> Survey:
         raise ValueError(f"reference index out of range: {reference_index}")
     items = rset.rankings[reference_index].tokens
     n = len(items)
-    N = len(rset)
     index_of = {item: i for i, item in enumerate(items)}.get
     bit = [1 << i for i in range(n)]
     # Bit j of masks[i] stands for the pair (i, j); bit i of everywhere
@@ -349,12 +360,10 @@ def survey(rset: RankingSet, reference_index: int | None = None) -> Survey:
         everywhere &= seen
     common = tuple(map(bool, map(everywhere.__and__, bit)))
     return Survey(
-        items=items,
         reference_index=reference_index,
         common=common,
         masks=tuple(mask if kept else 0 for mask, kept in zip(masks, common)),
         rankings=rset.rankings,
-        count=N,
     )
 
 
@@ -369,15 +378,9 @@ class ConsensusMatrix:
     part as per-row adjacency lists of (column, weight), columns
     ascending, so entry (i, j) is ``diag[i]`` when i == j and the weight
     beside column j in ``rows[i]`` when j < i; every other entry is 0.
+    The order is ``len(diag)`` and the trace ``sum(diag)``.
     ``measures.kappa_total_closed`` reads it; neither series builds one.
     """
 
     diag: list[int | float]
     rows: list[list[tuple[int, int | float]]]
-
-    @property
-    def order(self) -> int:
-        return len(self.diag)
-
-    def trace(self) -> int | float:
-        return sum(self.diag)

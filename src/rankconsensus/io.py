@@ -14,10 +14,12 @@ a line.
 
 The JSON format is an object with a "rankings" list of
 {"label": ..., "groups": [[token, ...], ...]} entries. Both describe the
-same model, and every text document round-trips through JSON. JSON can
-hold more: a token or label with "#", a label that is empty or holds
-whitespace or braces, and an unlabelled ranking that starts with a token
-ending in ":". serialize_text refuses those.
+same model, and every text document round-trips through JSON. The
+library writes no ranking file; the round-trip tests write them with
+``serialize_text`` and ``serialize_json`` from ``tests/reference.py``.
+JSON can hold more: a token or label with "#", a label that is empty or
+holds whitespace or braces, and an unlabelled ranking that starts with a
+token ending in ":". That text writer refuses those.
 
 Both parsers build each line's or entry's ``model.Ranking`` once, and
 that build is its one check: a ``RawRanking`` holds the label and the
@@ -227,52 +229,6 @@ def _name_json_fault(raw_groups: list[object], path: str) -> NoReturn:
                 raise _json_fail(path, f"duplicate item {token}")
             seen_tokens.add(token)
     raise AssertionError("an entry that failed a check has no fault")
-
-
-def serialize_text(document: RankingDocument) -> str:
-    """The document in the text format, which parse_text reads back unchanged.
-
-    Raises ValueError naming the first token or label the format cannot
-    hold: one with "#", which starts a comment; a label that is empty or
-    holds whitespace or braces; or a single token ending in ":" at the
-    start of an unlabelled ranking, which would be read as its label.
-    Every token has passed the token rule when its ``Ranking`` was
-    built, so a token is tested for "#" alone.
-    """
-    lines = []
-    for raw in document.rankings:
-        if raw.label is not None and (not valid_tokens([raw.label]) or "#" in raw.label):
-            raise ValueError(f"label {raw.label!r} cannot be written as text")
-        groups = raw.ranking.groups
-        first = groups[0]
-        if raw.label is None and len(first) == 1 and first[0].endswith(":"):
-            raise ValueError(
-                f"token {first[0]!r} cannot start an unlabelled ranking in text; "
-                "it would be read as a label"
-            )
-        parts = []
-        for group in groups:
-            for token in group:
-                if "#" in token:
-                    raise ValueError(f"token {token!r} cannot be written as text")
-            if len(group) == 1:
-                parts.append(group[0])
-            else:
-                parts.append("{" + " ".join(group) + "}")
-        prefix = f"{raw.label}: " if raw.label is not None else ""
-        lines.append(prefix + " ".join(parts))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def serialize_json(document: RankingDocument) -> str:
-    entries = []
-    for raw in document.rankings:
-        entry: dict[str, object] = {}
-        if raw.label is not None:
-            entry["label"] = raw.label
-        entry["groups"] = [list(group) for group in raw.ranking.groups]
-        entries.append(entry)
-    return json.dumps({"rankings": entries}, indent=2) + "\n"
 
 
 class Dataset(str, Enum):

@@ -5,9 +5,11 @@ lower part L, which counts (or weights) the consistently ordered item
 chains of length p. The total over all p is also available in closed
 form through one forward substitution.
 
-``kappa_series`` takes a ``Survey`` and builds no matrix. Both paths run
-the same integer pass over the survey's masks; the weighted path only
-gives it weights.
+``kappa_series``, ``kappa_sweep``, ``kappa1_topk`` and ``kappa_dup``
+take the caller's ``Survey``, so one survey serves every measure of an
+input; only ``measure`` surveys. ``kappa_series`` builds no matrix. Both
+paths run the same integer pass over the survey's masks; the weighted
+path only gives it weights.
 
 Chain weights telescope. A pair j -> i is an edge only when every
 ranking puts j strictly before i, so S_i - S_j >= N for the position sums
@@ -138,10 +140,10 @@ def _chain_weights(sv: Survey, lam: float) -> tuple[list[int], list[int], list[i
     """
     if lam == 1.0:
         return [1] * len(sv.items), [], [], 0
-    low = min(compress(sv.sums, sv.common))
+    low, N = min(compress(sv.sums, sv.common)), sv.count
     bits = -math.log2(lam)
     exponents = [
-        (total - low) / sv.count * bits if common else 0.0
+        (total - low) / N * bits if common else 0.0
         for total, common in zip(sv.sums, sv.common)
     ]
     top = math.ceil(max(exponents))
@@ -295,26 +297,35 @@ def kappa_total_closed(matrix: ConsensusMatrix) -> int | float:
     list every edge (``Survey.edges``), never the complement rows of the
     exact series, so it checks that series by an independent route.
     """
-    n = matrix.order
+    n = len(matrix.diag)
     v: list[int | float] = [1] * n
     for i in range(n):
         acc: int | float = 1
         for j, w in matrix.rows[i]:
             acc += w * v[j]
         v[i] = acc
-    return matrix.trace() + sum(v) - n
+    return sum(matrix.diag) + sum(v) - n
 
 
-def kappa_dup(rset: RankingSet, params: MeasureParams) -> int | float:
+def kappa_dup(sv: Survey, params: MeasureParams) -> int | float:
     """Duplicate-aware total: kappa of the distinct set plus N*s/D.
 
-    N is the multiset size, s the largest multiplicity, D the distinct
-    count. The plain measures cannot tell a multiset from its distinct
-    set; this correction can.
+    Call it as ``kappa_dup(survey(rset), params)``. N is the multiset
+    size, s the largest multiplicity, D the distinct count. The plain
+    measures cannot tell a multiset from its distinct set; this
+    correction can. The distinct set's survey is this one with the
+    distinct rankings and the same reference ranking: AND is idempotent,
+    so a repeated ranking changes no mask and no common flag. And
+    ``RankingSet.distinct`` keeps the order of first appearance, so the
+    default reference of a set is that of its distinct set.
     """
-    distinct, s = rset.distinct()
-    profile = measure(distinct, params)
-    bonus = Fraction(len(rset) * s, len(distinct))
+    distinct, s = RankingSet(sv.rankings).distinct()
+    reference = sv.rankings[sv.reference_index]
+    unique = replace(
+        sv, rankings=distinct.rankings, reference_index=distinct.rankings.index(reference)
+    )
+    profile = kappa_series(unique, params)
+    bonus = Fraction(sv.count * s, len(distinct))
     if profile.exact and bonus.denominator == 1:
         return profile.total + int(bonus)
     return float(profile.total + bonus)

@@ -148,9 +148,6 @@ class Ranking:
     def item_set(self) -> frozenset[str]:
         return frozenset(self.tokens)
 
-    def __contains__(self, item: str) -> bool:
-        return item in self._positions
-
 
 def _checked_groups(source: list[object]) -> tuple[tuple[str, ...], tuple[int, ...]]:
     """(tokens, sizes) of groups that are not all bare tokens, or the first fault raised."""

@@ -69,7 +69,7 @@ def enumerate_common(
     candidates = [
         item
         for item in reference.items()
-        if all(item in ranking for ranking in rset)
+        if all(ranking.position_of(item) for ranking in rset)
     ]
     columns = [[ranking.position_of(item) for ranking in rset] for item in candidates]
     singleton_weight = [

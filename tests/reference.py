@@ -30,8 +30,11 @@ they do not share the library's rule. ``ordered_pairwise_values`` is
 ``baselines.pairwise_values`` as it was before it evaluated each
 unordered ranking pair once: it evaluates every ordered pair, looks
 each item's positions up in both rankings, and counts the concordant
-and the discordant item pairs of a Kendall index. None of them is used
-outside the tests; ``to_dense`` only spells a matrix out for assertions.
+and the discordant item pairs of a Kendall index. ``serialize_text``
+and ``serialize_json`` write a document in the two formats, so that the
+round-trip tests can read it back; no command writes a ranking file.
+None of them is used outside the tests; ``to_dense`` only spells a
+matrix out for assertions.
 """
 from __future__ import annotations
 
@@ -45,7 +48,7 @@ from rankconsensus.baselines import Baseline, UnsupportedRankingError
 from rankconsensus.graph import ConsensusMatrix, Deviation, MeasureParams, Survey
 from rankconsensus.io import ParseError, RankingDocument, RawRanking, _json_fail
 from rankconsensus.measures import KappaProfile
-from rankconsensus.model import Ranking, RankingSet, ValidationError
+from rankconsensus.model import Ranking, RankingSet, ValidationError, valid_tokens
 
 
 def is_token(token: object) -> bool:
@@ -110,12 +113,10 @@ def pairwise_survey(rset: RankingSet, reference_index: int | None = None) -> Sur
     for i, j, _ in pairwise_edges(rset, reference_index):
         masks[i] |= 1 << j
     sv = Survey(
-        items=items,
         reference_index=reference_index,
         common=common,
         masks=tuple(masks),
         rankings=rset.rankings,
-        count=N,
     )
     deviations = {
         Deviation.MAD: tuple(mad),
@@ -132,7 +133,7 @@ def pairwise_survey(rset: RankingSet, reference_index: int | None = None) -> Sur
 
 def multiply_lower(matrix: ConsensusMatrix, vector: list[int | float]) -> list[int | float]:
     """L @ vector over the adjacency lists."""
-    result: list[int | float] = [0] * matrix.order
+    result: list[int | float] = [0] * len(matrix.diag)
     for i, row in enumerate(matrix.rows):
         acc: int | float = 0
         for j, w in row:
@@ -142,10 +143,11 @@ def multiply_lower(matrix: ConsensusMatrix, vector: list[int | float]) -> list[i
 
 
 def product_series(matrix: ConsensusMatrix, params: MeasureParams) -> KappaProfile:
-    term = matrix.trace()
+    n = len(matrix.diag)
+    term = sum(matrix.diag)
     series: list[tuple[int, int | float]] = []
-    vector: list[int | float] = [1] * matrix.order
-    while params.keeps(term) and len(series) < matrix.order:
+    vector: list[int | float] = [1] * n
+    while params.keeps(term) and len(series) < n:
         series.append((len(series) + 1, term))
         vector = multiply_lower(matrix, vector)
         term = sum(vector)
@@ -409,9 +411,56 @@ def ordered_pairwise_values(rset: RankingSet, kind: Baseline | str) -> list[tupl
     return values
 
 
+def serialize_text(document: RankingDocument) -> str:
+    """The document in the text format, which parse_text reads back unchanged.
+
+    Raises ValueError naming the first token or label the format cannot
+    hold: one with "#", which starts a comment; a label that is empty or
+    holds whitespace or braces; or a single token ending in ":" at the
+    start of an unlabelled ranking, which would be read as its label.
+    Every token has passed the token rule when its ``Ranking`` was
+    built, so a token is tested for "#" alone.
+    """
+    lines = []
+    for raw in document.rankings:
+        if raw.label is not None and (not valid_tokens([raw.label]) or "#" in raw.label):
+            raise ValueError(f"label {raw.label!r} cannot be written as text")
+        groups = raw.ranking.groups
+        first = groups[0]
+        if raw.label is None and len(first) == 1 and first[0].endswith(":"):
+            raise ValueError(
+                f"token {first[0]!r} cannot start an unlabelled ranking in text; "
+                "it would be read as a label"
+            )
+        parts = []
+        for group in groups:
+            for token in group:
+                if "#" in token:
+                    raise ValueError(f"token {token!r} cannot be written as text")
+            if len(group) == 1:
+                parts.append(group[0])
+            else:
+                parts.append("{" + " ".join(group) + "}")
+        prefix = f"{raw.label}: " if raw.label is not None else ""
+        lines.append(prefix + " ".join(parts))
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def serialize_json(document: RankingDocument) -> str:
+    entries = []
+    for raw in document.rankings:
+        entry: dict[str, object] = {}
+        if raw.label is not None:
+            entry["label"] = raw.label
+        entry["groups"] = [list(group) for group in raw.ranking.groups]
+        entries.append(entry)
+    return json.dumps({"rankings": entries}, indent=2) + "\n"
+
+
 def to_dense(matrix: ConsensusMatrix) -> list[list[int | float]]:
     """The full n x n matrix as nested lists: diag on the diagonal, rows below."""
-    entries = [[0] * matrix.order for _ in range(matrix.order)]
+    n = len(matrix.diag)
+    entries = [[0] * n for _ in range(n)]
     for i, row in enumerate(matrix.rows):
         entries[i][i] = matrix.diag[i]
         for j, w in row:
@@ -467,6 +516,3 @@ class EagerRanking:
 
     def item_set(self) -> frozenset[str]:
         return frozenset(self._positions)
-
-    def __contains__(self, item: str) -> bool:
-        return item in self._positions

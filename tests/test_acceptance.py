@@ -326,13 +326,13 @@ def test_criterion_7_pairwise_indices_against_pair_counts():
 def test_criterion_8_duplicate_and_topk_examples():
     def run():
         repeated = make_set(*(EXAMPLE_LINES + (EXAMPLE_LINES[0],) * 3))
-        assert kappa_dup(repeated, MeasureParams()) == 24
+        assert kappa_dup(survey(repeated), MeasureParams()) == 24
 
         twice = make_set("a b", "a b")
-        assert kappa_dup(twice, MeasureParams()) == 7
+        assert kappa_dup(survey(twice), MeasureParams()) == 7
 
         distinct = make_set(*EXAMPLE_LINES)
-        assert kappa_dup(distinct, MeasureParams()) == 18
+        assert kappa_dup(survey(distinct), MeasureParams()) == 18
 
         abc = make_set("a b c")
         value = kappa1_topk(survey(abc), MeasureParams(zeta=10.0, beta=0.5))

@@ -53,20 +53,25 @@ def test_no_source_line_is_longer_than_100_characters():
 
 
 def test_readme_library_example_gives_its_comments():
+    # Every python block of the section runs, in order, in one namespace,
+    # so a stale name or signature in any of them fails here. A comment
+    # that is a Python literal is the value of the line's expression.
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    section = readme.split("## Library use", 1)[1]
-    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    section = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.S)
+    assert len(blocks) == 2
     namespace: dict[str, object] = {}
-    shown = []
-    for line in block.splitlines():
+    checked = []
+    for line in "".join(blocks).splitlines():
         code, _, comment = line.partition("#")
-        if comment:
-            shown.append((code.strip(), ast.literal_eval(comment.strip())))
+        try:
+            expected = ast.literal_eval(comment.strip())
+        except (SyntaxError, ValueError):
+            exec(line, namespace)
         else:
-            exec(code, namespace)
-    assert [name for name, _ in shown] == ["profile.series", "profile.ell", "profile.total"]
-    for expression, expected in shown:
-        assert eval(expression, namespace) == expected
+            checked.append(code.strip())
+            assert eval(code, namespace) == expected, code
+    assert checked == ["profile.series", "profile.ell", "profile.total", "kappa_dup(sv, p)"]
 
 
 @pytest.mark.skipif(not (BENCH / "tracing.py").is_file(), reason="bench/ is absent")

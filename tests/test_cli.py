@@ -148,10 +148,25 @@ class TestMeasure:
         doc = tmp_path / "set.txt"
         doc.write_text("a b c\nc b a\na b c\nb a c\n")
         huge = measures.KappaProfile(series=((1, 2**1100),), exact=True)
-        monkeypatch.setattr(measures, "measure", lambda rset, params: huge)
+        monkeypatch.setattr(measures, "kappa_series", lambda sv, params: huge)
         code, out, err = run(capsys, "measure", str(doc), "--dedup", "--format", "csv")
         assert (code, out) == (6, "")
         assert err == "error: kappa_dup is not an integer and exceeds the float range\n"
+
+    @pytest.mark.parametrize("command", ["measure", "oracle-check"])
+    def test_out_of_memory_exits_6_with_one_line(self, tmp_path, monkeypatch, capsys, command):
+        # The pass raises at once, as a too-large allocation would; nothing
+        # large is allocated.
+        doc = tmp_path / "set.txt"
+        doc.write_text("a b c\nc b a\n")
+
+        def exhausted(sv, params):
+            raise MemoryError
+
+        monkeypatch.setattr(measures, "kappa_series", exhausted)
+        code, out, err = run(capsys, command, str(doc))
+        assert (code, out) == (6, "")
+        assert err == "error: out of memory; the input is too large for this machine\n"
 
     @pytest.mark.parametrize(
         "fmt, tail",
@@ -564,7 +579,7 @@ class TestExperiment:
         (
             ["measure", "clustering", "--gamma", "0.9", "--dedup",
              "--topk-zeta", "8.3", "--topk-beta", "0.5"],
-            2,
+            1,
         ),
         (["sweep", "clustering"], 1),
         (["oracle-check", "clustering"], 1),
@@ -575,7 +590,7 @@ class TestExperiment:
          "experiment-search"],
 )
 def test_survey_calls_per_command(monkeypatch, capsys, argv, surveys):
-    # One survey per input; --dedup adds the survey of the distinct set.
+    # One survey per input; --dedup and top-k read the measure's survey.
     calls = []
     for module in (graph, measures):
         real = module.survey

@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankconsensus.graph import Deviation, MeasureParams, survey
+from rankconsensus.graph import Deviation, MeasureParams, Survey, survey
 
 from conftest import EXAMPLE_LINES, make_set, near_consensus_set, random_set
 from reference import pairwise_edges, pairwise_survey, to_dense
@@ -87,7 +88,7 @@ class TestExampleMatrix:
         rset = make_set(*EXAMPLE_LINES)
         matrix = survey(rset).matrix(MeasureParams())
         assert to_dense(matrix) == self.PATTERN
-        assert matrix.trace() == 5
+        assert sum(matrix.diag) == 5
         assert sum(map(len, matrix.rows)) == 7
         assert all(isinstance(v, int) for row in to_dense(matrix) for v in row)
 
@@ -95,8 +96,9 @@ class TestExampleMatrix:
         rset = make_set(*EXAMPLE_LINES)
         matrix = survey(rset).matrix(MeasureParams(gamma=0.9, lam=0.8))
         dense = to_dense(matrix)
-        for i in range(matrix.order):
-            for j in range(i + 1, matrix.order):
+        n = len(matrix.diag)
+        for i in range(n):
+            for j in range(i + 1, n):
                 assert dense[i][j] == 0
 
 
@@ -202,6 +204,24 @@ class TestReferenceChoice:
         rset = make_set("a b", "b a")
         with pytest.raises(ValueError):
             survey(rset, reference_index=2)
+
+
+class TestOneFactOnce:
+    def test_survey_has_four_fields(self):
+        # The item order and N are read from the rankings, so no field
+        # restates another.
+        assert [f.name for f in fields(Survey)] == [
+            "reference_index", "common", "masks", "rankings"
+        ]
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_items_and_count_follow_the_rankings(self, rng):
+        rset = random_set(rng)
+        for k in range(len(rset)):
+            sv = survey(rset, k)
+            assert sv.items == rset.rankings[k].tokens
+            assert sv.count == len(rset)
 
 
 class TestPredecessorMasks:

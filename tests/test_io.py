@@ -15,14 +15,13 @@ from rankconsensus.io import (
     parse_json,
     parse_text,
     round3,
-    serialize_json,
-    serialize_text,
     write_results,
 )
 from rankconsensus.measures import measure
 from rankconsensus.model import ValidationError
 
 from conftest import make_set
+from reference import serialize_json, serialize_text
 
 # The bundled data files are inputs to golden tests elsewhere, so any
 # edit must be deliberate. Checksums catch silent drift.

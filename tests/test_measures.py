@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import random
 import sys
+from dataclasses import replace
+from fractions import Fraction
 from functools import cached_property
 from math import comb
 from unittest import mock
@@ -21,6 +23,7 @@ from rankconsensus.measures import (
     kappa_total_closed,
     measure,
 )
+from rankconsensus.model import RankingSet
 from rankconsensus.oracle import oracle_profile
 
 from conftest import EXAMPLE_LINES, make_set, near_consensus_set, random_set, ranking_sets
@@ -431,21 +434,58 @@ class TestDuplicates:
     def test_repeats_add_scaled_bonus(self):
         lines = EXAMPLE_LINES + (EXAMPLE_LINES[0],) * 3
         rset = make_set(*lines)
-        assert kappa_dup(rset, MeasureParams()) == 24
+        assert kappa_dup(survey(rset), MeasureParams()) == 24
 
     def test_two_copies_of_a_pair(self):
         rset = make_set("a b", "a b")
-        assert kappa_dup(rset, MeasureParams()) == 7
+        assert kappa_dup(survey(rset), MeasureParams()) == 7
 
     def test_all_distinct_adds_one(self, example_set):
-        assert kappa_dup(example_set, MeasureParams()) == 18
+        assert kappa_dup(survey(example_set), MeasureParams()) == 18
 
     def test_weighted_variant_is_float(self):
         rset = make_set("a b", "a b")
-        value = kappa_dup(rset, MeasureParams(gamma=0.9, lam=0.9))
+        value = kappa_dup(survey(rset), MeasureParams(gamma=0.9, lam=0.9))
         assert isinstance(value, float)
         total = measure(make_set("a b"), MeasureParams(gamma=0.9, lam=0.9)).total
         assert value == pytest.approx(total + 4.0)
+
+    @given(st.randoms(use_true_random=False), st.integers(0, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_distinct_survey_is_read_off_the_full_one(self, rng, planted):
+        # kappa_dup reads the distinct set's survey off the caller's:
+        # repeats change no mask and no common flag, and distinct() keeps
+        # first-appearance order.
+        rankings = list(random_set(rng).rankings)
+        for _ in range(planted):
+            rankings.insert(rng.randrange(len(rankings) + 1), rng.choice(rankings))
+        rset = RankingSet(tuple(rankings))
+        k = rng.randrange(len(rset))
+        sv = survey(rset, k)
+        distinct, s = rset.distinct()
+        index = distinct.rankings.index(rset.rankings[k])
+        derived = replace(sv, rankings=distinct.rankings, reference_index=index)
+        direct = survey(distinct, index)
+        assert derived == direct
+        assert (derived.items, derived.count) == (direct.items, direct.count)
+        for params in (MeasureParams(), MeasureParams(gamma=0.9, lam=0.9)):
+            assert kappa_series(derived, params) == kappa_series(direct, params)
+            # The route kappa_dup took before: survey the distinct set
+            # again, with its default reference, and add N*s/D.
+            total = measure(distinct, params).total
+            bonus = Fraction(len(rset) * s, len(distinct))
+            if params.exact and bonus.denominator == 1:
+                before = total + int(bonus)
+            else:
+                before = float(total + bonus)
+            value = kappa_dup(sv, params)
+            assert type(value) is type(before)
+            if params.exact:
+                assert value == before
+            else:
+                # Another reference sums the weighted terms in another order.
+                assert value == pytest.approx(before, rel=1e-12)
+            assert kappa_dup(survey(rset), params) == before
 
 
 def test_ell_is_the_last_term_the_series_kept():

@@ -77,8 +77,8 @@ class TestRanking:
 
     def test_contains(self):
         r = Ranking(["a", "b"])
-        assert "a" in r
-        assert "z" not in r
+        assert r.position_of("a") == 1
+        assert r.position_of("z") == 0
 
     def test_rankings_of_different_tokens_differ(self):
         left = RankingSet.build([["a", "b"]]).rankings[0]
@@ -192,7 +192,6 @@ class TestWholeRankingChecks:
         assert built.item_set() == expected.item_set()
         for item in ["z", *"abcdefgh"]:
             assert built.position_of(item) == expected.position_of(item)
-            assert (item in built) == (item in expected)
         assert repr(built) == "Ranking" + repr(expected).removeprefix("EagerRanking")
         # The cached groups, positions and position table are not fields.
         fresh = Ranking(groups)
