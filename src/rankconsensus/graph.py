@@ -14,19 +14,22 @@ order and N from them. A ``ConsensusMatrix`` holds only weights: a
 diagonal vector plus one adjacency list per row, indexed like the
 survey's items; only the closed-form total reads one. The diagonal
 depends only on gamma and the strict lower part only on lambda, so a
-(gamma, lambda) sweep costs one trace per gamma and one series of later
-terms per lambda, each read from the survey, not from a matrix (see
-``measures.kappa_sweep``).
+(gamma, lambda) sweep costs one trace per gamma and one pass of later
+terms per lambda, the exact corner sharing the pass at lambda = 1, each
+read from the survey, not from a matrix (see ``measures.kappa_sweep``).
 
-``survey`` walks each ranking's flat tokens once, beside their tie-group
-positions. For every reference item it meets, it ANDs the item's
-predecessor mask with the items of the earlier groups, a mask it moves
-forward only when the position changes, and adds the item to the
-ranking's seen mask; there is no per-ranking position table and no
-position is kept. A ranking holds a token at most once, so an item is
-common when it is in the AND of the N seen masks. That walk, the common
-test and the zeroing of the other items' masks are all that ``survey``
-does: the exact series needs only the masks. The survey keeps the set's
+``survey`` walks each ranking's flat tokens once. For every reference
+item it meets, it ANDs the item's predecessor mask with the items of
+the earlier groups and adds the item to the ranking's seen mask. In an
+untied ranking every token opens a new group, so the earlier groups'
+items are the seen mask itself and the walk reads no positions. A tied
+ranking's walk reads each token's tie-group position beside it and
+moves its earlier-groups mask forward only when the position changes.
+There is no per-ranking position table and no position is kept. A
+ranking holds a token at most once, so an item is common when it is in
+the AND of the N seen masks. That walk, the common test and the zeroing
+of the other items' masks are all that ``survey`` does: the exact series
+needs only the masks. The survey keeps the set's
 rankings, and the position columns, their sums and the deviation table
 are made from them on their first read and then kept, like the edge
 list and the levels; only the weighted path, the top-k variant and the
@@ -327,8 +330,9 @@ def survey(rset: RankingSet, reference_index: int | None = None) -> Survey:
 
     reference_index overrides the default shortest-ranking choice; any
     member is admissible and yields the same measures. One pass over
-    each ranking's tokens and positions fills each item's predecessor
-    mask and the items each ranking holds (see the module docstring).
+    each ranking's tokens, and a tied ranking's positions beside them,
+    fills each item's predecessor mask and the items each ranking holds
+    (see the module docstring).
     The survey keeps the masks as the walk leaves them, with the masks of
     the items outside the common set zeroed, and the set's rankings; it
     keeps no positions, lists no pairs and makes no statistics.
@@ -346,17 +350,26 @@ def survey(rset: RankingSet, reference_index: int | None = None) -> Survey:
     masks = [b - 1 for b in bit]
     everywhere = (1 << n) - 1
     for ranking in rset:
-        # seen: the items met so far. earlier: those of the groups before
-        # position last, the group of the item met last; positions never
-        # fall, so at a new position they are all of seen.
-        seen = earlier = last = 0
-        for i, position in zip(map(index_of, ranking.tokens), ranking.positions):
-            if i is not None:
-                if position != last:
-                    earlier = seen
-                    last = position
-                masks[i] &= earlier
-                seen |= bit[i]
+        # seen: the items met so far. In an untied ranking every token
+        # opens a new group, so the items of the earlier groups are seen.
+        seen = 0
+        if ranking.is_untied:
+            for i in map(index_of, ranking.tokens):
+                if i is not None:
+                    masks[i] &= seen
+                    seen |= bit[i]
+        else:
+            # earlier: the items of the groups before position last, the
+            # group of the item met last; positions never fall, so at a new
+            # position they are all of seen.
+            earlier = last = 0
+            for i, position in zip(map(index_of, ranking.tokens), ranking.positions):
+                if i is not None:
+                    if position != last:
+                        earlier = seen
+                        last = position
+                    masks[i] &= earlier
+                    seen |= bit[i]
         everywhere &= seen
     common = tuple(map(bool, map(everywhere.__and__, bit)))
     return Survey(

@@ -21,11 +21,13 @@ JSON can hold more: a token or label with "#", a label that is empty or
 holds whitespace or braces, and an unlabelled ranking that starts with a
 token ending in ":". That text writer refuses those.
 
-Both parsers build each line's or entry's ``model.Ranking`` once, and
-that build is its one check: a ``RawRanking`` holds the label and the
-``Ranking``, and ``RankingDocument.to_ranking_set`` wraps those same
-objects. When ``Ranking`` refuses a line or entry, the parser names the
-fault with its line number or JSON path.
+Both parsers build each line's or entry's ``model.Ranking`` once: a
+``RawRanking`` holds the label and the ``Ranking``, and
+``RankingDocument.to_ranking_set`` wraps those same objects. The lines
+of a plain text document, one with no brace, "#" or "\r", skip the group
+splitter and the token check (see ``parse_text``); every other line or
+entry is checked once, by ``Ranking``. When ``Ranking`` refuses one, the
+parser names the fault with its line number or JSON path.
 """
 from __future__ import annotations
 
@@ -123,19 +125,31 @@ def _split_line(line: str, lineno: int) -> list[str | tuple[str, ...]]:
 def parse_text(content: str) -> RankingDocument:
     """Read the text format; a fault raises ParseError with its line number.
 
-    Each line's groups go to ``Ranking`` as ``_split_line`` gives them,
-    so a line without braces is one list of bare tokens. A repeated
-    token is the only fault ``Ranking`` can find in them, and it is
-    named with the line number.
+    A document with no "{", "}", "#" or "\\r" anywhere, tested once over
+    the whole content, is plain: each line is its ``split()``, whose
+    tokens all pass ``model.valid_tokens`` (see ``model``). A plain line
+    whose tokens one set finds distinct becomes its ``Ranking`` through
+    ``Ranking._untied``, with no group splitter and no second check.
+    Every other line goes to ``Ranking``, as ``_split_line`` gives its
+    groups or, in a plain document, as its tokens, and ``Ranking`` names
+    its fault. Both paths give the same labels, rankings, faults and
+    line numbers.
     """
+    plain = not ("{" in content or "}" in content or "#" in content or "\r" in content)
+    if not plain:
+        content = content.replace("\r\n", "\n").replace("\r", "\n")
     rankings: list[RawRanking] = []
     labels_seen: set[str] = set()
-    lines = content.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for lineno, raw_line in enumerate(lines, start=1):
-        line = raw_line.split("#", 1)[0]
-        if not line.strip():
-            continue
-        groups = _split_line(line, lineno)
+    for lineno, line in enumerate(content.split("\n"), start=1):
+        if plain:
+            groups = line.split()
+            if not groups:
+                continue
+        else:
+            line = line.split("#", 1)[0]
+            if not line.strip():
+                continue
+            groups = _split_line(line, lineno)
         label = None
         first = groups[0]
         # A bare first token, not one in braces, may be the label.
@@ -150,10 +164,13 @@ def parse_text(content: str) -> RankingDocument:
             labels_seen.add(label)
         if not groups:
             raise ParseError(f"empty ranking at line {lineno}")
-        try:
-            ranking = Ranking(groups)
-        except ValidationError as exc:
-            raise ParseError(f"{exc} at line {lineno}") from None
+        if plain and len(set(groups)) == len(groups):
+            ranking = Ranking._untied(groups)
+        else:
+            try:
+                ranking = Ranking(groups)
+            except ValidationError as exc:
+                raise ParseError(f"{exc} at line {lineno}") from None
         rankings.append(RawRanking(label=label, ranking=ranking))
     return RankingDocument(rankings=tuple(rankings))
 

@@ -79,8 +79,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import compress, takewhile
-from typing import Iterator, Sequence
+from itertools import compress, repeat, takewhile
+from typing import Iterable, Iterator, Sequence
 
 from .graph import ConsensusMatrix, MeasureParams, Survey, survey
 from .model import RankingSet
@@ -247,11 +247,11 @@ def _packed_terms(sv: Survey, params: MeasureParams) -> Iterator[int | float]:
         size = low
 
 
-def _tail(sv: Survey, params: MeasureParams) -> tuple[tuple[int, int | float], ...]:
-    """(p, kappa_p) for p = 2, 3, ... up to the first term params.keeps refuses."""
-    return tuple(
-        takewhile(lambda term: params.keeps(term[1]), enumerate(_packed_terms(sv, params), 2))
-    )
+def _tail(
+    terms: Iterable[int | float], params: MeasureParams
+) -> tuple[tuple[int, int | float], ...]:
+    """(p, kappa_p) for p = 2, 3, ... of terms, up to the first one params.keeps refuses."""
+    return tuple(takewhile(lambda term: params.keeps(term[1]), enumerate(terms, 2)))
 
 
 def kappa_series(sv: Survey, params: MeasureParams) -> KappaProfile:
@@ -270,11 +270,11 @@ def kappa_series(sv: Survey, params: MeasureParams) -> KappaProfile:
     path the weights are exact ints, so each term is correctly rounded
     from sums of rounded weights. The series stops at the first term
     that params.keeps refuses, and at the longest common chain.
-    kappa_sweep runs one series of later terms per lambda plus one for
-    the exact corner.
+    kappa_sweep runs one pass of later terms per lambda, the exact
+    corner included.
     """
     trace = sv._trace(params)
-    series = ((1, trace), *_tail(sv, params)) if params.keeps(trace) else ()
+    series = ((1, trace), *_tail(_packed_terms(sv, params), params)) if params.keeps(trace) else ()
     return KappaProfile(series=series, exact=params.exact)
 
 
@@ -371,8 +371,13 @@ def kappa_sweep(
     gamma and lambda is checked before any weight is computed. kappa_1 is
     the trace, which depends on gamma alone, and every kappa_p with
     p >= 2 comes from the strict lower part, which depends on lambda
-    alone. So the grid costs one trace per gamma and one series of later
-    terms per lambda, plus one for the exact corner gamma = lambda = 1.
+    alone. So the grid costs one trace per gamma, plus one for the exact
+    corner gamma = lambda = 1, and one integer pass of later terms per
+    lambda. At lambda = 1 every weight is 1, so the exact corner and the
+    weighted points gamma < 1 share that pass's counts: the corner reads
+    them as they are, and a weighted point reads each as the float the
+    weighted pass gives, count / 1 (inf past the float range), each cut
+    at the first term its own params.keeps refuses.
     Each point is the profile kappa_series gives for its own parameters,
     bit for bit, including the epsilon cutoff on kappa_1: a gamma whose
     trace does not exceed epsilon gets the empty profile (ell 0, total 0)
@@ -388,11 +393,13 @@ def kappa_sweep(
     # value is refused first. A point takes its trace from the one of the
     # two that has its gamma and its exactness, and its series from the
     # one that has its lambda and its exactness; only the corner
-    # gamma = lambda = 1 is exact.
+    # gamma = lambda = 1 is exact. counts: the integer terms at lambda = 1,
+    # made once, when the grid first reaches a point there.
     corner = replace(params, gamma=1.0, lam=1.0)
     by_gamma = [replace(corner, gamma=gamma) for gamma in gammas]
     by_lam = [replace(corner, lam=lam) for lam in lams]
     tails: dict[tuple[int, bool], tuple[tuple[int, int | float], ...]] = {}
+    counts: tuple[int, ...] | None = None
     points = []
     for gamma, at_gamma in zip(gammas, by_gamma):
         traces: dict[bool, int | float] = {}
@@ -407,7 +414,13 @@ def kappa_sweep(
                 key = (index, exact)
                 if key not in tails:
                     series_params = at_lam if at_lam.exact == exact else at_gamma
-                    tails[key] = _tail(sv, series_params)
+                    if lam != 1.0:
+                        terms: Iterable[int | float] = _packed_terms(sv, series_params)
+                    else:
+                        if counts is None:
+                            counts = tuple(_packed_terms(sv, corner))
+                        terms = counts if exact else map(_quotient, counts, repeat(1))
+                    tails[key] = _tail(terms, series_params)
                 series = ((1, trace), *tails[key])
             points.append(SweepPoint(gamma, lam, KappaProfile(series=series, exact=exact)))
     return points

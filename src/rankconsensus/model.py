@@ -13,21 +13,30 @@ size of each group. Everything else is derived from them: the groups,
 the per-token positions, the position table and the length. The groups,
 a tied ranking's positions and the position table are built on first
 read and kept; an untied ranking's positions are ``range(1, m + 1)``,
-made on each read. The survey reads the tokens and the positions; the
-oracle and the baselines read the position table.
+made on each read. The survey reads the tokens, and a tied ranking's
+positions; the oracle and the baselines read the position table.
 
-``Ranking`` is the one place that checks a ranking, and it checks each
-ranking once. Each check is a whole-ranking test made of C-level
-operations: ``valid_tokens`` over the tokens, which joins them by
-spaces, tests that the join is printable with one space per gap (and
-splits it back apart only when it is not), makes two brace tests over
-that join and one set. A list of bare tokens, which is what an untied
-line of a document is, passes that test as it is: the join is already
-the test that every group is a str. Other input is first split into
-groups, each checked non-empty. Only when a check fails does a
-per-token loop run, and it only names the fault: the first one in
-ranking order. The parsers in ``io`` hand each line or entry to
-``Ranking`` and name its fault with the line number or JSON path.
+The token rule is stated once, in ``valid_tokens``. ``Ranking`` applies
+it, and checks each ranking once. Each check is a whole-ranking test
+made of C-level operations: ``valid_tokens`` over the tokens, which
+joins them by spaces, tests that the join is printable with one space
+per gap (and splits it back apart only when it is not), makes two brace
+tests over that join and one set. A list of bare tokens passes that
+test as it is: the join is already the test that every group is a str.
+Other input is first split into groups, each checked non-empty. Only
+when a check fails does a per-token loop run, and it only names the
+fault: the first one in ranking order. The parsers in ``io`` hand each
+line or entry to ``Ranking`` and name its fault with the line number or
+JSON path.
+
+One input needs no check beyond a repeat test. Every token that
+``str.split()`` makes from a brace-free string is non-empty and holds
+no whitespace and no brace, so it passes ``valid_tokens``: that is the
+rule's corollary, not a second statement of it. ``io.parse_text`` reads
+a plain document (no brace, "#" or "\\r" anywhere) by testing each
+line's split for a repeat with one set and, when there is none, builds
+its ``Ranking`` with ``Ranking._untied``, which stores the tokens
+unchecked.
 """
 from __future__ import annotations
 
@@ -104,6 +113,14 @@ class Ranking:
             tokens, sizes = _checked_groups(source)
         object.__setattr__(self, "tokens", tokens)
         object.__setattr__(self, "sizes", sizes)
+
+    @classmethod
+    def _untied(cls, tokens: list[str]) -> "Ranking":
+        """The untied ranking of tokens already known to pass ``valid_tokens``; no check runs."""
+        ranking = object.__new__(cls)
+        object.__setattr__(ranking, "tokens", tuple(tokens))
+        object.__setattr__(ranking, "sizes", (1,) * len(tokens))
+        return ranking
 
     def __repr__(self) -> str:
         return f"Ranking(groups={self.groups!r})"

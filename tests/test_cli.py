@@ -211,6 +211,10 @@ class TestMeasure:
         [
             ["measure", "--gamma", "0.9"],
             ["sweep", "--gamma-grid", "0.9:0.9:0", "--lambda-grid", "1:1:0"],
+            # The exact corner and the weighted point share one pass of
+            # counts, whichever of the two the grid reaches first.
+            ["sweep", "--gamma-grid", "1:0.9:0.1", "--lambda-grid", "1:1:0"],
+            ["sweep", "--gamma-grid", "0.9:1:0.1", "--lambda-grid", "1:1:0"],
         ],
     )
     def test_counts_past_the_float_range_are_inf(self, tmp_path, capsys, argv):
@@ -221,7 +225,10 @@ class TestMeasure:
         doc.write_text(tokens + "\n")
         code, out, err = run(capsys, argv[0], str(doc), *argv[1:], "--format", "csv")
         assert (code, err) == (0, "")
-        assert out.splitlines()[-1].endswith(",inf")
+        rows = {tuple(row.split(",")[:2]): row.split(",")[2] for row in out.splitlines()[1:]}
+        assert rows.pop(("0.9", "1.0")) == "inf"
+        # The exact corner, where the sweep has one, keeps every digit.
+        assert rows in ({}, {("1.0", "1.0"): str(2**1100 - 1)})
         code, out, err = run(capsys, argv[0], str(doc), *argv[1:], "--format", "json")
         assert (code, out) == (6, "")
         profile = measure(make_set(tokens), MeasureParams(gamma=0.9))

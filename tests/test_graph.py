@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankconsensus.graph import Deviation, MeasureParams, Survey, survey
+from rankconsensus.io import parse_text
+from rankconsensus.model import Ranking, RankingSet
 
 from conftest import EXAMPLE_LINES, make_set, near_consensus_set, random_set
 from reference import pairwise_edges, pairwise_survey, to_dense
@@ -241,6 +243,29 @@ class TestPredecessorMasks:
         rset = random_set(rng)
         reference = len(rset) - 1 if last_reference else None
         sv = survey(rset, reference)
+        self.assert_matches(sv, pairwise_survey(rset, reference))
+        assert sv.edges == pairwise_edges(rset, reference)
+
+    @given(st.randoms(use_true_random=False), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_sets_of_tied_and_untied_rankings_match_the_pairwise_survey(self, rng, last_reference):
+        # Untied rankings from a plain document, which parse_text builds
+        # unchecked, tied ones through Ranking, and a first ranking that
+        # holds a token ("z") outside every other one, so never in the
+        # reference: it is longer than the second and never last.
+        untied = random_set(rng, allow_ties=False).rankings
+        plain = parse_text("".join(" ".join(r.tokens) + "\n" for r in untied))
+        rankings = [raw.ranking for raw in plain.rankings]
+        rankings += [r for r in random_set(rng).rankings if not r.is_untied] or [
+            Ranking([("a", "b"), "c"])
+        ]
+        rng.shuffle(rankings)
+        rankings.insert(0, Ranking([*rankings[0].items(), "z"]))
+        rset = RankingSet(tuple(rankings))
+        reference = len(rset) - 1 if last_reference else None
+        sv = survey(rset, reference)
+        assert {r.is_untied for r in rset} == {True, False}
+        assert "z" not in sv.items
         self.assert_matches(sv, pairwise_survey(rset, reference))
         assert sv.edges == pairwise_edges(rset, reference)
 

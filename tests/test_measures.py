@@ -602,8 +602,9 @@ class TestSweep:
             assert point.profile.total == 0
 
     def test_every_series_runs_once_per_lambda(self, monkeypatch):
-        # One series of later terms per lambda plus one for the exact
-        # corner, each shared by every gamma, and no trace computed twice.
+        # One pass of later terms per lambda, each shared by every gamma:
+        # at lambda = 1 the exact corner and the weighted points read the
+        # same counts. No trace is computed twice.
         sv = survey(load_dataset(Dataset.CLUSTERING_CE).to_ranking_set())
         series = []
         traces = []
@@ -621,7 +622,9 @@ class TestSweep:
         monkeypatch.setattr(measures, "_packed_terms", recording_terms)
         monkeypatch.setattr(Survey, "_trace", recording_trace)
         kappa_sweep(sv, GRID, GRID)
-        assert sorted(series) == sorted([(lam, False) for lam in GRID] + [(1.0, True)])
+        weighted = [(lam, False) for lam in GRID if lam != 1.0]
+        assert sorted(series) == sorted(weighted + [(1.0, True)])
+        assert len(series) == len(GRID) == 12
         assert sorted(traces) == sorted([(gamma, False) for gamma in GRID] + [(1.0, True)])
 
     @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rankconsensus import cli, model
+from rankconsensus import cli, io, model
 from rankconsensus.graph import MeasureParams, Survey, survey
 from rankconsensus.io import parse_text
 from rankconsensus.measures import kappa_series
@@ -278,20 +278,62 @@ class TestLazyPositions:
 
 
 class TestOneCheckPerRanking:
-    def test_measure_checks_each_line_once(self, monkeypatch, tmp_path, capsys):
+    def test_the_short_paths_stay_short(self, monkeypatch, tmp_path, capsys):
         lines = [" ".join(random.Random(k).sample("abcdefgh", 6)) for k in range(7)]
-        doc = tmp_path / "set.txt"
-        doc.write_text("\n".join(lines) + "\n")
-        calls = []
+        lines[2] = "x: " + lines[2]
+        tokens = [line.split()[line.startswith("x:") :] for line in lines]
+        calls, splits = [], []
+        split_line = io._split_line
 
-        def counted(tokens):
-            calls.append(tokens)
-            return valid_tokens(tokens)
+        def counted(checked):
+            calls.append(checked)
+            return valid_tokens(checked)
+
+        def counted_split(line, lineno):
+            splits.append(lineno)
+            return split_line(line, lineno)
 
         monkeypatch.setattr(model, "valid_tokens", counted)
+        monkeypatch.setattr(io, "_split_line", counted_split)
+
+        # A plain document: one split and one set per line, no second check.
+        doc = tmp_path / "set.txt"
+        doc.write_text("\n".join(lines) + "\n")
         assert cli.main(["measure", str(doc), "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["ell"] >= 1
-        assert calls == [line.split() for line in lines]
+        assert (calls, splits) == ([], [])
+        plain = parse_text(doc.read_text()).to_ranking_set()
+        # A comment or \r\n line ends (which a file read as text would
+        # turn into \n, so parse_text reads them here): every line is split
+        # into groups and its tokens checked once, by Ranking.
+        for text in ("\n".join(lines) + "  # note\n", "\r\n".join(lines) + "\r\n"):
+            calls.clear()
+            splits.clear()
+            assert parse_text(text).to_ranking_set().rankings == plain.rankings
+            assert calls == tokens
+            assert splits == list(range(1, len(lines) + 1))
+        # A tie group: Ranking first offers that line's groups to the
+        # check whole, which the join refuses at the tuple, then checks
+        # its tokens once.
+        calls.clear()
+        parse_text("{a b} c\n" + "\n".join(lines))
+        assert calls == [[("a", "b"), "c"], ["a", "b", "c"], *tokens]
+
+        # graph.survey reads no positions of an untied ranking, in a set
+        # that mixes tied and untied rankings and tokens outside the reference.
+        rset = make_set("b a e c d", "{a b} c d", "a b c d", "f a {c b} d e")
+        expected = [pairwise_survey(rset, k) for k in range(len(rset))]
+        real = Ranking.positions.fget
+
+        def guarded(self):
+            if self.is_untied:
+                raise AssertionError("an untied ranking's positions were read")
+            return real(self)
+
+        monkeypatch.setattr(Ranking, "positions", property(guarded))
+        assert [survey(rset, k) for k in range(len(rset))] == expected
+        with pytest.raises(AssertionError, match="positions were read"):
+            rset.rankings[0].positions
 
     def test_the_set_holds_the_documents_rankings(self):
         doc = parse_text("a {b c} d\nx: d b a c\n")
@@ -312,6 +354,16 @@ def test_valid_token_on_every_code_point():
         assert not valid_tokens([token])
     for token in (None, 1, 1.5, b"a", ["a"], ("a",)):
         assert not valid_tokens([token])
+
+
+def test_every_split_token_of_a_brace_free_string_is_valid():
+    # The corollary io.parse_text's plain path rests on: a line without
+    # braces needs only its repeat test after split(), because every token
+    # split() makes from it passes valid_tokens.
+    text = "".join(f" {char} a{char}b" for char in map(chr, range(sys.maxunicode + 1)))
+    text = text.replace("{", "").replace("}", "")
+    wrong = [token for token in text.split() if not valid_tokens([token])]
+    assert wrong == []
 
 
 def test_the_only_printable_whitespace_is_the_space():

@@ -506,6 +506,55 @@ def test_parse_text_matches_the_stepwise_parser_on_every_short_document():
             assert _read(parse_text, content) == _read(stepwise_parse_text, content)
 
 
+# Plain documents: no brace, "#" or "\r" anywhere, so parse_text reads
+# them on its plain path. Tokens with characters that are neither
+# printable nor whitespace, repeats, and the label forms x:, :, x:: and y:.
+PLAIN_TOKENS = st.sampled_from(
+    ["a", "b", "a", "b", "c", "a\x00", "\u200bb", "\ufeff", "c\u200b\ufeff"]
+    + ["x:", ":", "x::", "y:"]
+)
+# Separators within a line; \x85 and \u2028 end no line.
+PLAIN_SEPARATORS = st.sampled_from(
+    [" ", "  ", "   ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", ""]
+)
+
+
+@st.composite
+def plain_documents(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 5))):
+        tokens = draw(st.lists(PLAIN_TOKENS, max_size=5))
+        # Blank lines, whitespace-only lines and label-only lines among them.
+        size = len(tokens) + 1
+        separators = draw(st.lists(PLAIN_SEPARATORS, min_size=size, max_size=size))
+        lines.append("".join(map("".join, zip(separators, tokens))) + separators[-1])
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def _plain_read(parse, content):
+    """Each ranking's label, tokens, sizes and ranking, or the type and message of the error."""
+    try:
+        document = parse(content)
+    except ParseError as exc:
+        return type(exc), str(exc)
+    return [
+        (raw.label, raw.ranking.tokens, raw.ranking.sizes, raw.ranking)
+        for raw in document.rankings
+    ]
+
+
+@given(plain_documents())
+@settings(max_examples=1000, deadline=None)
+def test_plain_documents_match_the_stepwise_parser(content):
+    assert not set("{}#\r") & set(content)
+    read, expected = _plain_read(parse_text, content), _plain_read(stepwise_parse_text, content)
+    assert read == expected
+    if isinstance(read, list):
+        for (*_, ranking), (*_, reference) in zip(read, expected):
+            assert ranking.is_untied
+            assert hash(ranking) == hash(reference)
+
+
 def _tokenized(split_line, line):
     try:
         return split_line(line, 3)
