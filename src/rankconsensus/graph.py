@@ -14,9 +14,10 @@ order and N from them. A ``ConsensusMatrix`` holds only weights: a
 diagonal vector plus one adjacency list per row, indexed like the
 survey's items; only the closed-form total reads one. The diagonal
 depends only on gamma and the strict lower part only on lambda, so a
-(gamma, lambda) sweep costs one trace per gamma and one pass of later
-terms per lambda, the exact corner sharing the pass at lambda = 1, each
-read from the survey, not from a matrix (see ``measures.kappa_sweep``).
+(gamma, lambda) sweep costs one trace, the sum of ``_diagonal``, per
+gamma and one pass of later terms per lambda, the exact corner sharing
+the pass at lambda = 1, each read from the survey, not from a matrix
+(see ``measures.kappa_sweep``).
 
 ``survey`` walks each ranking's flat tokens once. For every reference
 item it meets, it ANDs the item's predecessor mask with the items of
@@ -30,10 +31,10 @@ ranking holds a token at most once, so an item is common when it is in
 the AND of the N seen masks. That walk, the common test and the zeroing
 of the other items' masks are all that ``survey`` does: the exact series
 needs only the masks. The survey keeps the set's
-rankings, and the position columns, their sums and the deviation table
-are made from them on their first read and then kept, like the edge
-list and the levels; only the weighted path, the top-k variant and the
-matrix read them.
+rankings, and the common items' position columns, their sums and the
+deviation table are made from them on their first read and then kept,
+like the edge list and the levels; only the weighted path, the top-k
+variant and the matrix read them.
 
 The masks are the bit-parallel order intersection of Allison & Dix
 (1986) and Hyyrö's bit-vector LCS applied to N weak orders. The mask of
@@ -64,10 +65,12 @@ sums (see ``measures``); it lists no pairs.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import compress
+from operator import mul
 
 from .model import Ranking, RankingSet
 
@@ -156,10 +159,10 @@ class Survey:
     ``common`` are 0.
 
     The rest is made on first read and kept, so it is not a field, and
-    equality and hashing see the fields alone. columns[i] lists the
-    item's 1-based tie-group index in each ranking that holds it, in set
-    order; an exact measure never reads it. sums[i] is the integer sum
-    of the item's column, so a common item's mean position is sums[i] / N.
+    equality and hashing see the fields alone. ``_columns`` holds each
+    common item's N 1-based tie-group indices, in reference order; an
+    exact measure never reads it. sums[i] is a common item's column sum,
+    so its mean position is sums[i] / N; off the common items it is 0.
     ``_deviations`` holds each deviation variant's values for the common
     items, in reference order; only the weighted path, the top-k variant
     and a weighted ``matrix`` read it. ``edges`` lists the mask pairs as
@@ -186,10 +189,10 @@ class Survey:
         return len(self.rankings)
 
     @cached_property
-    def columns(self) -> tuple[tuple[int, ...], ...]:
-        """Each item's 1-based tie-group index in each ranking that holds it, in set order."""
-        index_of = {item: i for i, item in enumerate(self.items)}.get
-        columns: list[list[int]] = [[] for _ in self.items]
+    def _columns(self) -> tuple[tuple[int, ...], ...]:
+        """The N tie-group indices of each common item, in reference order, each in set order."""
+        index_of = {item: i for i, item in enumerate(compress(self.items, self.common))}.get
+        columns: list[list[int]] = [[] for _ in range(self.common.count(True))]
         for ranking in self.rankings:
             for i, position in zip(map(index_of, ranking.tokens), ranking.positions):
                 if i is not None:
@@ -198,8 +201,9 @@ class Survey:
 
     @cached_property
     def sums(self) -> tuple[int, ...]:
-        """Each item's position sum, the integer sum of its column."""
-        return tuple(map(sum, self.columns))
+        """Each common item's position sum, the integer sum of its column; 0 elsewhere."""
+        sums = map(sum, self._columns)
+        return tuple(next(sums) if common else 0 for common in self.common)
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int, float], ...]:
@@ -266,40 +270,29 @@ class Survey:
     def _deviations(self) -> dict[Deviation, tuple[float, ...]]:
         """Each variant's deviations of the common items, in reference order.
 
-        Made once per survey from the position sums and the columns: the
-        mean position of a common item is sums[i] / N.
+        Each is one correctly rounded int/int division. With S a column's
+        sum, Q its sum of squares and L the sum of its k positions at or
+        below the mean (x <= S // N), N**2 * MAD = 2 * (S * k - N * L) and
+        N**2 * variance = N * Q - S**2.
         """
         N = self.count
         mad: list[float] = []
         var: list[float] = []
-        for total, column in compress(zip(self.sums, self.columns), self.common):
-            mean = total / N
-            # x - mean for each x, then the same sums in the same order as a
-            # generator over the column would make.
-            deviations = list(map(mean.__rsub__, column))
-            mad.append(sum(map(abs, deviations)) / N)
-            var.append(sum(map(pow, deviations, repeat(2))) / N)
+        for total, column in zip(compress(self.sums, self.common), self._columns):
+            ordered = sorted(column)
+            below = ordered[: bisect_right(ordered, total // N)]
+            mad.append(2 * (total * len(below) - N * sum(below)) / (N * N))
+            var.append((N * sum(map(mul, column, column)) - total * total) / (N * N))
         return {
             Deviation.MAD: tuple(mad),
             Deviation.SQRT_MAD: tuple(map(math.sqrt, mad)),
             Deviation.STD: tuple(map(math.sqrt, var)),
         }
 
-    def _trace(self, params: MeasureParams) -> int | float:
-        """kappa_1: the sum of gamma**d over the common items, their count on the exact path.
-
-        It reads only gamma, the deviation variant and the exact flag, so a
-        sweep takes one trace per gamma from it. The sum runs over the
-        common items in reference order, as one over ``_diagonal`` would.
-        """
-        if params.exact:
-            return self.common.count(True)
-        return sum(map(pow, repeat(params.gamma), self._deviations[params.deviation]))
-
     def _diagonal(self, params: MeasureParams) -> list[int | float]:
         """Per-item weights gamma**d, 1 on the exact path, 0 off the common items.
 
-        The exact path reads no deviations.
+        Their sum is kappa_1. The exact path reads no deviations.
         """
         if params.exact:
             return list(map(int, self.common))

@@ -257,11 +257,12 @@ def _tail(
 def kappa_series(sv: Survey, params: MeasureParams) -> KappaProfile:
     """kappa_1 is the trace; each later kappa_p weighs the chains of p items.
 
-    Call it as ``kappa_series(survey(rset), params)``. Later terms never
-    read the diagonal, so they depend on lambda alone. No path builds a
-    matrix. A chain's weight is the product of lambda ** gap over its
-    pairs, which telescopes to a start weight of its first item times an
-    end weight of its last, so every term comes from one integer pass
+    Call it as ``kappa_series(survey(rset), params)``. The trace is
+    ``sum(sv._diagonal(params))``. Later terms never read the diagonal,
+    so they depend on lambda alone. No path builds a matrix. A chain's
+    weight is the product of lambda ** gap over its pairs, which
+    telescopes to a start weight of its first item times an end weight
+    of its last, so every term comes from one integer pass
     over the survey's masks (``_packed_terms``): each item's chains are
     packed into one int by length, and each row adds the shorter of its
     predecessor list and the complement of it among the common items
@@ -273,7 +274,7 @@ def kappa_series(sv: Survey, params: MeasureParams) -> KappaProfile:
     kappa_sweep runs one pass of later terms per lambda, the exact
     corner included.
     """
-    trace = sv._trace(params)
+    trace = sum(sv._diagonal(params))
     series = ((1, trace), *_tail(_packed_terms(sv, params), params)) if params.keeps(trace) else ()
     return KappaProfile(series=series, exact=params.exact)
 
@@ -369,11 +370,11 @@ def kappa_sweep(
     ``params`` gives epsilon and the deviation variant; its gamma and
     lambda are replaced by the grid's at every point. Every
     gamma and lambda is checked before any weight is computed. kappa_1 is
-    the trace, which depends on gamma alone, and every kappa_p with
-    p >= 2 comes from the strict lower part, which depends on lambda
-    alone. So the grid costs one trace per gamma, plus one for the exact
-    corner gamma = lambda = 1, and one integer pass of later terms per
-    lambda. At lambda = 1 every weight is 1, so the exact corner and the
+    the trace, the sum of ``sv._diagonal``, which depends on gamma alone,
+    and every kappa_p with p >= 2 comes from the strict lower part, which
+    depends on lambda alone. So the grid costs one trace per gamma, plus
+    one for the exact corner gamma = lambda = 1, and one integer pass of
+    later terms per lambda. At lambda = 1 every weight is 1, so the exact corner and the
     weighted points gamma < 1 share that pass's counts: the corner reads
     them as they are, and a weighted point reads each as the float the
     weighted pass gives, count / 1 (inf past the float range), each cut
@@ -407,7 +408,7 @@ def kappa_sweep(
             exact = at_gamma.exact and at_lam.exact
             trace_params = at_gamma if at_gamma.exact == exact else at_lam
             if exact not in traces:
-                traces[exact] = sv._trace(trace_params)
+                traces[exact] = sum(sv._diagonal(trace_params))
             trace = traces[exact]
             series = ()
             if trace_params.keeps(trace):

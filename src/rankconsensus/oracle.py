@@ -68,7 +68,7 @@ def enumerate_common(
     reference = rset.rankings[rset.reference_index()]
     candidates = [
         item
-        for item in reference.items()
+        for item in reference.tokens
         if all(ranking.position_of(item) for ranking in rset)
     ]
     columns = [[ranking.position_of(item) for ranking in rset] for item in candidates]

@@ -3,7 +3,8 @@
 ``pairwise_survey`` is ``graph.survey`` as it was before predecessor
 masks: it fills an N x n position table, tests every pair of common
 items against every ranking, and makes the position sums and the
-deviation table up front with generator sums over the table.
+deviation table up front, each deviation the exact rational of its
+definition over the table (``fractions.Fraction``) rounded once.
 ``pairwise_edges`` lists the pairs that test finds, with their
 per-ranking mean gaps, and the reference survey sets its masks from
 them. ``product_series`` is ``measures.kappa_series``
@@ -41,6 +42,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import chain
 from typing import Iterator
 
@@ -66,7 +68,7 @@ def _position_columns(
     """(reference index, items, one column of 1-based positions per item, 0 if absent)."""
     if reference_index is None:
         reference_index = rset.reference_index()
-    items = tuple(rset.rankings[reference_index].items())
+    items = rset.rankings[reference_index].tokens
     positions = tuple(
         tuple(ranking.position_of(item) for item in items) for ranking in rset
     )
@@ -90,26 +92,26 @@ def pairwise_edges(
 def pairwise_survey(rset: RankingSet, reference_index: int | None = None) -> Survey:
     """The survey from the position table, its columns and statistics already made.
 
-    The columns are the table's, with the zeros of absent items dropped.
-    They, the position sums and each common item's deviations from its
-    mean position, sums[i] / N, which are generator sums over the table,
-    are put in the survey's cache, so reading them gives these values
-    and not the ones ``Survey`` would make from its rankings.
+    The columns are the table's columns of the common items. They, the
+    position sums (0 off the common items) and each common item's
+    deviations are put in the survey's cache, so reading them gives
+    these values and not the ones ``Survey`` would make from its
+    rankings. Each deviation is the rational written from its
+    definition, sum(|N x - S|) / N**2 and sum((N x - S)**2) / N**3 for
+    the position sum S, rounded to a float once.
     """
     reference_index, items, table = _position_columns(rset, reference_index)
-    n = len(items)
     N = len(rset)
     common = tuple(all(x > 0 for x in column) for column in table)
-    sums = [sum(column) for column in table]
+    columns = [column for column, kept in zip(table, common) if kept]
+    sums = [sum(column) if kept else 0 for column, kept in zip(table, common)]
     mad = []
     var = []
-    for i in range(n):
-        if not common[i]:
-            continue
-        mean = sums[i] / N
-        mad.append(sum(abs(x - mean) for x in table[i]) / N)
-        var.append(sum((x - mean) ** 2 for x in table[i]) / N)
-    masks = [0] * n
+    for column in columns:
+        total = sum(column)
+        mad.append(float(Fraction(sum(abs(N * x - total) for x in column), N * N)))
+        var.append(float(Fraction(sum((N * x - total) ** 2 for x in column), N**3)))
+    masks = [0] * len(items)
     for i, j, _ in pairwise_edges(rset, reference_index):
         masks[i] |= 1 << j
     sv = Survey(
@@ -123,11 +125,7 @@ def pairwise_survey(rset: RankingSet, reference_index: int | None = None) -> Sur
         Deviation.SQRT_MAD: tuple(math.sqrt(x) for x in mad),
         Deviation.STD: tuple(math.sqrt(x) for x in var),
     }
-    vars(sv).update(
-        columns=tuple(tuple(x for x in column if x) for column in table),
-        sums=tuple(sums),
-        _deviations=deviations,
-    )
+    vars(sv).update(_columns=tuple(columns), sums=tuple(sums), _deviations=deviations)
     return sv
 
 
@@ -361,7 +359,7 @@ def _checked_items(r1: Ranking, r2: Ranking) -> list[str]:
         raise UnsupportedRankingError("rankings do not cover the same items")
     if r1.length < 2:
         raise ValueError(f"need at least 2 items, got {r1.length}")
-    return list(r1.items())
+    return list(r1.tokens)
 
 
 def _pair_counts(r1: Ranking, r2: Ranking, items: list[str]) -> tuple[int, int]:

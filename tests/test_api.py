@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -72,6 +73,36 @@ def test_readme_library_example_gives_its_comments():
             checked.append(code.strip())
             assert eval(code, namespace) == expected, code
     assert checked == ["profile.series", "profile.ell", "profile.total", "kappa_dup(sv, p)"]
+
+
+def test_readme_attribute_names_resolve():
+    # A backticked sv.X, Survey.X, r.X, p.X or profile.X in the prose
+    # names an attribute or a dataclass field of the class it stands for,
+    # so a renamed or deleted one cannot linger there. Fields without a
+    # default, such as Survey.masks and Ranking.tokens, are no class
+    # attributes, so the fields are checked too.
+    owners = {
+        "sv": rankconsensus.Survey,
+        "Survey": rankconsensus.Survey,
+        "r": rankconsensus.Ranking,
+        "p": rankconsensus.MeasureParams,
+        "profile": rankconsensus.KappaProfile,
+    }
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    prose = re.sub(r"```.*?```", "", readme, flags=re.S)
+    named = {
+        match.groups()
+        for span in re.findall(r"`([^`]+)`", prose)
+        for match in re.finditer(r"\b(sv|Survey|r|p|profile)\.(\w+)", span)
+    }
+    stale = [
+        f"{owner}.{name}"
+        for owner, name in sorted(named)
+        if not hasattr(owners[owner], name)
+        and name not in {field.name for field in fields(owners[owner])}
+    ]
+    assert stale == []
+    assert {owner for owner, _ in named} == set(owners)
 
 
 @pytest.mark.skipif(not (BENCH / "tracing.py").is_file(), reason="bench/ is absent")

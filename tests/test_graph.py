@@ -3,6 +3,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import fields
+from fractions import Fraction
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from rankconsensus.graph import Deviation, MeasureParams, Survey, survey
 from rankconsensus.io import parse_text
+from rankconsensus.measures import kappa_series, kappa_sweep
 from rankconsensus.model import Ranking, RankingSet
 
 from conftest import EXAMPLE_LINES, make_set, near_consensus_set, random_set
@@ -155,14 +158,23 @@ class TestSurveyStatistics:
 
     @pytest.mark.parametrize("gamma, lam", [(1.0, 1.0), (1, 0.5), (0.8, 1.0), (0.8, 0.5)])
     @pytest.mark.parametrize("variant", list(Deviation))
-    def test_trace_is_the_sum_of_the_diagonal(self, gamma, lam, variant):
-        # Bit for bit and of the same type: the int count on the exact
-        # path, a float otherwise, also for an int gamma of 1.
-        sv = survey(make_set(*EXAMPLE_LINES))
+    def test_kappa_1_is_the_count_or_the_sum_of_gamma_to_each_deviation(
+        self, gamma, lam, variant
+    ):
+        # Bit for bit and of the same type, through the series and the
+        # sweep: the int count of the common items on the exact path, a
+        # float otherwise, also for an int gamma of 1.
+        rset = make_set(*EXAMPLE_LINES)
+        sv = survey(rset)
         params = MeasureParams(gamma=gamma, lam=lam, deviation=variant)
-        trace = sv._trace(params)
-        expected = sum(sv._diagonal(params))
-        assert (trace, type(trace)) == (expected, type(expected))
+        if params.exact:
+            expected = 5
+        else:
+            expected = sum(gamma**d for d in pairwise_survey(rset)._deviations[variant])
+        (point,) = kappa_sweep(sv, [gamma], [lam], params)
+        for profile in (kappa_series(sv, params), point.profile):
+            (p, kappa_1), *_ = profile.series
+            assert (p, kappa_1, type(kappa_1)) == (1, expected, type(expected))
 
 
 class TestTies:
@@ -232,9 +244,9 @@ class TestPredecessorMasks:
     @staticmethod
     def assert_matches(sv, ref):
         # The statistics are not fields, so equality does not see them;
-        # the reference's are its own generator sums over the table.
+        # the reference's deviations are exact rationals over the table.
         assert sv == ref
-        assert sv.columns == ref.columns
+        assert sv._columns == ref._columns
         assert (sv.sums, sv._deviations) == (ref.sums, ref._deviations)
 
     @given(st.randoms(use_true_random=False), st.booleans())
@@ -260,7 +272,7 @@ class TestPredecessorMasks:
             Ranking([("a", "b"), "c"])
         ]
         rng.shuffle(rankings)
-        rankings.insert(0, Ranking([*rankings[0].items(), "z"]))
+        rankings.insert(0, Ranking([*rankings[0].tokens, "z"]))
         rset = RankingSet(tuple(rankings))
         reference = len(rset) - 1 if last_reference else None
         sv = survey(rset, reference)
@@ -280,13 +292,20 @@ class TestPredecessorMasks:
 
 class TestEdgesOnFirstRead:
     def test_statistics_are_made_once_on_first_read_and_kept(self):
-        sv = survey(make_set(*EXAMPLE_LINES))
-        assert not {"columns", "sums", "_deviations"} & set(vars(sv))
-        deviations = sv._deviations
-        assert vars(sv)["_deviations"] is deviations
-        assert sv._deviations is deviations
-        assert vars(sv)["sums"] is sv.sums
-        assert sv.sums == tuple(map(sum, sv.columns))
+        # The example set, and a tied one whose rankings hold items (x, y
+        # and f) outside the reference or the common set.
+        for lines in (EXAMPLE_LINES, ("a {b c} d e", "x b a c e d", "{a b} c y d f")):
+            sv = survey(make_set(*lines))
+            assert not {"_columns", "sums", "_deviations"} & set(vars(sv))
+            deviations = sv._deviations
+            assert vars(sv)["_deviations"] is deviations
+            assert sv._deviations is deviations
+            assert vars(sv)["sums"] is sv.sums
+            assert vars(sv)["_columns"] is sv._columns
+            # One N-long column per common item; the sums are 0 elsewhere.
+            assert [len(column) for column in sv._columns] == [sv.count] * sum(sv.common)
+            assert list(compress(sv.sums, sv.common)) == list(map(sum, sv._columns))
+            assert set(compress(sv.sums, (not c for c in sv.common))) == {0}
 
     def test_exact_matrix_reads_no_deviations(self):
         sv = survey(make_set(*EXAMPLE_LINES))
@@ -299,7 +318,7 @@ class TestEdgesOnFirstRead:
         rset = make_set("a {b c} d e", "b a c e d", "{a b} c d f")
         sv = survey(rset)
         params = MeasureParams(gamma=0.7, lam=0.9, deviation=variant)
-        # The reference makes its deviations by its own sums over the table.
+        # The reference makes its deviations from exact rationals over the table.
         deviations = iter(pairwise_survey(rset)._deviations[variant])
         expected = [params.gamma ** next(deviations) if common else 0 for common in sv.common]
         assert sv._diagonal(params) == expected
@@ -336,3 +355,41 @@ class TestEdgesOnFirstRead:
             assert mask >> i == 0
             if not sv.common[i]:
                 assert mask == 0
+
+
+def _rounded_deviations(rset: RankingSet, sv: Survey) -> dict[Deviation, list[float]]:
+    """Each variant's deviations of sv's common items: exact rationals, rounded once."""
+    N = len(rset)
+    mad, var = [], []
+    for item in compress(sv.items, sv.common):
+        column = [ranking.position_of(item) for ranking in rset]
+        mean = Fraction(sum(column), N)
+        mad.append(float(sum(abs(x - mean) for x in column) / N))
+        var.append(float(sum((x - mean) ** 2 for x in column) / N))
+    return {
+        Deviation.MAD: mad,
+        Deviation.SQRT_MAD: list(map(math.sqrt, mad)),
+        Deviation.STD: list(map(math.sqrt, var)),
+    }
+
+
+class TestExactDeviations:
+    """Every deviation is the correctly rounded rational, in every variant."""
+
+    @given(st.randoms(use_true_random=False), st.integers(0, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_random_sets_with_planted_duplicates(self, rng, planted):
+        rankings = list(random_set(rng))
+        rankings += [rng.choice(rankings) for _ in range(planted)]
+        rng.shuffle(rankings)
+        rset = RankingSet(tuple(rankings))
+        sv = survey(rset)
+        expected = _rounded_deviations(rset, sv)
+        assert {variant: list(sv._deviations[variant]) for variant in Deviation} == expected
+
+    @pytest.mark.parametrize("seed, n, count", [(1, 40, 10), (2, 40, 10), (3, 128, 50)])
+    def test_near_consensus_sets(self, seed, n, count):
+        rset = near_consensus_set(random.Random(seed), n, count)
+        sv = survey(rset)
+        expected = _rounded_deviations(rset, sv)
+        assert {variant: list(sv._deviations[variant]) for variant in Deviation} == expected

@@ -169,7 +169,7 @@ class TestPackedSeries:
         def refuse(*args):
             raise AssertionError("the exact path read an edge list or a statistic")
 
-        for name in ("edges", "sums", "_deviations"):
+        for name in ("edges", "_columns", "sums", "_deviations"):
             monkeypatch.setattr(Survey, name, property(refuse))
         monkeypatch.setattr(Survey, "matrix", refuse)
         rset = near_consensus_set(random.Random(4), 40, 5)
@@ -179,7 +179,7 @@ class TestPackedSeries:
         (corner,) = kappa_sweep(sv, [1.0], [1.0])
         assert corner.profile == expected
         doc = tmp_path / "set.txt"
-        doc.write_text("".join(" ".join(r.items()) + "\n" for r in rset))
+        doc.write_text("".join(" ".join(r.tokens) + "\n" for r in rset))
         assert cli.main(["measure", str(doc), "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["kappa_total"] == expected.total
 
@@ -357,7 +357,7 @@ class TestLevelSeries:
         (point,) = [pt for pt in points if (pt.gamma, pt.lam) == (0.9, 0.8)]
         assert point.profile == profile
         doc = tmp_path / "set.txt"
-        doc.write_text("".join(" ".join(r.items()) + "\n" for r in rset))
+        doc.write_text("".join(" ".join(r.tokens) + "\n" for r in rset))
         assert cli.main(["sweep", str(doc), "--format", "csv"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + len(GRID) ** 2
 
@@ -604,23 +604,23 @@ class TestSweep:
     def test_every_series_runs_once_per_lambda(self, monkeypatch):
         # One pass of later terms per lambda, each shared by every gamma:
         # at lambda = 1 the exact corner and the weighted points read the
-        # same counts. No trace is computed twice.
+        # same counts. No trace, the sum of a diagonal, is computed twice.
         sv = survey(load_dataset(Dataset.CLUSTERING_CE).to_ranking_set())
         series = []
         traces = []
         real_terms = measures._packed_terms
-        real_trace = Survey._trace
+        real_diagonal = Survey._diagonal
 
         def recording_terms(sv, params):
             series.append((params.lam, params.exact))
             return real_terms(sv, params)
 
-        def recording_trace(self, params):
+        def recording_diagonal(self, params):
             traces.append((params.gamma, params.exact))
-            return real_trace(self, params)
+            return real_diagonal(self, params)
 
         monkeypatch.setattr(measures, "_packed_terms", recording_terms)
-        monkeypatch.setattr(Survey, "_trace", recording_trace)
+        monkeypatch.setattr(Survey, "_diagonal", recording_diagonal)
         kappa_sweep(sv, GRID, GRID)
         weighted = [(lam, False) for lam in GRID if lam != 1.0]
         assert sorted(series) == sorted(weighted + [(1.0, True)])
@@ -635,7 +635,7 @@ class TestSweep:
     ):
         sv = survey(example_set)
         calls = []
-        for name in ("matrix", "_diagonal", "_trace"):
+        for name in ("matrix", "_diagonal"):
             real = getattr(Survey, name)
 
             def recording(self, params, name=name, real=real):

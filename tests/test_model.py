@@ -113,7 +113,7 @@ class TestRankingSet:
         assert len(distinct) == 2
         assert most == 3
         first = next(iter(distinct))
-        assert list(first.items()) == ["a", "b"]
+        assert first.tokens == ("a", "b")
 
     def test_distinct_merges_only_equal_token_groups(self):
         rset = RankingSet.build(
@@ -248,7 +248,7 @@ class TestLazyPositions:
         surveys = []
         with monkeypatch.context() as exact_only:
             # The exact path reads the masks alone, not the survey's columns.
-            exact_only.setattr(Survey, "columns", refuse("a survey's columns"))
+            exact_only.setattr(Survey, "_columns", refuse("a survey's columns"))
             for k, (text, (exact, _)) in enumerate(zip(texts, expected)):
                 sv = survey(parse_text(text).to_ranking_set())
                 assert kappa_series(sv, self.EXACT) == exact
@@ -258,7 +258,7 @@ class TestLazyPositions:
                 assert cli.main(["measure", str(doc), "--format", "json"]) == 0
                 assert json.loads(capsys.readouterr().out)["kappa_total"] == exact.total
         for sv, (_, weighted) in zip(surveys, expected):
-            assert "columns" not in vars(sv)
+            assert "_columns" not in vars(sv)
             assert kappa_series(sv, self.WEIGHTED) == weighted
 
     def test_exact_measure_reads_no_groups(self, monkeypatch, tmp_path, capsys):

@@ -270,7 +270,7 @@ def test_enumeration_finds_exactly_the_strictly_ordered_chains(rng, params):
     # subset of the reference order is found once, in (length, order) order.
     rset = random_set(rng, max_rankings=3)
     reference = rset.rankings[rset.reference_index()]
-    common = [item for item in reference.items() if all(r.position_of(item) for r in rset)]
+    common = [item for item in reference.tokens if all(r.position_of(item) for r in rset)]
     expected = [
         chain
         for length in range(1, len(common) + 1)
