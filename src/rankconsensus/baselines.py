@@ -26,6 +26,8 @@ class UnsupportedRankingError(ValueError):
 
 
 class Baseline(str, Enum):
+    """The pairwise indices, by their command-line names."""
+
     KENDALL_TAU = "tau"
     KENDALL_DIST = "dtau"
     SPEARMAN_RHO = "rho"
@@ -33,6 +35,8 @@ class Baseline(str, Enum):
 
 
 class Aggregate(str, Enum):
+    """How the pair values of a set combine into one number."""
+
     SUM = "sum"
     MEAN = "mean"
     MIN = "min"
@@ -69,6 +73,7 @@ def kendall_distance(r1: Ranking, r2: Ranking) -> float:
 
 
 def spearman_rho(r1: Ranking, r2: Ranking) -> float:
+    """Spearman's rank correlation, 1 - 6 * sum of squared rank differences / (n(n^2 - 1))."""
     order = _order(r1, r2)
     n = len(order)
     squares = sum((k - position) ** 2 for k, position in enumerate(order, 1))
@@ -76,6 +81,7 @@ def spearman_rho(r1: Ranking, r2: Ranking) -> float:
 
 
 def spearman_footrule(r1: Ranking, r2: Ranking) -> float:
+    """Sum of absolute rank differences over n(n^2 - 1); see the module note."""
     order = _order(r1, r2)
     n = len(order)
     moves = sum(abs(k - position) for k, position in enumerate(order, 1))
@@ -91,6 +97,7 @@ _INDEX_FUNCS = {
 
 
 def pairwise_index(r1: Ranking, r2: Ranking, kind: Baseline | str) -> float:
+    """The index named by kind for one ranking pair."""
     return _INDEX_FUNCS[Baseline(kind)](r1, r2)
 
 

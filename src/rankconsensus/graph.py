@@ -300,6 +300,7 @@ class Survey:
         return [params.gamma ** next(deviations) if common else 0 for common in self.common]
 
     def matrix(self, params: MeasureParams) -> "ConsensusMatrix":
+        """The ``ConsensusMatrix`` of these edges, weighted by params."""
         n = len(self.items)
         exact = params.exact
         rows: list[list[tuple[int, int | float]]] = [[] for _ in range(n)]

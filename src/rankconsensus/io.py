@@ -23,11 +23,11 @@ token ending in ":". That text writer refuses those.
 
 Both parsers build each line's or entry's ``model.Ranking`` once: a
 ``RawRanking`` holds the label and the ``Ranking``, and
-``RankingDocument.to_ranking_set`` wraps those same objects. The lines
-of a plain text document, one with no brace, "#" or "\r", skip the group
-splitter and the token check (see ``parse_text``); every other line or
-entry is checked once, by ``Ranking``. When ``Ranking`` refuses one, the
-parser names the fault with its line number or JSON path.
+``RankingDocument.to_ranking_set`` wraps those same objects. A text
+line is split by ``_split_line`` and, unless one set finds a repeat in
+it, built by ``Ranking._unchecked`` with no token check (see ``model``);
+a JSON entry is checked once, by ``Ranking``. The parser names a fault
+with its line number or JSON path.
 """
 from __future__ import annotations
 
@@ -53,9 +53,8 @@ class ParseError(ValueError):
 class RawRanking:
     """One line or entry of a document: its declared label, if any, and its ranking.
 
-    The parser builds the ``Ranking`` once, and that build is the
-    ranking's one check; ``RankingDocument.to_ranking_set`` hands the
-    same object on.
+    The parser builds the ``Ranking`` once, and
+    ``RankingDocument.to_ranking_set`` hands the same object on.
     """
 
     label: str | None
@@ -64,6 +63,8 @@ class RawRanking:
 
 @dataclass(frozen=True)
 class RankingDocument:
+    """A parsed ranking file: its lines or entries, in order."""
+
     rankings: tuple[RawRanking, ...]
 
     def labels(self) -> list[str]:
@@ -91,17 +92,21 @@ class RankingDocument:
         return RankingSet(tuple(raw.ranking for raw in self.rankings))
 
 
-def _split_line(line: str, lineno: int) -> list[str | tuple[str, ...]]:
-    """Tokenize one line into groups, honoring braces: a bare token or a tuple per group.
+def _split_line(line: str, lineno: int) -> tuple[list[str], tuple[int, ...]]:
+    """A line's tokens in line order and the size of each of its groups.
 
-    Each piece after a "{" opens a tie group that its first "}" closes,
-    a tuple even when it holds one token; the text after that "}", like
-    the text before the first "{", holds bare tokens, each a singleton
-    group. A line without braces is its ``split()``. The brace checks
-    run in line order, so the first fault in the line is the one
-    reported; ``Ranking`` checks the tokens.
+    Each piece after a "{" opens a tie group that its first "}" closes;
+    the text after that "}", like the text before the first "{", holds
+    bare tokens, each a group of one. A brace-free line is its
+    ``split()``. The brace checks run in line order, so the first fault
+    in the line is the one reported. Every token is a ``split()`` piece
+    of brace-free text, so it passes ``model.valid_tokens``.
     """
-    groups: list[str | tuple[str, ...]] = []
+    if "{" not in line and "}" not in line:
+        tokens = line.split()
+        return tokens, (1,) * len(tokens)
+    tokens = []
+    sizes: list[int] = []
     pieces = line.split("{")
     last = len(pieces) - 1
     for k, piece in enumerate(pieces):
@@ -110,68 +115,55 @@ def _split_line(line: str, lineno: int) -> list[str | tuple[str, ...]]:
             if not closed:
                 fault = "nested" if k < last else "unbalanced"
                 raise ParseError(f"{fault} braces at line {lineno}")
-            members = tuple(inner.split())
+            members = inner.split()
             if not members:
                 raise ParseError(f"empty tie group at line {lineno}")
-            groups.append(members)
+            tokens += members
+            sizes.append(len(members))
         if "}" in piece:
             raise ParseError(f"unbalanced braces at line {lineno}")
-        groups.extend(piece.split())
+        bare = piece.split()
+        tokens += bare
+        sizes += [1] * len(bare)
         if k < last and piece and not piece[-1].isspace():
             raise ParseError(f"brace must start a token at line {lineno}")
-    return groups
+    return tokens, tuple(sizes)
 
 
 def parse_text(content: str) -> RankingDocument:
     """Read the text format; a fault raises ParseError with its line number.
 
-    A document with no "{", "}", "#" or "\\r" anywhere, tested once over
-    the whole content, is plain: each line is its ``split()``, whose
-    tokens all pass ``model.valid_tokens`` (see ``model``). A plain line
-    whose tokens one set finds distinct becomes its ``Ranking`` through
-    ``Ranking._untied``, with no group splitter and no second check.
-    Every other line goes to ``Ranking``, as ``_split_line`` gives its
-    groups or, in a plain document, as its tokens, and ``Ranking`` names
-    its fault. Both paths give the same labels, rankings, faults and
-    line numbers.
+    Each line, up to its first "#", goes to ``_split_line``; a line with
+    no tokens is skipped. The first token is the label when it ends in
+    ":" and the line does not start with "{". A line whose tokens one set
+    finds distinct becomes ``Ranking._unchecked(tokens, sizes)``; a line
+    with a repeat goes to ``Ranking``, which names the first one.
     """
-    plain = not ("{" in content or "}" in content or "#" in content or "\r" in content)
-    if not plain:
+    if "\r" in content:
         content = content.replace("\r\n", "\n").replace("\r", "\n")
     rankings: list[RawRanking] = []
     labels_seen: set[str] = set()
     for lineno, line in enumerate(content.split("\n"), start=1):
-        if plain:
-            groups = line.split()
-            if not groups:
-                continue
-        else:
-            line = line.split("#", 1)[0]
-            if not line.strip():
-                continue
-            groups = _split_line(line, lineno)
+        tokens, sizes = _split_line(line.partition("#")[0], lineno)
+        if not tokens:
+            continue
         label = None
-        first = groups[0]
-        # A bare first token, not one in braces, may be the label.
-        if isinstance(first, str) and first.endswith(":"):
-            label = first[:-1]
+        if tokens[0].endswith(":") and not line.lstrip().startswith("{"):
+            label = tokens[0][:-1]
             if not label:
                 raise ParseError(f"empty label at line {lineno}")
-            groups = groups[1:]
-        if label is not None:
             if label in labels_seen:
                 raise ParseError(f"duplicate label {label} at line {lineno}")
             labels_seen.add(label)
-        if not groups:
-            raise ParseError(f"empty ranking at line {lineno}")
-        if plain and len(set(groups)) == len(groups):
-            ranking = Ranking._untied(groups)
-        else:
+            tokens, sizes = tokens[1:], sizes[1:]
+            if not tokens:
+                raise ParseError(f"empty ranking at line {lineno}")
+        if len(set(tokens)) < len(tokens):
             try:
-                ranking = Ranking(groups)
+                Ranking(tokens)
             except ValidationError as exc:
                 raise ParseError(f"{exc} at line {lineno}") from None
-        rankings.append(RawRanking(label=label, ranking=ranking))
+        rankings.append(RawRanking(label=label, ranking=Ranking._unchecked(tokens, sizes)))
     return RankingDocument(rankings=tuple(rankings))
 
 
@@ -183,9 +175,9 @@ def parse_json(content: str) -> RankingDocument:
     """Read the JSON format; a fault raises ParseError with its JSON path.
 
     Each entry's groups must all be lists, which one ``isinstance`` map
-    tests; then they go to ``Ranking`` as they are, as ``parse_text``
-    hands it a line. Only when either refuses them does a loop over the
-    tokens run, to name the first fault with its path.
+    tests; then they go to ``Ranking`` as they are. Only when either
+    refuses them does a loop over the tokens run, to name the first
+    fault with its path.
     """
     # Besides JSONDecodeError, integers past the interpreter's digit limit
     # raise ValueError and very deep nesting raises RecursionError.
@@ -249,6 +241,8 @@ def _name_json_fault(raw_groups: list[object], path: str) -> NoReturn:
 
 
 class Dataset(str, Enum):
+    """The bundled ranking sets, by file name."""
+
     CLUSTERING = "clustering"
     CLUSTERING_GA = "clustering_ga"
     CLUSTERING_CE = "clustering_ce"
@@ -261,6 +255,7 @@ def _data_text(filename: str) -> str:
 
 
 def load_dataset(name: Dataset | str) -> RankingDocument:
+    """Parse a bundled ranking set; an unknown name raises ValueError."""
     dataset = Dataset(name)
     return parse_text(_data_text(f"{dataset.value}.txt"))
 

@@ -100,10 +100,12 @@ class KappaProfile:
 
     @property
     def ell(self) -> int:
+        """The length of the series, the largest p it holds."""
         return len(self.series)
 
     @property
     def total(self) -> int | float:
+        """kappa, the sum of the series."""
         return sum(value for _, value in self.series)
 
     def value_at(self, p: int) -> int | float:
@@ -353,6 +355,8 @@ def kappa1_topk(sv: Survey, params: MeasureParams) -> float:
 
 @dataclass(frozen=True)
 class SweepPoint:
+    """The profile at one (gamma, lambda) point of a sweep."""
+
     gamma: float
     lam: float
     profile: KappaProfile

@@ -16,34 +16,28 @@ read and kept; an untied ranking's positions are ``range(1, m + 1)``,
 made on each read. The survey reads the tokens, and a tied ranking's
 positions; the oracle and the baselines read the position table.
 
-The token rule is stated once, in ``valid_tokens``. ``Ranking`` applies
-it, and checks each ranking once. Each check is a whole-ranking test
-made of C-level operations: ``valid_tokens`` over the tokens, which
-joins them by spaces, tests that the join is printable with one space
-per gap (and splits it back apart only when it is not), makes two brace
-tests over that join and one set. A list of bare tokens passes that
-test as it is: the join is already the test that every group is a str.
-Other input is first split into groups, each checked non-empty. Only
-when a check fails does a per-token loop run, and it only names the
-fault: the first one in ranking order. The parsers in ``io`` hand each
-line or entry to ``Ranking`` and name its fault with the line number or
-JSON path.
+The token rule is stated once, in ``valid_tokens``, a whole-list test
+made of C-level operations, and ``Ranking(groups)`` applies it once per
+ranking. A list of bare tokens passes it as it is: the join inside it is
+already the test that every group is a str. Other input is first split
+into groups, each checked non-empty. Only when a check fails does a
+per-token loop run, and it only names the fault: the first one in
+ranking order.
 
-One input needs no check beyond a repeat test. Every token that
-``str.split()`` makes from a brace-free string is non-empty and holds
-no whitespace and no brace, so it passes ``valid_tokens``: that is the
-rule's corollary, not a second statement of it. ``io.parse_text`` reads
-a plain document (no brace, "#" or "\\r" anywhere) by testing each
-line's split for a repeat with one set and, when there is none, builds
-its ``Ranking`` with ``Ranking._untied``, which stores the tokens
-unchecked.
+A text line needs no token check: every token that ``str.split()``
+makes from brace-free text is non-empty and holds no whitespace and no
+brace, so it passes ``valid_tokens``, as the rule's corollary rather
+than a second statement of it. ``io.parse_text`` tests a line's tokens
+for a repeat with one set and builds its ``Ranking`` with
+``Ranking._unchecked``; only a line with a repeat goes to ``Ranking``,
+which names it.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from typing import Iterable, Iterator, Sequence
 
 
@@ -57,24 +51,17 @@ def valid_tokens(tokens: list[object]) -> bool:
     Whitespace is what ``str.isspace`` accepts, Unicode spaces included:
     ``str.split()`` splits at exactly those code points. So the tokens
     joined by spaces split back into exactly the tokens when every one
-    is a non-empty string without whitespace. U+0020 is the only code
-    point that is both whitespace and printable, so a printable join
-    with one space per gap needs no split: its non-empty tokens hold no
-    whitespace. Only a join that fails that test is split. With two
-    brace tests over the join and one set, that is one whole-list test
-    at C speed.
-    ``Ranking`` and ``io.parse_json`` both apply this rule, and a single
-    token is tested as ``valid_tokens([token])``.
+    is a non-empty string without whitespace; with two brace tests over
+    the join and one set, that is one whole-list test at C speed.
+    ``Ranking`` and ``io.parse_json`` apply this rule, no text line
+    reaches it, and a single token is tested as ``valid_tokens([token])``.
     """
     try:
         joined = " ".join(tokens)  # type: ignore[arg-type]
     except TypeError:
         return False
     return (
-        (
-            joined.isprintable() and joined.count(" ") == len(tokens) - 1 and all(tokens)
-            or joined.split() == tokens
-        )
+        joined.split() == tokens
         and "{" not in joined
         and "}" not in joined
         and len(set(tokens)) == len(tokens)
@@ -104,23 +91,23 @@ class Ranking:
     sizes: tuple[int, ...]
 
     def __init__(self, groups: Iterable[str | Iterable[str]]) -> None:
-        source = list(groups)
-        if source and valid_tokens(source):
-            # Bare tokens only, each checked by the join: an untied ranking.
-            tokens = tuple(source)
-            sizes = (1,) * len(tokens)
-        else:
-            tokens, sizes = _checked_groups(source)
-        object.__setattr__(self, "tokens", tokens)
-        object.__setattr__(self, "sizes", sizes)
+        self._store(*_checked_groups(list(groups)))
 
     @classmethod
-    def _untied(cls, tokens: list[str]) -> "Ranking":
-        """The untied ranking of tokens already known to pass ``valid_tokens``; no check runs."""
+    def _unchecked(cls, tokens: list[str], sizes: Sequence[int]) -> "Ranking":
+        """The ranking of valid, distinct tokens in groups of these sizes; no check runs."""
         ranking = object.__new__(cls)
-        object.__setattr__(ranking, "tokens", tuple(tokens))
-        object.__setattr__(ranking, "sizes", (1,) * len(tokens))
+        ranking._store(tokens, sizes)
         return ranking
+
+    def _store(self, tokens: list[str], sizes: Sequence[int]) -> None:
+        # Sort each tied group in place; only a tied ranking has fewer groups than tokens.
+        if len(sizes) < len(tokens):
+            for end, size in zip(accumulate(sizes), sizes):
+                if size > 1:
+                    tokens[end - size : end] = sorted(tokens[end - size : end])
+        object.__setattr__(self, "tokens", tuple(tokens))
+        object.__setattr__(self, "sizes", tuple(sizes))
 
     def __repr__(self) -> str:
         return f"Ranking(groups={self.groups!r})"
@@ -148,10 +135,12 @@ class Ranking:
 
     @property
     def length(self) -> int:
+        """The number of tokens."""
         return len(self.tokens)
 
     @property
     def is_untied(self) -> bool:
+        """True when every group holds one token."""
         return len(self.sizes) == len(self.tokens)
 
     def position_of(self, item: str) -> int:
@@ -163,11 +152,15 @@ class Ranking:
         return iter(self.tokens)
 
     def item_set(self) -> frozenset[str]:
+        """The tokens as a set."""
         return frozenset(self.tokens)
 
 
-def _checked_groups(source: list[object]) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    """(tokens, sizes) of groups that are not all bare tokens, or the first fault raised."""
+def _checked_groups(source: list[object]) -> tuple[list[str], Sequence[int]]:
+    """(tokens, sizes) of the groups, or the first fault raised."""
+    if source and valid_tokens(source):
+        # Bare tokens only, each checked by the join: an untied ranking.
+        return source, (1,) * len(source)  # type: ignore[return-value]
     groups: list[tuple[str, ...]] = []
     try:
         # A non-iterable group stops the extend with the groups before it
@@ -184,12 +177,7 @@ def _checked_groups(source: list[object]) -> tuple[tuple[str, ...], tuple[int, .
             raise ValidationError("empty ranking")
         _name_fault(groups)
         raise AssertionError("a whole-ranking check failed on a ranking without a fault")
-    # No group is empty, so there are more tokens than groups exactly
-    # when some group is tied.
-    if len(tokens) > len(groups):
-        groups = [g if len(g) == 1 else tuple(sorted(g)) for g in groups]
-        tokens = list(chain.from_iterable(groups))
-    return tuple(tokens), tuple(map(len, groups))
+    return tokens, list(map(len, groups))
 
 
 def _name_fault(groups: list[tuple[object, ...]]) -> None:
@@ -221,6 +209,7 @@ class RankingSet:
 
     @classmethod
     def build(cls, rankings: Iterable[Iterable[str | Iterable[str]]]) -> "RankingSet":
+        """The set of ``Ranking(groups)`` for each element, in order."""
         return cls(tuple(map(Ranking, rankings)))
 
     def __len__(self) -> int:

@@ -32,6 +32,8 @@ class SizeLimitError(ValueError):
 
 @dataclass(frozen=True)
 class CommonSubsequence:
+    """One chain common to every ranking: its items in order and its weight."""
+
     items: tuple[str, ...]
     weight: int | float
 

@@ -1,4 +1,6 @@
 import ast
+import functools
+import inspect
 import json
 import os
 import re
@@ -19,6 +21,33 @@ def test_every_exported_name_resolves():
     missing = [name for name in rankconsensus.__all__ if not hasattr(rankconsensus, name)]
     assert missing == []
     assert len(set(rankconsensus.__all__)) == len(rankconsensus.__all__)
+
+
+def test_every_exported_class_and_function_has_a_docstring():
+    # A dataclass without one gets its generated signature as __doc__,
+    # which says nothing its fields do not. Methods and properties count
+    # only with their own docstring, not one inherited from a base.
+    missing = []
+    for name in rankconsensus.__all__:
+        obj = getattr(rankconsensus, name)
+        if inspect.isfunction(obj):
+            if not obj.__doc__:
+                missing.append(name)
+            continue
+        if not inspect.isclass(obj):
+            continue
+        doc = vars(obj).get("__doc__")
+        if not doc or doc.startswith(f"{obj.__name__}("):
+            missing.append(name)
+        for attr, member in vars(obj).items():
+            if attr.startswith("_"):
+                continue
+            if isinstance(member, (classmethod, staticmethod)):
+                member = member.__func__
+            kinds = (property, functools.cached_property)
+            if (inspect.isfunction(member) or isinstance(member, kinds)) and not member.__doc__:
+                missing.append(f"{name}.{attr}")
+    assert missing == []
 
 
 def test_no_module_imports_a_name_it_never_uses():

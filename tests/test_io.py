@@ -72,6 +72,10 @@ class TestParseText:
             ("ok\na{b c}", "brace must start a token at line 2"),
             ("a\x1cb\nc c", "duplicate item c at line 2"),
             ("a b {c b} a", "duplicate item b at line 1"),
+            # A repeat in a tie group is named in line order, not sorted order.
+            ("x {c b c b}", "duplicate item c at line 1"),
+            ("y: {z y z} a", "duplicate item z at line 1"),
+            ("{d c} a {a b}", "duplicate item a at line 1"),
         ],
     )
     def test_errors(self, content, message):

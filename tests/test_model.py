@@ -278,46 +278,47 @@ class TestLazyPositions:
 
 
 class TestOneCheckPerRanking:
-    def test_the_short_paths_stay_short(self, monkeypatch, tmp_path, capsys):
+    def test_every_text_line_takes_one_route(self, monkeypatch, tmp_path, capsys):
         lines = [" ".join(random.Random(k).sample("abcdefgh", 6)) for k in range(7)]
         lines[2] = "x: " + lines[2]
-        tokens = [line.split()[line.startswith("x:") :] for line in lines]
-        calls, splits = [], []
-        split_line = io._split_line
+        checks, builds = [], []
+        init = Ranking.__init__
 
-        def counted(checked):
-            calls.append(checked)
-            return valid_tokens(checked)
+        def counted(tokens):
+            checks.append(tokens)
+            return valid_tokens(tokens)
 
-        def counted_split(line, lineno):
-            splits.append(lineno)
-            return split_line(line, lineno)
+        def counted_init(self, groups):
+            builds.append(groups)
+            init(self, groups)
 
         monkeypatch.setattr(model, "valid_tokens", counted)
-        monkeypatch.setattr(io, "_split_line", counted_split)
+        monkeypatch.setattr(io, "valid_tokens", counted)
+        monkeypatch.setattr(Ranking, "__init__", counted_init)
 
-        # A plain document: one split and one set per line, no second check.
+        # A plain document: one split and one set per line, no token check.
         doc = tmp_path / "set.txt"
         doc.write_text("\n".join(lines) + "\n")
         assert cli.main(["measure", str(doc), "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["ell"] >= 1
-        assert (calls, splits) == ([], [])
         plain = parse_text(doc.read_text()).to_ranking_set()
-        # A comment or \r\n line ends (which a file read as text would
-        # turn into \n, so parse_text reads them here): every line is split
-        # into groups and its tokens checked once, by Ranking.
+        # A comment and \r\n line ends (which a file read as text would
+        # turn into \n, so parse_text reads them here) take the same route.
         for text in ("\n".join(lines) + "  # note\n", "\r\n".join(lines) + "\r\n"):
-            calls.clear()
-            splits.clear()
             assert parse_text(text).to_ranking_set().rankings == plain.rankings
-            assert calls == tokens
-            assert splits == list(range(1, len(lines) + 1))
-        # A tie group: Ranking first offers that line's groups to the
-        # check whole, which the join refuses at the tuple, then checks
-        # its tokens once.
-        calls.clear()
-        parse_text("{a b} c\n" + "\n".join(lines))
-        assert calls == [[("a", "b"), "c"], ["a", "b", "c"], *tokens]
+        # So does a tie group, which is sorted as Ranking(groups) sorts it.
+        tied = parse_text("{b a} c\ny: d {c e a} {b}\n")
+        assert [(raw.ranking.tokens, raw.ranking.sizes) for raw in tied.rankings] == [
+            (("a", "b", "c"), (2, 1)),
+            (("d", "a", "c", "e", "b"), (1, 3, 1)),
+        ]
+        assert (checks, builds) == ([], [])
+        assert tied.rankings[1].ranking == Ranking(["d", ["e", "a", "c"], ["b"]])
+        # A line with a repeat goes to Ranking once, to have it named.
+        builds.clear()
+        with pytest.raises(io.ParseError, match="^duplicate item c at line 2$"):
+            parse_text("a b\nx {c b c b}\n")
+        assert len(builds) == 1
 
         # graph.survey reads no positions of an untied ranking, in a set
         # that mixes tied and untied rankings and tokens outside the reference.
@@ -357,28 +358,17 @@ def test_valid_token_on_every_code_point():
 
 
 def test_every_split_token_of_a_brace_free_string_is_valid():
-    # The corollary io.parse_text's plain path rests on: a line without
-    # braces needs only its repeat test after split(), because every token
-    # split() makes from it passes valid_tokens.
+    # The corollary io.parse_text rests on: a line needs only its repeat
+    # test after _split_line, because every token split() makes from
+    # brace-free text passes valid_tokens.
     text = "".join(f" {char} a{char}b" for char in map(chr, range(sys.maxunicode + 1)))
     text = text.replace("{", "").replace("}", "")
     wrong = [token for token in text.split() if not valid_tokens([token])]
     assert wrong == []
 
 
-def test_the_only_printable_whitespace_is_the_space():
-    # valid_tokens skips the split of a printable join with one space per
-    # gap; that is sound only while no other code point is both.
-    both = [
-        code
-        for code in range(sys.maxunicode + 1)
-        if chr(code).isspace() and chr(code).isprintable()
-    ]
-    assert both == [0x20]
-
-
 # Spaces, printable and not, and non-printable characters that are not
-# whitespace, so that both the printable test and the split decide.
+# whitespace.
 RULE_TOKEN = st.text(
     alphabet=["a", "b", " ", "\u00a0", "\u2028", "\u3000", "\u200b", "\ufeff", "{", "}"],
     max_size=3,

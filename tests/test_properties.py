@@ -506,9 +506,9 @@ def test_parse_text_matches_the_stepwise_parser_on_every_short_document():
             assert _read(parse_text, content) == _read(stepwise_parse_text, content)
 
 
-# Plain documents: no brace, "#" or "\r" anywhere, so parse_text reads
-# them on its plain path. Tokens with characters that are neither
-# printable nor whitespace, repeats, and the label forms x:, :, x:: and y:.
+# Plain documents: no brace, "#" or "\r" anywhere, so every line is its
+# split(). Tokens with characters that are neither printable nor
+# whitespace, repeats, and the label forms x:, :, x:: and y:.
 PLAIN_TOKENS = st.sampled_from(
     ["a", "b", "a", "b", "c", "a\x00", "\u200bb", "\ufeff", "c\u200b\ufeff"]
     + ["x:", ":", "x::", "y:"]
@@ -555,6 +555,12 @@ def test_plain_documents_match_the_stepwise_parser(content):
             assert hash(ranking) == hash(reference)
 
 
+def _char_tokens_and_sizes(line, lineno):
+    """char_split_line's groups as _split_line gives them: tokens in line order, group sizes."""
+    groups = [(g,) if isinstance(g, str) else g for g in char_split_line(line, lineno)]
+    return list(itertools.chain.from_iterable(groups)), tuple(map(len, groups))
+
+
 def _tokenized(split_line, line):
     try:
         return split_line(line, 3)
@@ -570,14 +576,39 @@ LINE_ALPHABET = "ab:#{}" + ASCII_WHITESPACE + "\x1c\u00a0\u2028"
 @given(st.text(alphabet=LINE_ALPHABET, max_size=30))
 @settings(max_examples=500, deadline=None)
 def test_split_line_matches_the_character_loop(line):
-    assert _tokenized(_split_line, line) == _tokenized(char_split_line, line)
+    assert _tokenized(_split_line, line) == _tokenized(_char_tokens_and_sizes, line)
 
 
 def test_split_line_matches_the_character_loop_on_every_short_line():
     for size in range(7):
         for chars in itertools.product("a{} ", repeat=size):
             line = "".join(chars)
-            assert _tokenized(_split_line, line) == _tokenized(char_split_line, line)
+            assert _tokenized(_split_line, line) == _tokenized(_char_tokens_and_sizes, line)
+
+
+# Tie groups, labels, repeats and comment signs, between the separators
+# that end no line, those of test_other_line_breaks_separate_tokens among them.
+SPLIT_PIECES = st.sampled_from(
+    ["a", "b", "a#", "x:", ":", "{a}", "{a b}", "{b: a}", "{ a\x85b }", "{", "}", "a{b}"]
+)
+SPLIT_SEPARATORS = st.sampled_from(
+    [" ", "\t", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\u3000"]
+)
+
+
+@given(st.lists(st.tuples(SPLIT_SEPARATORS, SPLIT_PIECES), max_size=8), SPLIT_SEPARATORS)
+@settings(max_examples=1000, deadline=None)
+def test_every_token_of_a_split_line_passes_the_token_rule(pieces, end):
+    # parse_text builds each line's Ranking with no token check; this is
+    # the fact that lets it.
+    line = "".join(map("".join, pieces)) + end
+    try:
+        tokens, sizes = _split_line(line, 1)
+    except ParseError:
+        return
+    assert all(valid_tokens([token]) for token in tokens)
+    assert valid_tokens(list(dict.fromkeys(tokens)))
+    assert all(sizes) and sum(sizes) == len(tokens)
 
 
 # Declared labels are unique, as both parsers require; the candidates
