@@ -9,7 +9,10 @@ epsilon and grids of more than MAX_GRID_POINTS points), 4 input
 outside a baseline's scope, 5 oracle mismatch, 6 enumeration size guard,
 an exact ``--dedup`` total that is not an integer and exceeds the
 float range, an infinite or NaN result asked for as JSON, or a pass
-that runs out of memory (a ``MemoryError`` anywhere in a command).
+that runs out of memory (a ``MemoryError`` anywhere in a command). An
+exact total is written with every digit in every format, however many
+it has. ``io.write_results`` renders the results of measure, sweep
+and baseline and the experiment's kappa tables.
 Every failure except an oracle mismatch is reported by ``main`` as one
 ``error: <message>`` line on stderr. ``measure`` surveys its input once,
 and its series, ``--dedup`` total and top-k value all read that survey.
@@ -17,12 +20,9 @@ and its series, ``--dedup`` total and top-k value all read that survey.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from dataclasses import fields, replace
 from decimal import Decimal, InvalidOperation, Overflow, localcontext
-from io import StringIO
 from itertools import takewhile
 from pathlib import Path
 
@@ -159,7 +159,9 @@ def _parse_per_p(text: str) -> list[int]:
     return values
 
 
-def _render(result: measures.KappaProfile | list[measures.SweepPoint], fmt: str, **options) -> str:
+def _render(
+    result: measures.KappaProfile | list[measures.SweepPoint] | dict, fmt: str, **options
+) -> str:
     """io.write_results; a non-finite result asked for as JSON exits 6."""
     try:
         return io.write_results(result, fmt, **options)
@@ -208,17 +210,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _csv_line(row: list[str]) -> str:
-    """One csv row ending in "\\n", quoted wherever csv.reader needs it.
-
-    The writer quotes a field holding a character of its line terminator,
-    so its default "\\r\\n" makes it quote a bare "\\r" as well as "\\n".
-    """
-    buffer = StringIO()
-    csv.writer(buffer).writerow(row)
-    return buffer.getvalue()[:-2] + "\n"
-
-
 def cmd_baseline(args: argparse.Namespace) -> int:
     document, rset = _load(args.input)
     labels = document.labels()
@@ -226,35 +217,13 @@ def cmd_baseline(args: argparse.Namespace) -> int:
         values = baselines.pairwise_values(rset, args.index)
     except ValueError as exc:
         raise CommandError(EXIT_UNSUPPORTED, str(exc)) from None
-    aggregate = baselines.aggregate_values([v for _, _, v in values], args.mode)
-    pairs = [(labels[i], labels[j], v) for i, j, v in values]
-    fmt = _default_format(args.format)
-    if fmt == "json":
-        payload = {
-            "index": args.index,
-            "mode": args.mode,
-            "pairs": [[a, b, v] for a, b, v in pairs],
-            "aggregate": aggregate,
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    elif fmt == "csv":
-        rows = [
-            ["first", "second", "value"],
-            *([a, b, repr(v)] for a, b, v in pairs),
-            ["aggregate", args.mode, repr(aggregate)],
-        ]
-        text = "".join(_csv_line(row) for row in rows)
-    else:
-        shown = {(i, j): io.round3(v) for i, j, v in values}
-        cells = [["-", *labels]]
-        for i, label in enumerate(labels):
-            row = ["." if i == j else shown[(i, j)] for j in range(len(labels))]
-            cells.append([label, *row])
-        width = max(len(cell) for row in cells for cell in row)
-        lines = ["  ".join(cell.rjust(width) for cell in row) for row in cells]
-        lines.append(f"aggregate ({args.mode}): {io.round3(aggregate)}")
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
+    result = {
+        "index": args.index,
+        "mode": args.mode,
+        "pairs": [[labels[i], labels[j], v] for i, j, v in values],
+        "aggregate": baselines.aggregate_values([v for _, _, v in values], args.mode),
+    }
+    _emit(_render(result, _default_format(args.format)), args.output)
     return EXIT_OK
 
 
@@ -316,7 +285,7 @@ def _experiment_report(name: str) -> str:
             params = MeasureParams(deviation=variant)
             points = measures.kappa_sweep(sv, gammas, lams, params)
             lines.append(f"kappa table (deviation={variant.value}):")
-            lines.append(io.sweep_table(points).rstrip("\n"))
+            lines.append(io.write_results(points, "table").rstrip("\n"))
             worst = 0.0
             diff_rows = []
             for gi, gamma in enumerate(gammas):

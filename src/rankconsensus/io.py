@@ -26,23 +26,32 @@ Both parsers build each line's or entry's ``model.Ranking`` once: a
 ``RankingDocument.to_ranking_set`` wraps those same objects. A text
 line is split by ``_split_line`` and, unless one set finds a repeat in
 it, built by ``Ranking._unchecked`` with no token check (see ``model``);
-a JSON entry is checked once, by ``Ranking``. The parser names a fault
-with its line number or JSON path.
+a JSON entry is flattened and checked once by ``parse_json`` itself, then
+built by ``Ranking._unchecked`` too. The parser names a fault with its
+line number or JSON path.
+
+``write_results`` renders each result as json, csv or table: a kappa
+profile, a sweep, or a baseline's pair values and their aggregate.
 """
 from __future__ import annotations
 
+import csv
 import json
 import math
+import sys
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
 from enum import Enum
 from importlib import resources
-from itertools import repeat
-from typing import NoReturn
+from io import StringIO
+from itertools import chain, repeat
+from typing import Iterator
 
 from .graph import MeasureParams
 from .measures import KappaProfile, SweepPoint
-from .model import Ranking, RankingSet, ValidationError, valid_tokens
+from .model import Ranking, RankingSet, ValidationError, _first_fault, valid_tokens
 
 
 class ParseError(ValueError):
@@ -171,13 +180,23 @@ def _json_fail(path: str, message: str) -> ParseError:
     return ParseError(f"{path}: {message}")
 
 
+# How parse_json words each fault kind of model._first_fault.
+_JSON_FAULTS = {
+    "group": "expected a list of tokens",
+    "empty": "empty tie group",
+    "token": "invalid token {!r}",
+    "repeat": "duplicate item {}",
+}
+
+
 def parse_json(content: str) -> RankingDocument:
     """Read the JSON format; a fault raises ParseError with its JSON path.
 
-    Each entry's groups must all be lists, which one ``isinstance`` map
-    tests; then they go to ``Ranking`` as they are. Only when either
-    refuses them does a loop over the tokens run, to name the first
-    fault with its path.
+    An entry is checked once: one ``isinstance`` map that every group is
+    a list, one ``all`` that none is empty and one ``valid_tokens`` call
+    on the groups flattened into tokens. It then becomes
+    ``Ranking._unchecked(tokens, sizes)``. Only a failed check runs
+    ``model._first_fault``, to name the first fault with its path.
     """
     # Besides JSONDecodeError, integers past the interpreter's digit limit
     # raise ValueError and very deep nesting raises RecursionError.
@@ -212,32 +231,16 @@ def parse_json(content: str) -> RankingDocument:
         raw_groups = entry["groups"]
         if not isinstance(raw_groups, list) or not raw_groups:
             raise _json_fail(f"{path}.groups", "expected a non-empty list")
-        if not all(map(isinstance, raw_groups, repeat(list))):
-            _name_json_fault(raw_groups, path)
-        try:
-            ranking = Ranking(raw_groups)
-        except ValidationError:
-            _name_json_fault(raw_groups, path)
-        rankings.append(RawRanking(label=label, ranking=ranking))
+        if all(map(isinstance, raw_groups, repeat(list))):
+            sizes = list(map(len, raw_groups))
+            tokens = list(chain.from_iterable(raw_groups))
+            if all(sizes) and valid_tokens(tokens):
+                rankings.append(RawRanking(label=label, ranking=Ranking._unchecked(tokens, sizes)))
+                continue
+        kind, g, token = _first_fault(raw_groups)  # type: ignore[misc]
+        where = path if kind == "repeat" else f"{path}.groups[{g}]"
+        raise _json_fail(where, _JSON_FAULTS[kind].format(token))
     return RankingDocument(rankings=tuple(rankings))
-
-
-def _name_json_fault(raw_groups: list[object], path: str) -> NoReturn:
-    """Raise the entry's first fault in group and token order."""
-    seen_tokens: set[str] = set()
-    for g, raw_group in enumerate(raw_groups):
-        gpath = f"{path}.groups[{g}]"
-        if not isinstance(raw_group, list):
-            raise _json_fail(gpath, "expected a list of tokens")
-        if not raw_group:
-            raise _json_fail(gpath, "empty tie group")
-        for token in raw_group:
-            if not valid_tokens([token]):
-                raise _json_fail(gpath, f"invalid token {token!r}")
-            if token in seen_tokens:
-                raise _json_fail(path, f"duplicate item {token}")
-            seen_tokens.add(token)
-    raise AssertionError("an entry that failed a check has no fault")
 
 
 class Dataset(str, Enum):
@@ -299,108 +302,40 @@ def round3(value: int | float) -> str:
     )
 
 
-def _params_payload(params: MeasureParams) -> dict[str, object]:
-    return {
-        "gamma": params.gamma,
-        "lambda": params.lam,
-        "epsilon": params.epsilon,
-        "deviation": params.deviation.value,
-        "zeta": params.zeta,
-        "beta": params.beta,
-    }
-
-
-def profile_json(
-    profile: KappaProfile, params: MeasureParams, extras: dict[str, object] | None = None
+def _profile_text(
+    profile: KappaProfile, fmt: str, params: MeasureParams, extras: dict[str, object]
 ) -> str:
-    payload: dict[str, object] = {
-        "params": _params_payload(params),
-        "kappa_series": [[p, value] for p, value in profile.series],
-        "ell": profile.ell,
-        "kappa_total": profile.total,
-    }
-    if extras:
-        payload.update(extras)
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    if fmt == "json":
+        payload = {
+            "params": {
+                "gamma": params.gamma,
+                "lambda": params.lam,
+                "epsilon": params.epsilon,
+                "deviation": params.deviation.value,
+                "zeta": params.zeta,
+                "beta": params.beta,
+            },
+            "kappa_series": [[p, value] for p, value in profile.series],
+            "ell": profile.ell,
+            "kappa_total": profile.total,
+            **extras,
+        }
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    if fmt == "csv":
+        header = ["gamma", "lambda", "kappa", *extras]
+        row = [params.gamma, params.lam, profile.total, *extras.values()]
+        return ",".join(header) + "\n" + ",".join(map(repr, row)) + "\n"
 
-
-def profile_csv(
-    profile: KappaProfile, params: MeasureParams, extras: dict[str, object] | None = None
-) -> str:
-    extras = extras or {}
-    header = ["gamma", "lambda", "kappa"] + list(extras)
-    row = [repr(params.gamma), repr(params.lam), repr(profile.total)]
-    row += [repr(v) for v in extras.values()]
-    return ",".join(header) + "\n" + ",".join(row) + "\n"
-
-
-def profile_table(
-    profile: KappaProfile, params: MeasureParams, extras: dict[str, object] | None = None
-) -> str:
     def shown(value: int | float) -> str:
         return str(value) if isinstance(value, int) else round3(value)
 
-    lines = ["p kappa_p"]
-    for p, value in profile.series:
-        lines.append(f"{p} {shown(value)}")
-    lines.append(f"ell {profile.ell}")
-    lines.append(f"kappa {shown(profile.total)}")
-    for key, value in (extras or {}).items():
-        lines.append(f"{key} {shown(value)}")
+    lines = ["p kappa_p", *(f"{p} {shown(value)}" for p, value in profile.series)]
+    lines += [f"ell {profile.ell}", f"kappa {shown(profile.total)}"]
+    lines += [f"{key} {shown(value)}" for key, value in extras.items()]
     return "\n".join(lines) + "\n"
 
 
-def sweep_csv(points: list[SweepPoint], per_p: list[int] | None = None) -> str:
-    header = ["gamma", "lambda", "kappa"]
-    if per_p:
-        header += [f"kappa_{p}" for p in per_p]
-    lines = [",".join(header)]
-    for point in points:
-        row = [repr(point.gamma), repr(point.lam), repr(point.profile.total)]
-        if per_p:
-            row += [repr(point.profile.value_at(p)) for p in per_p]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
-
-
-def sweep_table(points: list[SweepPoint]) -> str:
-    """Grid as gamma rows by lambda columns, three-decimal cells."""
-    gammas = list(dict.fromkeys(point.gamma for point in points))
-    lams = list(dict.fromkeys(point.lam for point in points))
-    values = {(point.gamma, point.lam): point.profile.total for point in points}
-    head = ["gamma\\lambda"] + [repr(lam) for lam in lams]
-    body = []
-    for gamma in gammas:
-        body.append([repr(gamma)] + [round3(values[(gamma, lam)]) for lam in lams])
-    widths = [max(len(row[c]) for row in [head] + body) for c in range(len(head))]
-    lines = []
-    for row in [head] + body:
-        lines.append("  ".join(cell.rjust(widths[c]) for c, cell in enumerate(row)))
-    return "\n".join(lines) + "\n"
-
-
-def write_results(
-    result: KappaProfile | list[SweepPoint],
-    fmt: str,
-    params: MeasureParams | None = None,
-    per_p: list[int] | None = None,
-    extras: dict[str, object] | None = None,
-) -> str:
-    """Render a profile or a sweep in one of json, csv, table.
-
-    JSON has no word for a non-finite float, so json raises ValueError on
-    an inf or nan value; csv and table write it as ``inf`` or ``nan``.
-    """
-    if fmt not in ("json", "csv", "table"):
-        raise ValueError(f"unknown format: {fmt!r}")
-    if isinstance(result, KappaProfile):
-        if params is None:
-            raise ValueError("profile output requires params")
-        if fmt == "json":
-            return profile_json(result, params, extras)
-        if fmt == "csv":
-            return profile_csv(result, params, extras)
-        return profile_table(result, params, extras)
+def _sweep_text(points: list[SweepPoint], fmt: str, per_p: list[int] | None) -> str:
     if fmt == "json":
         payload = [
             {
@@ -409,9 +344,109 @@ def write_results(
                 "kappa": point.profile.total,
                 "series": [[p, v] for p, v in point.profile.series],
             }
-            for point in result
+            for point in points
         ]
         return json.dumps(payload, indent=2, allow_nan=False) + "\n"
     if fmt == "csv":
-        return sweep_csv(result, per_p)
-    return sweep_table(result)
+        header = ["gamma", "lambda", "kappa"]
+        if per_p:
+            header += [f"kappa_{p}" for p in per_p]
+        lines = [",".join(header)]
+        for point in points:
+            row = [repr(point.gamma), repr(point.lam), repr(point.profile.total)]
+            if per_p:
+                row += [repr(point.profile.value_at(p)) for p in per_p]
+            lines.append(",".join(row))
+        return "\n".join(lines) + "\n"
+    # Gamma rows by lambda columns, three-decimal cells.
+    gammas = list(dict.fromkeys(point.gamma for point in points))
+    lams = list(dict.fromkeys(point.lam for point in points))
+    values = {(point.gamma, point.lam): point.profile.total for point in points}
+    rows = [["gamma\\lambda", *map(repr, lams)]]
+    rows += [[repr(gamma), *(round3(values[gamma, lam]) for lam in lams)] for gamma in gammas]
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "".join("  ".join(map(str.rjust, row, widths)) + "\n" for row in rows)
+
+
+def _csv_line(row: list[str]) -> str:
+    """One csv row ending in "\\n", quoted wherever csv.reader needs it.
+
+    The writer quotes a field holding a character of its line terminator,
+    so its default "\\r\\n" makes it quote a bare "\\r" as well as "\\n".
+    """
+    buffer = StringIO()
+    csv.writer(buffer).writerow(row)
+    return buffer.getvalue()[:-2] + "\n"
+
+
+def _baseline_text(result: dict, fmt: str) -> str:
+    pairs, mode, aggregate = result["pairs"], result["mode"], result["aggregate"]
+    if fmt == "json":
+        return json.dumps(result, indent=2, allow_nan=False) + "\n"
+    if fmt == "csv":
+        rows = [
+            ["first", "second", "value"],
+            *([a, b, repr(v)] for a, b, v in pairs),
+            ["aggregate", mode, repr(aggregate)],
+        ]
+        return "".join(map(_csv_line, rows))
+    # A label-by-label grid, "." on the diagonal.
+    labels = list(dict.fromkeys(a for a, _, _ in pairs))
+    shown = {(a, b): round3(v) for a, b, v in pairs}
+    cells = [["-", *labels], *([a, *(shown.get((a, b), ".") for b in labels)] for a in labels)]
+    width = max(len(cell) for row in cells for cell in row)
+    lines = ["  ".join(cell.rjust(width) for cell in row) for row in cells]
+    lines.append(f"aggregate ({mode}): {round3(aggregate)}")
+    return "\n".join(lines) + "\n"
+
+
+_DIGIT_LIMIT = threading.Lock()
+
+
+@contextmanager
+def _every_digit() -> Iterator[None]:
+    """Lift the interpreter's limit on int-to-str digits, and restore it after.
+
+    The limit is one setting for the whole interpreter, so the lock keeps
+    a writer in another thread from reading the lifted value as the one
+    to restore. Python before 3.10.7 has no limit and no getter.
+    """
+    with _DIGIT_LIMIT:
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            yield
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+
+
+def write_results(
+    result: KappaProfile | list[SweepPoint] | dict,
+    fmt: str,
+    params: MeasureParams | None = None,
+    per_p: list[int] | None = None,
+    extras: dict[str, object] | None = None,
+) -> str:
+    """Render a profile, a sweep or a baseline in one of json, csv, table.
+
+    A baseline is its JSON object: {"index", "mode", "pairs": [[first
+    label, second label, value], ...], "aggregate"}, a pair for each
+    ordered pair of distinct labels, the first label outer.
+    JSON has no word for a non-finite float, so json raises ValueError on
+    an inf or nan value; csv and table write it as ``inf`` or ``nan``.
+    An exact int is written with every digit, however many: the
+    interpreter's limit on int-to-str digits is lifted while the writer
+    runs (see ``_every_digit``).
+    """
+    if fmt not in ("json", "csv", "table"):
+        raise ValueError(f"unknown format: {fmt!r}")
+    with _every_digit():
+        if isinstance(result, dict):
+            return _baseline_text(result, fmt)
+        if not isinstance(result, KappaProfile):
+            return _sweep_text(result, fmt, per_p)
+        if params is None:
+            raise ValueError("profile output requires params")
+        return _profile_text(result, fmt, params, extras or {})

@@ -17,12 +17,14 @@ made on each read. The survey reads the tokens, and a tied ranking's
 positions; the oracle and the baselines read the position table.
 
 The token rule is stated once, in ``valid_tokens``, a whole-list test
-made of C-level operations, and ``Ranking(groups)`` applies it once per
-ranking. A list of bare tokens passes it as it is: the join inside it is
-already the test that every group is a str. Other input is first split
-into groups, each checked non-empty. Only when a check fails does a
-per-token loop run, and it only names the fault: the first one in
-ranking order.
+made of C-level operations. ``io.parse_json`` applies it once to each
+entry's groups flattened into tokens. ``Ranking(groups)`` applies it to
+library input: a list that starts with a str is first offered whole, as
+bare tokens (the join inside the test is already the test that every
+group is a str); other input, or a list that test refuses, is split
+into groups, each checked non-empty, and its tokens are tested once.
+Only when a check fails does ``_first_fault`` walk the groups, to find
+the first fault in ranking order, which each caller words.
 
 A text line needs no token check: every token that ``str.split()``
 makes from brace-free text is non-empty and holds no whitespace and no
@@ -158,15 +160,15 @@ class Ranking:
 
 def _checked_groups(source: list[object]) -> tuple[list[str], Sequence[int]]:
     """(tokens, sizes) of the groups, or the first fault raised."""
-    if source and valid_tokens(source):
+    if source and isinstance(source[0], str) and valid_tokens(source):
         # Bare tokens only, each checked by the join: an untied ranking.
         return source, (1,) * len(source)  # type: ignore[return-value]
-    groups: list[tuple[str, ...]] = []
+    groups: list[list[str]] = []
     try:
         # A non-iterable group stops the extend with the groups before it
         # kept, so a fault among them is named first.
         groups.extend(
-            (g,) if isinstance(g, str) else tuple(g) for g in source  # type: ignore[arg-type]
+            [g] if isinstance(g, str) else list(g) for g in source  # type: ignore[arg-type]
         )
         tokens = list(chain.from_iterable(groups))
     except TypeError:
@@ -180,21 +182,41 @@ def _checked_groups(source: list[object]) -> tuple[list[str], Sequence[int]]:
     return tokens, list(map(len, groups))
 
 
-def _name_fault(groups: list[tuple[object, ...]]) -> None:
-    """Raise the first fault of the groups in ranking order, if they hold one."""
+def _first_fault(groups: Sequence[object]) -> tuple[str, int, object] | None:
+    """The first fault in ranking order as (kind, group index, token), or None.
+
+    The kinds, in the order each group is tested: "group" (not a list),
+    "empty", then per token "token" (fails ``valid_tokens``) and "repeat".
+    """
     seen = set()
-    for group in groups:
+    for g, group in enumerate(groups):
+        if not isinstance(group, list):
+            return "group", g, group
         if not group:
-            raise ValidationError("empty tie group")
+            return "empty", g, None
         for token in group:
             if not valid_tokens([token]):
-                raise ValidationError(
-                    f"invalid item token {token!r}: tokens are non-empty strings"
-                    " without whitespace or braces"
-                )
+                return "token", g, token
             if token in seen:
-                raise ValidationError(f"duplicate item {token}")
+                return "repeat", g, token
             seen.add(token)
+    return None
+
+
+# How Ranking words each fault kind; its groups are always lists.
+_FAULTS = {
+    "empty": "empty tie group",
+    "token": "invalid item token {!r}: tokens are non-empty strings without whitespace or braces",
+    "repeat": "duplicate item {}",
+}
+
+
+def _name_fault(groups: Sequence[object]) -> None:
+    """Raise the first fault of the groups in ranking order, if they hold one."""
+    fault = _first_fault(groups)
+    if fault:
+        kind, _, token = fault
+        raise ValidationError(_FAULTS[kind].format(token))
 
 
 @dataclass(frozen=True, eq=False)

@@ -82,6 +82,23 @@ def test_no_source_line_is_longer_than_100_characters():
     assert long_lines == []
 
 
+def test_only_io_imports_a_format_module():
+    # The io module reads and writes every format; the others hand it results.
+    importers = []
+    for path in sorted((ROOT / "src" / "rankconsensus").glob("*.py")):
+        if path.name == "io.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module.split(".")[0]]
+            else:
+                continue
+            importers += [f"{path.name}:{node.lineno} {m}" for m in modules if m in ("json", "csv")]
+    assert importers == []
+
+
 def test_readme_library_example_gives_its_comments():
     # Every python block of the section runs, in order, in one namespace,
     # so a stale name or signature in any of them fails here. A comment

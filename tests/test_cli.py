@@ -5,6 +5,7 @@ import csv
 import json
 import math
 from dataclasses import replace
+from decimal import Decimal
 from io import StringIO
 from math import comb
 
@@ -182,6 +183,21 @@ class TestMeasure:
         code, out, err = run(capsys, "measure", str(doc), "--gamma", "0.9", "--format", fmt)
         assert (code, err) == (0, "")
         assert out.splitlines()[-len(tail) :] == tail
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    def test_an_exact_total_past_the_digit_limit_is_written_in_full(
+        self, tmp_path, monkeypatch, capsys, fmt
+    ):
+        # 2**15000 - 1 has 4516 digits, past the 4300 that str() of an int
+        # allows by default. The stub returns it, so nothing large is computed.
+        doc = tmp_path / "set.txt"
+        doc.write_text("a b c\n")
+        total = 2**15000 - 1
+        series = measures.KappaProfile(series=((1, total),), exact=True)
+        monkeypatch.setattr(measures, "kappa_series", lambda sv, params: series)
+        code, out, err = run(capsys, "measure", str(doc), "--format", fmt)
+        assert (code, err) == (0, "")
+        assert str(Decimal(total)) in out
 
     @pytest.mark.parametrize("value", [float("inf"), float("nan")])
     @pytest.mark.parametrize(

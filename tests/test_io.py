@@ -3,6 +3,8 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+import threading
+from decimal import Decimal
 
 import pytest
 
@@ -355,6 +357,90 @@ class TestRendering:
             {"gamma": 1.0, "lambda": 1.0, "kappa": 3, "series": [[1, 2], [2, 1]]}
         ]
 
+    # 4516 digits, past the interpreter's default limit of 4300 on str() of an int.
+    HUGE = 2**15000 - 1
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    def test_an_exact_total_of_any_size_is_written_in_full(self, fmt):
+        from rankconsensus.measures import KappaProfile, SweepPoint
+
+        digits = str(Decimal(self.HUGE))
+        profile = KappaProfile(series=((1, self.HUGE),), exact=True)
+        extras = {"kappa_dup": self.HUGE}
+        limit = sys.get_int_max_str_digits()
+        profile_text = write_results(profile, fmt, params=MeasureParams(), extras=extras)
+        sweep_text = write_results([SweepPoint(gamma=1.0, lam=1.0, profile=profile)], fmt)
+        assert sys.get_int_max_str_digits() == limit
+        if fmt == "json":
+            sys.set_int_max_str_digits(0)
+            try:
+                written, swept = json.loads(profile_text), json.loads(sweep_text)
+            finally:
+                sys.set_int_max_str_digits(limit)
+            assert written["kappa_total"] == written["kappa_dup"] == self.HUGE
+            assert written["kappa_series"] == [[1, self.HUGE]]
+            assert swept[0]["kappa"] == self.HUGE
+        elif fmt == "csv":
+            assert profile_text.splitlines()[1] == f"1.0,1.0,{digits},{digits}"
+            assert sweep_text.splitlines()[1] == f"1.0,1.0,{digits}"
+        else:
+            assert profile_text.splitlines()[-2:] == [f"kappa {digits}", f"kappa_dup {digits}"]
+            assert sweep_text.splitlines()[1].split() == ["1.0", f"{digits}.000"]
+
+    def test_the_digit_limit_is_restored_when_a_writer_fails(self):
+        from rankconsensus.measures import KappaProfile
+
+        limit = sys.get_int_max_str_digits()
+        profile = KappaProfile(series=((1, float("nan")),), exact=False)
+        with pytest.raises(ValueError):
+            write_results(profile, "json", params=MeasureParams())
+        assert sys.get_int_max_str_digits() == limit
+        with pytest.raises(ValueError):
+            str(self.HUGE)
+
+    def test_a_writer_in_another_thread_keeps_every_digit(self):
+        # Writer A lifts the limit and is held inside; writer B starts
+        # then. Were B to read the lifted value as its own to restore, A's
+        # restore would cut B's digits short.
+        from rankconsensus.measures import KappaProfile
+
+        def held():
+            inside, go = threading.Event(), threading.Event()
+
+            class Held(KappaProfile):
+                @property
+                def total(self):
+                    inside.set()
+                    go.wait(10)
+                    return super().total
+
+            return Held(series=((1, self.HUGE),), exact=True), inside, go
+
+        limit = sys.get_int_max_str_digits()
+        outputs = {}
+
+        def write(name, profile):
+            try:
+                outputs[name] = write_results(profile, "csv", params=MeasureParams())
+            except ValueError as exc:
+                outputs[name] = exc
+
+        (first, first_inside, first_go), (second, second_inside, second_go) = held(), held()
+        a = threading.Thread(target=write, args=("a", first))
+        b = threading.Thread(target=write, args=("b", second))
+        a.start()
+        assert first_inside.wait(10)
+        b.start()
+        second_inside.wait(0.2)
+        first_go.set()
+        a.join(10)
+        second_go.set()
+        b.join(10)
+        assert not a.is_alive() and not b.is_alive()
+        expected = f"gamma,lambda,kappa\n1.0,1.0,{Decimal(self.HUGE)}\n"
+        assert outputs == {"a": expected, "b": expected}
+        assert sys.get_int_max_str_digits() == limit
+
     def test_profile_requires_params(self):
         rset = make_set("a b", "a b")
         profile = measure(rset, MeasureParams())
@@ -366,3 +452,4 @@ class TestRendering:
         profile = measure(rset, MeasureParams())
         with pytest.raises(ValueError, match="unknown format"):
             write_results(profile, "yaml", params=MeasureParams())
+

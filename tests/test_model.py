@@ -336,6 +336,42 @@ class TestOneCheckPerRanking:
         with pytest.raises(AssertionError, match="positions were read"):
             rset.rankings[0].positions
 
+    def test_a_json_entry_and_a_library_ranking_make_one_check(self, monkeypatch):
+        checks, builds = [], []
+        init = Ranking.__init__
+
+        def counted(tokens):
+            checks.append(list(tokens))
+            return valid_tokens(tokens)
+
+        def counted_init(self, groups):
+            builds.append(groups)
+            init(self, groups)
+
+        monkeypatch.setattr(model, "valid_tokens", counted)
+        monkeypatch.setattr(io, "valid_tokens", counted)
+        monkeypatch.setattr(Ranking, "__init__", counted_init)
+
+        # A JSON entry: one check, on its tokens flattened in group order,
+        # and no Ranking(groups).
+        entries = [{"groups": [["d"], ["c", "a"], ["b"]]}, {"label": "x", "groups": [["a", "b"]]}]
+        document = io.parse_json(json.dumps({"rankings": entries}))
+        assert (checks, builds) == ([["d", "c", "a", "b"], ["a", "b"]], [])
+        assert document.rankings[0].ranking.groups == (("d",), ("a", "c"), ("b",))
+        # A tied library ranking whose first group is a tie: one check,
+        # on its tokens.
+        checks.clear()
+        assert Ranking([["e", "a"], "c", ("b",)]).sizes == (2, 1, 1)
+        assert checks == [["e", "a", "c", "b"]]
+        # An untied one: one check of the whole list as bare tokens.
+        checks.clear()
+        Ranking(["b", "a", "c"])
+        assert checks == [["b", "a", "c"]]
+        # A text line: none.
+        checks.clear()
+        parse_text("a {c b} d\n")
+        assert checks == []
+
     def test_the_set_holds_the_documents_rankings(self):
         doc = parse_text("a {b c} d\nx: d b a c\n")
         rset = doc.to_ranking_set()

@@ -419,15 +419,20 @@ def _parsed(parse, content):
 # Every kind of bad token: empty, with whitespace or braces, or not a
 # string at all.
 BAD_TOKENS = ["", "a b", "\u2003", "{", "x}", 3, None, ["a"], {"a": 1}, 1.5, True]
+# Groups that are not lists: a str token, other JSON values, and false
+# ones that an emptiness test alone would take for an empty group.
+NON_LIST_GROUPS = ["a", 7, None, {"a": "b"}, "", 0, {}, False]
 
 
 @st.composite
 def json_entries(draw):
     """A ranking entry: well formed, or with faults put in at drawn places.
 
-    The faults are a bad token, a repeated token, an empty group and a
-    group that is not a list; an entry may hold none, one or two of them.
-    Now and then the entry itself is malformed instead.
+    The faults are a bad token (a str that breaks the token rule, or no
+    str at all), a repeated token, a token repeated in another group, an
+    empty group and a group that is not a list (some of them empty or
+    false); an entry may hold none or up to three of them. Now and then
+    the entry itself is malformed instead.
     """
     tokens = draw(st.permutations("abcdef"))[: draw(st.integers(1, 6))]
     groups: list[object] = [[tokens[0]]]
@@ -436,13 +441,19 @@ def json_entries(draw):
             groups.append([token])
         else:
             groups[-1].append(token)
-    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
-        fault = draw(st.sampled_from(["token", "repeat", "empty", "non-list"]))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
+        fault = draw(st.sampled_from(["token", "repeat", "across", "empty", "non-list"]))
         where = draw(st.integers(0, len(groups)))
         if fault == "empty":
             groups.insert(where, [])
         elif fault == "non-list":
-            groups.insert(where, draw(st.sampled_from(["a", 7, None, {"a": "b"}])))
+            groups.insert(where, draw(st.sampled_from(NON_LIST_GROUPS)))
+        elif fault == "across":
+            # A token of one group, or a bad token, also put in a group
+            # of its own elsewhere.
+            lists = [g for g in groups if isinstance(g, list) and g]
+            source = draw(st.sampled_from(lists or [[3]]))
+            groups.insert(where, [draw(st.sampled_from(source))])
         else:
             token = draw(st.sampled_from(BAD_TOKENS if fault == "token" else tokens))
             group = groups[min(where, len(groups) - 1)]
