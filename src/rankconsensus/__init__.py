@@ -68,7 +68,6 @@ from .oracle import (
     CommonSubsequence,
     SizeLimitError,
     enumerate_common,
-    format_subsequences,
     oracle_profile,
 )
 
@@ -95,7 +94,6 @@ __all__ = [
     "UnsupportedRankingError",
     "ValidationError",
     "enumerate_common",
-    "format_subsequences",
     "kappa1_topk",
     "kappa_dup",
     "kappa_series",

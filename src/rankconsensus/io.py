@@ -315,7 +315,7 @@ def _profile_text(
                 "zeta": params.zeta,
                 "beta": params.beta,
             },
-            "kappa_series": [[p, value] for p, value in profile.series],
+            "kappa_series": [[p, value] for p, value in enumerate(profile.series, 1)],
             "ell": profile.ell,
             "kappa_total": profile.total,
             **extras,
@@ -329,7 +329,7 @@ def _profile_text(
     def shown(value: int | float) -> str:
         return str(value) if isinstance(value, int) else round3(value)
 
-    lines = ["p kappa_p", *(f"{p} {shown(value)}" for p, value in profile.series)]
+    lines = ["p kappa_p", *(f"{p} {shown(value)}" for p, value in enumerate(profile.series, 1))]
     lines += [f"ell {profile.ell}", f"kappa {shown(profile.total)}"]
     lines += [f"{key} {shown(value)}" for key, value in extras.items()]
     return "\n".join(lines) + "\n"
@@ -342,7 +342,7 @@ def _sweep_text(points: list[SweepPoint], fmt: str, per_p: list[int] | None) -> 
                 "gamma": point.gamma,
                 "lambda": point.lam,
                 "kappa": point.profile.total,
-                "series": [[p, v] for p, v in point.profile.series],
+                "series": [[p, v] for p, v in enumerate(point.profile.series, 1)],
             }
             for point in points
         ]

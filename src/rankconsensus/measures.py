@@ -79,7 +79,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import compress, repeat, takewhile
+from itertools import chain, compress, repeat, takewhile
 from typing import Iterable, Iterator, Sequence
 
 from .graph import ConsensusMatrix, MeasureParams, Survey, survey
@@ -90,12 +90,12 @@ from .model import RankingSet
 class KappaProfile:
     """The series kappa_1..kappa_ell; ell and the total kappa read from it.
 
-    p runs 1..ell without gaps, so ell is the length of the series and
-    the total its sum. The series stops at the first term that
+    series[p - 1] is kappa_p, so ell is the length of the series and the
+    total its sum. The series stops at the first term that
     ``MeasureParams.keeps`` refuses, which says when ell depends on epsilon.
     """
 
-    series: tuple[tuple[int, int | float], ...]
+    series: tuple[int | float, ...]
     exact: bool
 
     @property
@@ -106,13 +106,11 @@ class KappaProfile:
     @property
     def total(self) -> int | float:
         """kappa, the sum of the series."""
-        return sum(value for _, value in self.series)
+        return sum(self.series)
 
     def value_at(self, p: int) -> int | float:
         """kappa_p, taking p beyond the series as zero."""
-        if 1 <= p <= len(self.series):
-            return self.series[p - 1][1]
-        return 0
+        return self.series[p - 1] if 1 <= p <= len(self.series) else 0
 
 
 # A block costs about the same for any number of slots while its ints stay
@@ -249,13 +247,6 @@ def _packed_terms(sv: Survey, params: MeasureParams) -> Iterator[int | float]:
         size = low
 
 
-def _tail(
-    terms: Iterable[int | float], params: MeasureParams
-) -> tuple[tuple[int, int | float], ...]:
-    """(p, kappa_p) for p = 2, 3, ... of terms, up to the first one params.keeps refuses."""
-    return tuple(takewhile(lambda term: params.keeps(term[1]), enumerate(terms, 2)))
-
-
 def kappa_series(sv: Survey, params: MeasureParams) -> KappaProfile:
     """kappa_1 is the trace; each later kappa_p weighs the chains of p items.
 
@@ -271,13 +262,15 @@ def kappa_series(sv: Survey, params: MeasureParams) -> KappaProfile:
     before it. On the exact path (``params.exact``) every weight is 1 and
     each slot holds bit for bit the count of the chains. On the weighted
     path the weights are exact ints, so each term is correctly rounded
-    from sums of rounded weights. The series stops at the first term
-    that params.keeps refuses, and at the longest common chain.
+    from sums of rounded weights. The terms, trace first, are cut by
+    ``takewhile(params.keeps, ...)``, so the series stops at the first
+    term that params.keeps refuses, and at the longest common chain;
+    a refused trace starts no pass. series[p - 1] is kappa_p.
     kappa_sweep runs one pass of later terms per lambda, the exact
     corner included.
     """
     trace = sum(sv._diagonal(params))
-    series = ((1, trace), *_tail(_packed_terms(sv, params), params)) if params.keeps(trace) else ()
+    series = tuple(takewhile(params.keeps, chain((trace,), _packed_terms(sv, params))))
     return KappaProfile(series=series, exact=params.exact)
 
 
@@ -381,15 +374,16 @@ def kappa_sweep(
     later terms per lambda. At lambda = 1 every weight is 1, so the exact corner and the
     weighted points gamma < 1 share that pass's counts: the corner reads
     them as they are, and a weighted point reads each as the float the
-    weighted pass gives, count / 1 (inf past the float range), each cut
-    at the first term its own params.keeps refuses.
+    weighted pass gives, count / 1 (inf past the float range).
     Each point is the profile kappa_series gives for its own parameters,
     bit for bit, including the epsilon cutoff on kappa_1: a gamma whose
     trace does not exceed epsilon gets the empty profile (ell 0, total 0)
-    at every lambda, and a gamma whose trace does gets kappa_1 followed
-    by that lambda's whole series. A lambda's series is only computed once
-    some point needs it. Points come back in grid order, gamma outer,
-    lambda inner.
+    at every lambda, and a gamma whose trace does gets the series
+    (trace, *tail). The tail is that lambda's later terms cut by
+    ``takewhile(params.keeps, ...)`` at the point's exactness, and every
+    point with the same lambda and exactness shares it. A lambda's tail
+    is only computed once some point needs it. Points come back in grid
+    order, gamma outer, lambda inner.
     """
     if params is None:
         params = MeasureParams()
@@ -403,7 +397,7 @@ def kappa_sweep(
     corner = replace(params, gamma=1.0, lam=1.0)
     by_gamma = [replace(corner, gamma=gamma) for gamma in gammas]
     by_lam = [replace(corner, lam=lam) for lam in lams]
-    tails: dict[tuple[int, bool], tuple[tuple[int, int | float], ...]] = {}
+    tails: dict[tuple[int, bool], tuple[int | float, ...]] = {}
     counts: tuple[int, ...] | None = None
     points = []
     for gamma, at_gamma in zip(gammas, by_gamma):
@@ -414,7 +408,7 @@ def kappa_sweep(
             if exact not in traces:
                 traces[exact] = sum(sv._diagonal(trace_params))
             trace = traces[exact]
-            series = ()
+            series: tuple[int | float, ...] = ()
             if trace_params.keeps(trace):
                 key = (index, exact)
                 if key not in tails:
@@ -425,7 +419,7 @@ def kappa_sweep(
                         if counts is None:
                             counts = tuple(_packed_terms(sv, corner))
                         terms = counts if exact else map(_quotient, counts, repeat(1))
-                    tails[key] = _tail(terms, series_params)
-                series = ((1, trace), *tails[key])
+                    tails[key] = tuple(takewhile(series_params.keeps, terms))
+                series = (trace, *tails[key])
             points.append(SweepPoint(gamma, lam, KappaProfile(series=series, exact=exact)))
     return points

@@ -48,10 +48,13 @@ def _deviation(column: list[int], variant: Deviation) -> float:
     return math.sqrt(sum((x - mean) ** 2 for x in column) / len(column))
 
 
+def _weight(params: MeasureParams, base: float, exponent: float) -> int | float:
+    """An item's or pair's weight base**exponent; the int 1 on the exact path."""
+    return 1 if params.exact else base ** exponent
+
+
 def enumerate_common(
-    rset: RankingSet,
-    max_len: int | None = None,
-    params: MeasureParams | None = None,
+    rset: RankingSet, params: MeasureParams | None = None
 ) -> list[CommonSubsequence]:
     """All common subsequences, in length-then-reference-order.
 
@@ -75,14 +78,14 @@ def enumerate_common(
     ]
     columns = [[ranking.position_of(item) for ranking in rset] for item in candidates]
     singleton_weight = [
-        params.weight(params.gamma, _deviation(column, params.deviation))
+        _weight(params, params.gamma, _deviation(column, params.deviation))
         for column in columns
     ]
     # successors[i]: each later candidate j that every ranking puts strictly
     # after candidate i, with the pair's weight lambda**gap.
     successors = [
         [
-            (j, params.weight(params.lam, sum(b - a for a, b in zip(ci, cj)) / len(ci)))
+            (j, _weight(params, params.lam, sum(b - a for a, b in zip(ci, cj)) / len(ci)))
             for j, cj in enumerate(columns[i + 1 :], i + 1)
             if all(b > a for a, b in zip(ci, cj))
         ]
@@ -90,21 +93,17 @@ def enumerate_common(
     ]
 
     found: list[tuple[tuple[int, ...], int | float]] = []
-    limit = len(candidates) if max_len is None else max_len
 
     def extend(chain: tuple[int, ...], product: int | float) -> None:
         """Record every extension of chain; product is its pair-weight product."""
-        if len(chain) >= limit:
-            return
         for j, pair in successors[chain[-1]]:
             longer, weight = chain + (j,), product * pair
             found.append((longer, weight))
             extend(longer, weight)
 
-    if limit >= 1:
-        for i, weight in enumerate(singleton_weight):
-            found.append(((i,), weight))
-            extend((i,), 1)
+    for i, weight in enumerate(singleton_weight):
+        found.append(((i,), weight))
+        extend((i,), 1)
 
     found.sort(key=lambda entry: (len(entry[0]), entry[0]))
     return [
@@ -116,9 +115,9 @@ def enumerate_common(
 def oracle_profile(rset: RankingSet, params: MeasureParams | None = None) -> KappaProfile:
     """Kappa profile obtained by summing enumerated subsequence weights.
 
-    It keeps kappa_1, kappa_2, ... by the rule of kappa_series,
-    ``params.keeps``. It enumerates once per (gamma, lambda), where
-    kappa_sweep runs one series of later terms (``measures._tail``) per
+    It cuts kappa_1, kappa_2, ... by the rule of kappa_series,
+    ``takewhile(params.keeps, ...)``. It enumerates once per
+    (gamma, lambda), where kappa_sweep runs one pass of later terms per
     lambda plus one for the exact corner.
     """
     if params is None:
@@ -129,14 +128,5 @@ def oracle_profile(rset: RankingSet, params: MeasureParams | None = None) -> Kap
         by_length[length] = by_length.get(length, 0) + sub.weight
     # enumerate_common sorts by length and every prefix of a common chain
     # is common, so the lengths run 1..longest in order.
-    series = tuple(takewhile(lambda term: params.keeps(term[1]), by_length.items()))
+    series = tuple(takewhile(params.keeps, by_length.values()))
     return KappaProfile(series=series, exact=params.exact)
-
-
-def format_subsequences(subsequences: list[CommonSubsequence]) -> str:
-    """One subsequence per line: tokens space-separated, weight appended."""
-    lines = []
-    for sub in subsequences:
-        tokens = " ".join(sub.items)
-        lines.append(f"{tokens} {sub.weight!r}")
-    return "\n".join(lines) + ("\n" if lines else "")

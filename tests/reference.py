@@ -34,6 +34,9 @@ each item's positions up in both rankings, and counts the concordant
 and the discordant item pairs of a Kendall index. ``serialize_text``
 and ``serialize_json`` write a document in the two formats, so that the
 round-trip tests can read it back; no command writes a ranking file.
+``enumerate_upto`` is ``oracle.enumerate_common`` as it was when it took
+a ``max_len``: the full enumeration filtered by length.
+``format_subsequences`` writes one enumerated subsequence per line.
 None of them is used outside the tests; ``to_dense`` only spells a
 matrix out for assertions.
 """
@@ -51,6 +54,7 @@ from rankconsensus.graph import ConsensusMatrix, Deviation, MeasureParams, Surve
 from rankconsensus.io import ParseError, RankingDocument, RawRanking, _json_fail
 from rankconsensus.measures import KappaProfile
 from rankconsensus.model import Ranking, RankingSet, ValidationError, valid_tokens
+from rankconsensus.oracle import CommonSubsequence, enumerate_common
 
 
 def is_token(token: object) -> bool:
@@ -143,10 +147,10 @@ def multiply_lower(matrix: ConsensusMatrix, vector: list[int | float]) -> list[i
 def product_series(matrix: ConsensusMatrix, params: MeasureParams) -> KappaProfile:
     n = len(matrix.diag)
     term = sum(matrix.diag)
-    series: list[tuple[int, int | float]] = []
+    series: list[int | float] = []
     vector: list[int | float] = [1] * n
     while params.keeps(term) and len(series) < n:
-        series.append((len(series) + 1, term))
+        series.append(term)
         vector = multiply_lower(matrix, vector)
         term = sum(vector)
     return KappaProfile(series=tuple(series), exact=params.exact)
@@ -225,9 +229,9 @@ def level_series(sv: Survey, params: MeasureParams) -> KappaProfile:
     """
     term = sum(sv._diagonal(params))
     later = level_terms(sv, params.lam)
-    series: list[tuple[int, int | float]] = []
+    series: list[int | float] = []
     while params.keeps(term) and len(series) < len(sv.items):
-        series.append((len(series) + 1, term))
+        series.append(term)
         term = next(later)
     return KappaProfile(series=tuple(series), exact=params.exact)
 
@@ -453,6 +457,19 @@ def serialize_json(document: RankingDocument) -> str:
         entry["groups"] = [list(group) for group in raw.ranking.groups]
         entries.append(entry)
     return json.dumps({"rankings": entries}, indent=2) + "\n"
+
+
+def enumerate_upto(
+    rset: RankingSet, max_len: int, params: MeasureParams | None = None
+) -> list[CommonSubsequence]:
+    """The common subsequences of at most max_len items, in the oracle's order."""
+    return [sub for sub in enumerate_common(rset, params=params) if len(sub.items) <= max_len]
+
+
+def format_subsequences(subsequences: list[CommonSubsequence]) -> str:
+    """One subsequence per line: tokens space-separated, weight appended."""
+    lines = [f"{' '.join(sub.items)} {sub.weight!r}" for sub in subsequences]
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def to_dense(matrix: ConsensusMatrix) -> list[list[int | float]]:

@@ -35,7 +35,7 @@ from rankconsensus.model import Ranking, RankingSet
 from rankconsensus.oracle import enumerate_common, oracle_profile
 
 from conftest import EXAMPLE_LINES, make_set, random_set
-from reference import to_dense
+from reference import enumerate_upto, to_dense
 
 GRID = [x / 100 for x in range(100, 44, -5)]
 TABLES = (
@@ -63,10 +63,10 @@ def test_criterion_1_worked_example():
     def run():
         rset = make_set(*EXAMPLE_LINES)
         profile = measure(rset, MeasureParams())
-        assert profile.series == ((1, 5), (2, 7), (3, 4), (4, 1))
+        assert profile.series == (5, 7, 4, 1)
         assert profile.ell == 4
         assert profile.total == 17
-        assert all(isinstance(v, int) for _, v in profile.series)
+        assert all(isinstance(v, int) for v in profile.series)
 
         subs = enumerate_common(rset)
         assert ["".join(s.items) for s in subs if len(s.items) == 3] == [
@@ -272,10 +272,7 @@ def test_criterion_6_structural_invariants():
         for rset in sets:
             for params in (MeasureParams(), weighted):
                 profile = measure(rset, params)
-                assert [p for p, _ in profile.series] == list(
-                    range(1, profile.ell + 1)
-                )
-                assert all(value > 0 for _, value in profile.series)
+                assert all(value > 0 for value in profile.series)
 
     ok, detail = evaluate(run)
     report(6, "invariants: powers of two, reference choice, monotonicity, zeros", ok, detail)
@@ -298,7 +295,7 @@ def test_criterion_7_pairwise_indices_against_pair_counts():
 
             def count_pairs(lines):
                 rset = RankingSet.build(lines)
-                subs = enumerate_common(rset, max_len=2)
+                subs = enumerate_upto(rset, 2)
                 return sum(1 for s in subs if len(s.items) == 2)
 
             concordant = count_pairs([first, second])

@@ -99,6 +99,43 @@ def test_only_io_imports_a_format_module():
     assert importers == []
 
 
+def test_every_exported_function_is_read_by_the_library_or_the_benchmark():
+    # A public function that no code in src/ or bench/ reads only widens
+    # the surface; helpers that only the tests need live in
+    # tests/reference.py. A read is a name, an attribute or a string
+    # constant (bench/tracing.py wraps functions by name), outside the
+    # function's own def and outside __init__.py, which only exports.
+    # A docstring is no read.
+    exported = {
+        name for name in rankconsensus.__all__ if inspect.isfunction(getattr(rankconsensus, name))
+    }
+    read = set()
+    for path in [*(ROOT / "src" / "rankconsensus").glob("*.py"), *BENCH.glob("*.py")]:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        documented = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        docstrings = {
+            id(node.body[0].value)
+            for node in ast.walk(tree)
+            if isinstance(node, documented) and ast.get_docstring(node, clean=False) is not None
+        }
+        for statement in tree.body:
+            own = statement.name if isinstance(statement, ast.FunctionDef) else None
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name):
+                    word = node.id
+                elif isinstance(node, ast.Attribute):
+                    word = node.attr
+                elif isinstance(node, ast.Constant) and id(node) not in docstrings:
+                    word = node.value
+                else:
+                    continue
+                if word != own:
+                    read.add(word)
+    assert sorted(exported - read) == []
+
+
 def test_readme_library_example_gives_its_comments():
     # Every python block of the section runs, in order, in one namespace,
     # so a stale name or signature in any of them fails here. A comment

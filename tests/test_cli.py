@@ -148,7 +148,7 @@ class TestMeasure:
         # integer, so the exact total plus it can only be written as a float.
         doc = tmp_path / "set.txt"
         doc.write_text("a b c\nc b a\na b c\nb a c\n")
-        huge = measures.KappaProfile(series=((1, 2**1100),), exact=True)
+        huge = measures.KappaProfile(series=(2**1100,), exact=True)
         monkeypatch.setattr(measures, "kappa_series", lambda sv, params: huge)
         code, out, err = run(capsys, "measure", str(doc), "--dedup", "--format", "csv")
         assert (code, out) == (6, "")
@@ -178,7 +178,7 @@ class TestMeasure:
         # the float range; that run takes minutes, so the series is stubbed.
         doc = tmp_path / "set.txt"
         doc.write_text("a b c\n")
-        series = measures.KappaProfile(series=((1, 3.0), (2, float("inf"))), exact=False)
+        series = measures.KappaProfile(series=(3.0, float("inf")), exact=False)
         monkeypatch.setattr(measures, "kappa_series", lambda sv, params: series)
         code, out, err = run(capsys, "measure", str(doc), "--gamma", "0.9", "--format", fmt)
         assert (code, err) == (0, "")
@@ -193,7 +193,7 @@ class TestMeasure:
         doc = tmp_path / "set.txt"
         doc.write_text("a b c\n")
         total = 2**15000 - 1
-        series = measures.KappaProfile(series=((1, total),), exact=True)
+        series = measures.KappaProfile(series=(total,), exact=True)
         monkeypatch.setattr(measures, "kappa_series", lambda sv, params: series)
         code, out, err = run(capsys, "measure", str(doc), "--format", fmt)
         assert (code, err) == (0, "")
@@ -210,12 +210,19 @@ class TestMeasure:
     def test_weighted_term_past_the_float_range_as_json_exits_6(
         self, tmp_path, monkeypatch, capsys, argv, value
     ):
-        # JSON has no word for inf or nan; csv and table write them. The
-        # stub gives the terms after the trace, kappa_1 = 3.0, on both
-        # commands.
+        # JSON has no word for inf or nan; csv and table write them. An
+        # inf term reaches the writer through either route: the stub gives
+        # the terms after the trace, kappa_1 = 3.0. params.keeps refuses a
+        # nan term, so no route keeps one, and the results are stubbed whole.
         doc = tmp_path / "set.txt"
         doc.write_text("a b c\n")
-        monkeypatch.setattr(measures, "_tail", lambda sv, params: ((2, value),))
+        if value == math.inf:
+            monkeypatch.setattr(measures, "_packed_terms", lambda sv, params: iter((value,)))
+        else:
+            profile = measures.KappaProfile(series=(3.0, value), exact=False)
+            point = measures.SweepPoint(0.9, 1.0, profile)
+            monkeypatch.setattr(measures, "kappa_series", lambda sv, params: profile)
+            monkeypatch.setattr(measures, "kappa_sweep", lambda sv, *grid: [point])
         code, out, err = run(capsys, argv[0], str(doc), *argv[1:], "--format", "json")
         assert (code, out) == (6, "")
         assert err == (
@@ -248,7 +255,7 @@ class TestMeasure:
         code, out, err = run(capsys, argv[0], str(doc), *argv[1:], "--format", "json")
         assert (code, out) == (6, "")
         profile = measure(make_set(tokens), MeasureParams(gamma=0.9))
-        inf = [p for p, value in profile.series if value == math.inf]
+        inf = [p for p, value in enumerate(profile.series, 1) if value == math.inf]
         assert (inf[0], inf[-1], len(inf)) == (388, 712, 325)
         assert profile.value_at(387) == float(comb(1100, 387))
         assert profile.ell == 1100
@@ -562,13 +569,29 @@ class TestOracleCheck:
             if params.exact:
                 return measure(make_set("a b", "b a"), params)
             profile = measure(rset, params)
-            (p, first), *rest = profile.series
-            return replace(profile, series=((p, first * (1 + 1e-6)), *rest))
+            first, *rest = profile.series
+            return replace(profile, series=(first * (1 + 1e-6), *rest))
 
         monkeypatch.setattr(oracle, "oracle_profile", fake_profile)
         code, _, err = run(capsys, "oracle-check", "clustering", *weights)
         assert code == 5
         assert err.startswith("oracle check FAILED\np series oracle\n")
+
+    @pytest.mark.parametrize(
+        "weights", [(), ("--gamma", "0.9", "--lambda", "0.8")], ids=["exact", "weighted"]
+    )
+    def test_a_series_one_term_short_exits_5(self, monkeypatch, capsys, weights):
+        # Every term the two routes share agrees; the one the oracle lacks
+        # is 0 there, so the series do not match.
+        def short_profile(rset, params):
+            profile = measure(rset, params)
+            return replace(profile, series=profile.series[:-1])
+
+        monkeypatch.setattr(oracle, "oracle_profile", short_profile)
+        code, out, err = run(capsys, "oracle-check", "clustering", *weights)
+        assert (code, out) == (5, "")
+        assert err.startswith("oracle check FAILED\np series oracle\n")
+        assert err.splitlines()[-1].endswith(" 0")
 
 
 class TestExperiment:

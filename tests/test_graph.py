@@ -55,16 +55,24 @@ class TestMeasureParams:
         assert message in str(err.value)
 
     def test_exact_path_weighs_one_and_keeps_every_nonzero_term(self):
+        # Every weight of the matrix, item or pair, is the int 1.
         params = MeasureParams(epsilon=5)
-        weight = params.weight(0.5, 3.0)
-        assert weight == 1 and type(weight) is int
+        matrix = survey(make_set(*EXAMPLE_LINES)).matrix(params)
+        weights = [w for w in matrix.diag if w] + [w for row in matrix.rows for _, w in row]
+        assert len(weights) == 5 + 7
+        assert all(w == 1 and type(w) is int for w in weights)
         assert params.keeps(1)
         assert not params.keeps(0)
 
     def test_weighted_path_weighs_by_power_and_cuts_at_epsilon(self):
+        # An item weighs gamma**d and a pair lambda**gap.
         params = MeasureParams(gamma=0.9, lam=0.8, epsilon=3.9567393065812473)
-        assert params.weight(0.8, 2.5) == 0.8**2.5
-        assert params.weight(params.gamma, 1.25) == 0.9**1.25
+        sv = survey(make_set(*EXAMPLE_LINES))
+        matrix = sv.matrix(params)
+        deviations = sv._deviations[params.deviation]
+        assert list(compress(matrix.diag, sv.common)) == [0.9**d for d in deviations]
+        pairs = {(i, j): w for i, row in enumerate(matrix.rows) for j, w in row}
+        assert pairs == {(i, j): 0.8**gap for i, j, gap in sv.edges}
         assert not params.keeps(params.epsilon)
         assert params.keeps(math.nextafter(params.epsilon, math.inf))
 
@@ -173,8 +181,8 @@ class TestSurveyStatistics:
             expected = sum(gamma**d for d in pairwise_survey(rset)._deviations[variant])
         (point,) = kappa_sweep(sv, [gamma], [lam], params)
         for profile in (kappa_series(sv, params), point.profile):
-            (p, kappa_1), *_ = profile.series
-            assert (p, kappa_1, type(kappa_1)) == (1, expected, type(expected))
+            kappa_1, *_ = profile.series
+            assert (kappa_1, type(kappa_1)) == (expected, type(expected))
 
 
 class TestTies:

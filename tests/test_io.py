@@ -365,7 +365,7 @@ class TestRendering:
         from rankconsensus.measures import KappaProfile, SweepPoint
 
         digits = str(Decimal(self.HUGE))
-        profile = KappaProfile(series=((1, self.HUGE),), exact=True)
+        profile = KappaProfile(series=(self.HUGE,), exact=True)
         extras = {"kappa_dup": self.HUGE}
         limit = sys.get_int_max_str_digits()
         profile_text = write_results(profile, fmt, params=MeasureParams(), extras=extras)
@@ -391,7 +391,7 @@ class TestRendering:
         from rankconsensus.measures import KappaProfile
 
         limit = sys.get_int_max_str_digits()
-        profile = KappaProfile(series=((1, float("nan")),), exact=False)
+        profile = KappaProfile(series=(float("nan"),), exact=False)
         with pytest.raises(ValueError):
             write_results(profile, "json", params=MeasureParams())
         assert sys.get_int_max_str_digits() == limit
@@ -414,7 +414,7 @@ class TestRendering:
                     go.wait(10)
                     return super().total
 
-            return Held(series=((1, self.HUGE),), exact=True), inside, go
+            return Held(series=(self.HUGE,), exact=True), inside, go
 
         limit = sys.get_int_max_str_digits()
         outputs = {}

@@ -35,7 +35,7 @@ GRID = [x / 100 for x in range(100, 44, -5)]
 class TestExactSeries:
     def test_example_profile(self, example_set):
         profile = measure(example_set, MeasureParams())
-        assert profile.series == ((1, 5), (2, 7), (3, 4), (4, 1))
+        assert profile.series == (5, 7, 4, 1)
         assert profile.ell == 4
         assert profile.total == 17
         assert profile.exact
@@ -54,7 +54,7 @@ class TestExactSeries:
         profile = measure(rset, MeasureParams())
         assert profile.total == 2**n - 1
         assert profile.ell == n
-        assert profile.series == tuple((p, comb(n, p)) for p in range(1, n + 1))
+        assert profile.series == tuple(comb(n, p) for p in range(1, n + 1))
 
     def test_disjoint_rankings_have_empty_profile(self):
         rset = make_set("a b", "c d")
@@ -140,16 +140,16 @@ class TestPackedSeries:
         assert rows[0] == (0, 0, False)
         assert rows[1:] == tuple((i, 0, True) for i in range(1, 200))
         profile = kappa_series(sv, self.EXACT)
-        assert profile.series == tuple((p, comb(200, p)) for p in range(1, 201))
+        assert profile.series == tuple(comb(200, p) for p in range(1, 201))
         assert profile.total == 2**200 - 1
 
     @pytest.mark.parametrize(
         "lines, series, complements",
         [
             (("a b", "c d"), (), 0),
-            (("a b", "c a"), ((1, 1),), 0),
-            (("a b c", "c a"), ((1, 2),), 0),
-            (("a b c", "a c"), ((1, 2), (2, 1)), 1),
+            (("a b", "c a"), (1,), 0),
+            (("a b c", "c a"), (2,), 0),
+            (("a b c", "a c"), (2, 1), 1),
         ],
     )
     def test_few_common_items(self, lines, series, complements):
@@ -193,7 +193,7 @@ def assert_close(profile, expected):
     underflowed to 0 on one route be kept on the other.
     """
     assert profile.exact == expected.exact
-    assert all(isinstance(value, float) for _, value in profile.series)
+    assert all(isinstance(value, float) for value in profile.series)
     for p in range(1, max(profile.ell, expected.ell) + 1):
         a, b = profile.value_at(p), expected.value_at(p)
         if b < sys.float_info.min:
@@ -334,8 +334,8 @@ class TestLevelSeries:
         # Every chain weighs 1, so the terms are the counts, but as floats.
         profile = measure(example_set, MeasureParams(gamma=0.9))
         assert not profile.exact
-        assert [type(value) for _, value in profile.series] == [float] * 4
-        assert [value for _, value in profile.series[1:]] == [7.0, 4.0, 1.0]
+        assert [type(value) for value in profile.series] == [float] * 4
+        assert profile.series[1:] == (7.0, 4.0, 1.0)
         (point,) = kappa_sweep(survey(example_set), [0.9], [1.0])
         assert point.profile == profile
         assert repr(point.profile) == repr(profile)
@@ -402,7 +402,7 @@ class TestWeightedSeries:
         params = MeasureParams(gamma=0.5, lam=0.5, epsilon=1e-6)
         profile = measure(example_set, params)
         assert not profile.exact
-        assert all(value > 1e-6 for _, value in profile.series)
+        assert all(value > 1e-6 for value in profile.series)
         assert profile.ell == len(profile.series)
 
     def test_epsilon_zero_runs_to_matrix_order(self, example_set):
@@ -570,10 +570,24 @@ class TestSweep:
         assert combos == [(1.0, 1.0), (1.0, 0.8), (0.9, 1.0), (0.9, 0.8)]
 
     def test_single_point_matches_measure(self, example_set):
-        params = MeasureParams(gamma=0.7, lam=0.6)
-        direct = measure(example_set, params)
-        (point,) = kappa_sweep(survey(example_set), [0.7], [0.6], MeasureParams())
-        assert point.profile.series == direct.series
+        # Every point, the exact corner and the weighted points at
+        # lambda = 1 included, whichever the grid reaches first, is the
+        # series at its own params: ints at the corner, floats elsewhere.
+        sv = survey(example_set)
+        base = MeasureParams(epsilon=1e-3)
+        points = [
+            *kappa_sweep(sv, [1.0, 0.7], [1.0, 0.6], base),
+            *kappa_sweep(sv, [0.7, 1.0], [1.0, 0.6], base),
+        ]
+        assert len(points) == 8
+        for point in points:
+            params = replace(base, gamma=point.gamma, lam=point.lam)
+            expected = kappa_series(sv, params)
+            assert point.profile == expected == measure(example_set, params)
+            assert repr(point.profile) == repr(expected)
+            kind = int if params.exact else float
+            assert point.profile.ell == 4
+            assert [type(term) for term in point.profile.series] == [kind] * 4
 
     def test_exact_corner_is_integer(self, example_set):
         (point,) = kappa_sweep(survey(example_set), [1.0], [1.0])
@@ -588,8 +602,8 @@ class TestSweep:
         params = MeasureParams(epsilon=1.5)
         points = kappa_sweep(survey(rset), [0.25, 0.01], [1.0, 0.9], params)
         kept = {pt.lam: pt.profile for pt in points if pt.gamma == 0.25}
-        assert kept[1.0].series == ((1, 2.0), (2, 2.0))
-        assert kept[0.9].series == ((1, 2.0), (2, 2 * 0.9**1.5))
+        assert kept[1.0].series == (2.0, 2.0)
+        assert kept[0.9].series == (2.0, 2 * 0.9**1.5)
         for lam, profile in kept.items():
             assert profile.ell == 2
             assert profile == measure(rset, MeasureParams(gamma=0.25, lam=lam, epsilon=1.5))

